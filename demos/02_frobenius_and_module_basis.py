@@ -39,7 +39,7 @@ print()
 A = QElement.generator(spec, "a")
 dec = decompose(A, "left")
 print("decompose(a), left side:")
-for ix, g in dec.sorted_entries():
+for ix, g in dec.sorted_terms():
     print("  %-12s %s" % (quantum_monomial_text(ix.monomial()) or "1",
                           format_classical(g)))
 assert recompose(dec) == A

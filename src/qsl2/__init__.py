@@ -10,13 +10,10 @@ order 2l with l odd.
 
 from .cyclo import (
     Cyclotomic,
-    Rational,
     RootSpec,
-    approx_complex,
     cyclotomic_from_json,
     cyclotomic_polynomial,
     euler_phi,
-    gauss_binomial,
     make_root_spec,
     p_coeff,
     p_expansion,
@@ -31,11 +28,9 @@ from .qalgebra import (
     QElement,
     QMonomial,
     TensorElement,
-    Word,
     antipode,
     classical_element_from_json,
     classical_mul,
-    classical_normalize,
     coproduct,
     counit,
     power,

@@ -21,14 +21,13 @@ exact linear algebra and knows nothing about the relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 from .cyclo import Cyclotomic, RootSpec, make_root_spec, p_expansion, zeta_pow
 from .exactla import ExactMatrix, rref
 from .frobenius import (
     ModuleElement,
     _check_side,
-    _merge,
     _require_standard,
     central_reduce,
     lift,
@@ -39,11 +38,12 @@ from .qalgebra import (
     ClassicalMonomial,
     QElement,
     QMonomial,
-    classical_element_from_json,
+    _SidedTerms,
+    _SortedTerms,
     classical_mul,
     qmul,
 )
-from .qalgebra import _mono_mul
+from .qalgebra import _add_term, _mono_mul, _nonzero
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,12 @@ class FamilyA:
     def monomial(self) -> QMonomial:
         return QMonomial(self.m, self.n, self.s, 0)
 
+    def sort_key(self):
+        return (1, self.m, self.n, self.s)
+
+    def to_json(self) -> dict:
+        return {"family": "A", "m": self.m, "n": self.n, "s": self.s}
+
 
 @dataclass(frozen=True)
 class FamilyD:
@@ -68,6 +74,12 @@ class FamilyD:
 
     def monomial(self) -> QMonomial:
         return QMonomial(0, self.n, self.s, self.r)
+
+    def sort_key(self):
+        return (0, self.n, self.s, self.r)
+
+    def to_json(self) -> dict:
+        return {"family": "D", "n": self.n, "s": self.s, "r": self.r}
 
 
 BasisIndex = Union[FamilyA, FamilyD]
@@ -89,6 +101,13 @@ def enumerate_basis(l: int) -> list[BasisIndex]:
     return out
 
 
+def residual_monomials(l: int) -> list[QMonomial]:
+    """Every reduced monomial with all exponents below l (2l^3 - l^2 of them)."""
+    return [QMonomial(i, j, k, m)
+            for i in range(l) for j in range(l) for k in range(l) for m in range(l)
+            if not (i and m)]
+
+
 def is_basis_monomial(mono: QMonomial, l: int) -> BasisIndex | None:
     """Classify a reduced monomial; None means it violates the basis shape."""
     if min(mono) < 0 or max(mono) >= l or (mono.a and mono.d):
@@ -102,43 +121,30 @@ def is_basis_monomial(mono: QMonomial, l: int) -> BasisIndex | None:
     return None
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Coordinates of an element in the free-module basis."""
+class Decomposition(_SidedTerms):
+    """Coordinates of an element in the free-module basis, keyed by BasisIndex."""
 
-    spec: RootSpec
-    side: str
-    coefficients: dict[BasisIndex, ClassicalElement]
+    __slots__ = ()
+    _ROWS = "entries"
 
-    def sorted_entries(self):
-        def key(item):
-            idx = item[0]
-            return (0, idx.n, idx.s, idx.r, 0) if isinstance(idx, FamilyD) else (1, idx.m, idx.n, idx.s)
-        return sorted(self.coefficients.items(), key=key)
+    @property
+    def coefficients(self) -> dict[BasisIndex, ClassicalElement]:
+        return self.terms
 
-    def to_json(self) -> dict:
-        entries = []
-        for idx, g in self.sorted_entries():
-            if isinstance(idx, FamilyD):
-                entries.append({"family": "D", "n": idx.n, "s": idx.s, "r": idx.r, "coeff": g.to_json()})
-            else:
-                entries.append({"family": "A", "m": idx.m, "n": idx.n, "s": idx.s, "coeff": g.to_json()})
-        return {"side": self.side, "entries": entries}
+    @staticmethod
+    def _key_json(idx: BasisIndex) -> dict:
+        return idx.to_json()
+
+    @staticmethod
+    def _key_from_json(row: dict) -> BasisIndex:
+        if row["family"] == "D":
+            return FamilyD(int(row["n"]), int(row["s"]), int(row["r"]))
+        if row["family"] == "A":
+            return FamilyA(int(row["m"]), int(row["n"]), int(row["s"]))
+        raise ValueError("unknown family %r" % (row["family"],))
 
 
-def decomposition_from_json(data: dict, spec: RootSpec) -> Decomposition:
-    coeffs: dict[BasisIndex, ClassicalElement] = {}
-    for e in data["entries"]:
-        if e["family"] == "D":
-            idx: BasisIndex = FamilyD(int(e["n"]), int(e["s"]), int(e["r"]))
-        elif e["family"] == "A":
-            idx = FamilyA(int(e["m"]), int(e["n"]), int(e["s"]))
-        else:
-            raise ValueError("unknown family %r" % (e["family"],))
-        g = classical_element_from_json(e["coeff"], spec)
-        coeffs[idx] = coeffs[idx] + g if idx in coeffs else g
-    coeffs = {i: g for i, g in coeffs.items() if not g.is_zero()}
-    return Decomposition(spec, data["side"], coeffs)
+decomposition_from_json = Decomposition.from_json
 
 
 def eliminate_d_family(n: int, s: int, r: int, spec: RootSpec, side: str = "left") -> ModuleElement:
@@ -151,11 +157,10 @@ def eliminate_d_family(n: int, s: int, r: int, spec: RootSpec, side: str = "left
     k = l - r
     row = p_expansion(spec, k)
     tail = QElement(spec, {QMonomial(0, n + j, s + j, r): -row[j] for j in range(1, k + 1)})
-    terms = dict(central_reduce(tail, side).terms)
     head = QMonomial(k, n, s, 0)
     fac = zeta_pow(spec, r * (n + s)) if side == "left" else zeta_pow(spec, -k * (n + s))
-    _merge(terms, head, ClassicalElement.generator(spec, "delta") * fac)
-    return ModuleElement(spec, side, {m: g for m, g in terms.items() if not g.is_zero()})
+    return central_reduce(tail, side) + ModuleElement(
+        spec, side, {head: ClassicalElement.generator(spec, "delta") * fac})
 
 
 def eliminate_a_family(m: int, n: int, s: int, spec: RootSpec, side: str = "left") -> ModuleElement:
@@ -168,11 +173,10 @@ def eliminate_a_family(m: int, n: int, s: int, spec: RootSpec, side: str = "left
     k = l - m
     row = p_expansion(spec, k)
     tail = QElement(spec, {QMonomial(m, n + j, s + j, 0): -row[j] for j in range(1, k + 1)})
-    terms = dict(central_reduce(tail, side).terms)
     head = QMonomial(0, n, s, k)
     fac = zeta_pow(spec, -k * (n + s)) if side == "left" else zeta_pow(spec, m * (n + s))
-    _merge(terms, head, ClassicalElement.generator(spec, "alpha") * fac)
-    return ModuleElement(spec, side, {m2: g for m2, g in terms.items() if not g.is_zero()})
+    return central_reduce(tail, side) + ModuleElement(
+        spec, side, {head: ClassicalElement.generator(spec, "alpha") * fac})
 
 
 def decompose(x: QElement, side: str = "left") -> Decomposition:
@@ -203,44 +207,25 @@ def decompose(x: QElement, side: str = "left") -> Decomposition:
         else:
             rel = eliminate_d_family(j, k, m, spec, side)
         for mono2, h in rel.terms.items():
-            contrib = classical_mul(g, h)
             cls2 = is_basis_monomial(mono2, l)
             if i > 0:
                 # family A: s strictly increases and the c-exponent never wraps
-                if mono2.a:
-                    assert mono2.a == i and k < mono2.c < l
-                else:
-                    assert cls2 is not None
+                in_order = (mono2.a == i and k < mono2.c < l) if mono2.a else cls2 is not None
             else:
                 # family D: s strictly increases until it wraps, then the term is valid
-                if mono2.a == 0 and mono2.c > k:
-                    assert mono2.d == m
-                else:
-                    assert cls2 is not None
-            target = settled if cls2 is not None else pending
-            _merge(target, mono2, contrib)
-    out: dict[BasisIndex, ClassicalElement] = {}
-    for mono, g in settled.items():
-        if g.is_zero():
-            continue
-        idx = is_basis_monomial(mono, l)
-        out[idx] = out[idx] + g if idx in out else g
-    out = {idx: g for idx, g in out.items() if not g.is_zero()}
-    return Decomposition(spec, side, out)
+                in_order = mono2.d == m if (mono2.a == 0 and mono2.c > k) else cls2 is not None
+            if not in_order:
+                raise RuntimeError("eliminating %s produced %s out of order; this is a bug"
+                                   % (mono, mono2))
+            _add_term(settled if cls2 is not None else pending, mono2, classical_mul(g, h))
+    # distinct basis monomials have distinct indices
+    return Decomposition(spec, side, {is_basis_monomial(mono, l): g for mono, g in settled.items()})
 
 
 def recompose(dec: Decomposition) -> QElement:
     """Evaluate the coordinates back to an element; inverse of decompose."""
-    spec = dec.spec
-    _check_side(dec.side)
-    acc = QElement.zero(spec)
-    for idx, g in dec.coefficients.items():
-        base = QElement.monomial(spec, idx.monomial())
-        if dec.side == "left":
-            acc = acc + qmul(lift(g), base)
-        else:
-            acc = acc + qmul(base, lift(g))
-    return acc
+    monomials = {idx.monomial(): g for idx, g in dec.coefficients.items()}
+    return module_recompose(ModuleElement(dec.spec, dec.side, monomials))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +236,7 @@ CHARTS = ("alpha", "beta")
 
 
 @dataclass(frozen=True)
-class LocalizedElement:
+class LocalizedElement(_SortedTerms):
     """x written over a chart: sum of lift(numerator)/denominator^k times chart monomials.
 
     chart "alpha": denominators are powers of alpha, chart monomials are
@@ -264,21 +249,20 @@ class LocalizedElement:
     chart: str
     terms: dict[QMonomial, tuple[ClassicalElement, int]]
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
     def max_power(self) -> int:
         return max((k for _, k in self.terms.values()), default=0)
 
-    def to_json(self) -> dict:
-        return {
-            "chart": self.chart,
-            "terms": [
-                {"monomial": {"a": m.a, "b": m.b, "c": m.c, "d": m.d},
-                 "numerator": g.to_json(), "power": k}
-                for m, (g, k) in self.sorted_terms()
-            ],
-        }
+    def _json_head(self) -> dict:
+        return {"chart": self.chart}
+
+    @staticmethod
+    def _key_json(mono: QMonomial) -> dict:
+        return {"monomial": mono._asdict()}
+
+    @staticmethod
+    def _value_json(value) -> dict:
+        g, k = value
+        return {"numerator": g.to_json(), "power": k}
 
 
 def chart_monomial_element(spec: RootSpec, chart: str, mono: QMonomial) -> QElement:
@@ -294,28 +278,21 @@ def _beta_append(spec: RootSpec, terms: dict, letter: str) -> dict:
     """Right-multiply a combination of words a^r b^s d^t by a generator."""
     out: dict[tuple[int, int, int], Cyclotomic] = {}
     one = Cyclotomic.one(spec.N)
-
-    def add(key, v):
-        if key in out:
-            out[key] = out[key] + v
-        else:
-            out[key] = v
-
     for (r, s, t), v in terms.items():
         if letter == "a":
             # d^t a = q^(-2t) a d^t + (1 - q^(-2t)) d^(t-1);  b^s a = q^(-s) a b^s
-            add((r + 1, s, t), v * zeta_pow(spec, -2 * t - s))
+            _add_term(out, (r + 1, s, t), v * zeta_pow(spec, -2 * t - s))
             if t:
                 f = one - zeta_pow(spec, -2 * t)
                 if not f.is_zero():
-                    add((r, s, t - 1), v * f)
+                    _add_term(out, (r, s, t - 1), v * f)
         elif letter == "b":
-            add((r, s + 1, t), v * zeta_pow(spec, -t))
+            _add_term(out, (r, s + 1, t), v * zeta_pow(spec, -t))
         elif letter == "d":
-            add((r, s, t + 1), v)
+            _add_term(out, (r, s, t + 1), v)
         else:
             raise ValueError("letter %r not in the beta chart" % letter)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return _nonzero(out)
 
 
 def _beta_word_mul(spec: RootSpec, left: tuple[int, int, int], right: tuple[int, int, int]) -> dict:
@@ -344,20 +321,20 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
         blowup = ClassicalElement.generator(spec, "alpha") ** K
         for mono, g in me.terms.items():
             if mono.d == 0:
-                _merge(acc, mono, classical_mul(g, blowup))
+                _add_term(acc, mono, classical_mul(g, blowup))
                 continue
             # alpha^K kills every d: a^(lK) against d^m contracts completely
             prod = _mono_mul(spec, QMonomial(l * K, 0, 0, 0), mono)
             sub = central_reduce(QElement(spec, dict(prod)), "left")
             for mono2, h in sub.terms.items():
-                _merge(acc, mono2, classical_mul(g, h))
+                _add_term(acc, mono2, classical_mul(g, h))
     else:
         K = max((m.c for m in me.terms), default=0)
         blowup = ClassicalElement.generator(spec, "beta") ** K
         for mono, g in me.terms.items():
             i, j, k, m = mono
             if k == 0:
-                _merge(acc, mono, classical_mul(g, blowup))
+                _add_term(acc, mono, classical_mul(g, blowup))
                 continue
             # beta^K * mono: b^(lK) past a^i, then pair each c with a b:
             # b^(lK+j) c^k = b^(lK+j-k) (bc)^k and bc = q^-1 (ad - 1)
@@ -366,15 +343,15 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
                 # multiply by (ad - 1)
                 with_ad = _beta_append(spec, _beta_append(spec, terms, "a"), "d")
                 for key, v in terms.items():
-                    with_ad[key] = with_ad[key] - v if key in with_ad else -v
-                terms = {key: v for key, v in with_ad.items() if not v.is_zero()}
+                    _add_term(with_ad, key, -v)
+                terms = _nonzero(with_ad)
             for _ in range(m):
                 terms = _beta_append(spec, terms, "d")
             for (r, s, t), v in terms.items():
                 blocks = (r // l, s // l, t // l)
                 residual = (r % l, s % l, t % l)
                 if blocks == (0, 0, 0):
-                    _merge(acc, QMonomial(r, s, 0, t), classical_mul(g, ClassicalElement.scalar(spec, v)))
+                    _add_term(acc, QMonomial(r, s, 0, t), classical_mul(g, ClassicalElement.scalar(spec, v)))
                     continue
                 block_word = (l * blocks[0], l * blocks[1], l * blocks[2])
                 prod = _beta_word_mul(spec, block_word, residual)
@@ -385,13 +362,12 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
                     raise AssertionError("chart block extraction misaligned")
                 cm = ClassicalMonomial(blocks[0], blocks[1], 0, blocks[2])
                 coeff = ClassicalElement.monomial(spec, cm, v * tau.inv())
-                _merge(acc, QMonomial(*residual[:2], 0, residual[2]), classical_mul(g, coeff))
-    acc = {m: g for m, g in acc.items() if not g.is_zero()}
+                _add_term(acc, QMonomial(*residual[:2], 0, residual[2]), classical_mul(g, coeff))
     # divide out the common denominator power per term
     out: dict[QMonomial, tuple[ClassicalElement, int]] = {}
-    divider = _alpha_valuation if chart == "alpha" else _beta_valuation
-    for mono, g in acc.items():
-        v, reduced_g = divider(g, K)
+    divide = _divide_by_alpha if chart == "alpha" else _divide_by_beta
+    for mono, g in _nonzero(acc).items():
+        v, reduced_g = _valuation(g, K, divide)
         out[mono] = (reduced_g, K - v)
     return LocalizedElement(spec, chart, out)
 
@@ -449,23 +425,12 @@ def _divide_by_alpha(g: ClassicalElement) -> ClassicalElement | None:
     return ClassicalElement(spec, out)
 
 
-def _alpha_valuation(g: ClassicalElement, cap: int) -> tuple[int, ClassicalElement]:
+def _valuation(g: ClassicalElement, cap: int, divide) -> tuple[int, ClassicalElement]:
+    """(v, h) with g = gen^v * h for the largest v <= cap; divide(g) is g / gen or None."""
     v = 0
     cur = g
     while v < cap:
-        nxt = _divide_by_alpha(cur)
-        if nxt is None:
-            break
-        cur = nxt
-        v += 1
-    return v, cur
-
-
-def _beta_valuation(g: ClassicalElement, cap: int) -> tuple[int, ClassicalElement]:
-    v = 0
-    cur = g
-    while v < cap:
-        nxt = _divide_by_beta(cur)
+        nxt = divide(cur)
         if nxt is None:
             break
         cur = nxt
@@ -573,7 +538,6 @@ def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None =
         rows = sorted(rows, key=lambda mm: mm.sort_key())
         zero = Cyclotomic.zero(spec.N)
         matrix_rows = []
-        rhs = []
         for mono in rows:
             matrix_rows.append([e.terms.get(mono, zero) for e in elems] +
                                [rhs_terms.get(mono, zero)])
@@ -585,13 +549,8 @@ def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None =
         if len(pivots) < ncols:
             raise FreenessError("system at weight %s has %d free columns" % (w, ncols - len(pivots)))
         for i, col in enumerate(pivots):
-            val = red.at(i, ncols)
-            if val.is_zero():
-                continue
             idx, cm = pairs[col]
-            add = ClassicalElement.monomial(spec, cm, val)
-            coeffs[idx] = coeffs[idx] + add if idx in coeffs else add
-    coeffs = {i: g for i, g in coeffs.items() if not g.is_zero()}
+            _add_term(coeffs, idx, ClassicalElement.monomial(spec, cm, red.at(i, ncols)))
     return Decomposition(spec, side, coeffs)
 
 
@@ -605,9 +564,13 @@ class FreenessReport:
     all_decomposed: bool
 
 
-def verify_freeness(l: int, side: str = "left", degree_bound: int = 2) -> FreenessReport:
-    """Brute-force certificate: no relations among columns, all monomials span."""
-    spec = make_root_spec(l)
+def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,
+                    zeta_exponent: int | None = None) -> FreenessReport:
+    """Brute-force certificate: no relations among columns, all monomials span.
+
+    The root data is make_root_spec(l, zeta_exponent), i.e. q = zeta_N^zeta_exponent.
+    """
+    spec = make_root_spec(l, zeta_exponent=zeta_exponent)
     _check_side(side)
     space = _column_space(spec, side, degree_bound)
     kernel_dim = 0
@@ -622,20 +585,13 @@ def verify_freeness(l: int, side: str = "left", degree_bound: int = 2) -> Freene
                                                 for mono in rows])
         _, pivots = rref(matrix)
         kernel_dim += len(pairs) - len(pivots)
-    checked = 0
+    monomials = residual_monomials(l)
     all_ok = True
-    for i in range(l):
-        for j in range(l):
-            for k in range(l):
-                for m in range(l):
-                    if i and m:
-                        continue
-                    mono = QMonomial(i, j, k, m)
-                    checked += 1
-                    try:
-                        oracle_decompose(QElement.monomial(spec, mono), side, degree_bound)
-                    except DegreeBoundError:
-                        all_ok = False
+    for mono in monomials:
+        try:
+            oracle_decompose(QElement.monomial(spec, mono), side, degree_bound)
+        except DegreeBoundError:
+            all_ok = False
     return FreenessReport(l=l, side=side, degree_bound=degree_bound,
-                          monomials_checked=checked, kernel_dimension=kernel_dim,
+                          monomials_checked=len(monomials), kernel_dimension=kernel_dim,
                           all_decomposed=all_ok)

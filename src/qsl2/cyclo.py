@@ -3,19 +3,15 @@
 Every scalar in the package lives here.  Elements are stored in the power
 basis 1, zeta, ..., zeta^(phi(N)-1) of Q[x]/Phi_N(x) with Fraction
 coefficients, so equality and zero-testing are canonical and zeta is a
-primitive N-th root of unity by construction.  No floating point enters
-any exact code path; approx_complex exists only for diagnostics.
+primitive N-th root of unity by construction.  No floating point is used.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -410,42 +406,3 @@ def p_coeff(spec: RootSpec, k: int, j: int) -> Cyclotomic:
     if den.is_zero():
         raise ZeroDivisionError("vanishing denominator in p_coeff(k=%d, j=%d)" % (k, j))
     return num / den
-
-
-def gauss_binomial(n: int, k: int, t) -> Cyclotomic:
-    """Gaussian binomial [n choose k]_t via t-integer products."""
-    if not (0 <= k <= n):
-        raise ValueError("need 0 <= k <= n")
-    if isinstance(t, (int, Fraction)):
-        t = Cyclotomic.from_rational(1, Fraction(t))
-    one = Cyclotomic.one(t.order)
-    den = one
-    for i in range(1, k + 1):
-        d = _t_integer(i, t)
-        if d.is_zero():
-            raise ZeroDivisionError("vanishing t-integer [%d] in gauss_binomial" % i)
-        den = den * d
-    num = one
-    for i in range(1, k + 1):
-        num = num * _t_integer(n - k + i, t)
-    return num / den
-
-
-def _t_integer(m: int, t: Cyclotomic) -> Cyclotomic:
-    acc = Cyclotomic.zero(t.order)
-    p = Cyclotomic.one(t.order)
-    for _ in range(m):
-        acc = acc + p
-        p = p * t
-    return acc
-
-
-def approx_complex(x: Cyclotomic) -> complex:
-    """Float image of x at zeta_N = exp(2*pi*i/N).  Diagnostics only."""
-    z = cmath.exp(2j * cmath.pi / x.order)
-    acc = 0j
-    p = 1 + 0j
-    for c in x.coeffs:
-        acc += float(c) * p
-        p *= z
-    return acc

@@ -273,9 +273,9 @@ def _q_basis_matrix(spec: RootSpec) -> ExactMatrix:
 def _q_coordinates(spec: RootSpec, z: Cyclotomic) -> list[Fraction]:
     rhs = [Cyclotomic.from_rational(spec.N, fr) for fr in z.coeffs]
     sol = solve(_q_basis_matrix(spec), rhs)
-    assert sol is not None
-    coords = [entry.as_rational() for entry in sol]
-    assert all(fr is not None for fr in coords)
+    coords = None if sol is None else [entry.as_rational() for entry in sol]
+    if coords is None or any(fr is None for fr in coords):
+        raise RuntimeError("q-coordinates of %r are not rational; this is a bug" % (z,))
     return coords
 
 
@@ -385,18 +385,7 @@ def format_cyclotomic(spec: RootSpec, z: Cyclotomic) -> str:
 
 
 def format_tensor(t: TensorElement) -> str:
-    parts = []
-    for (m1, m2), z in t.sorted_terms():
-        sign, ctext = coefficient_parts(t.spec, z)
-        left = quantum_monomial_text(m1) or "1"
-        right = quantum_monomial_text(m2) or "1"
-        body = "%s (x) %s" % (left, right)
-        if ctext is not None:
-            body = "%s*%s" % (ctext, body)
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    out = parts[0][1] if parts[0][0] > 0 else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        out += (" + " if sign > 0 else " - ") + body
-    return out
+    return _format_terms(t.spec, (
+        ("%s (x) %s" % (quantum_monomial_text(m1) or "1", quantum_monomial_text(m2) or "1"), z)
+        for (m1, m2), z in t.sorted_terms()
+    ))

@@ -17,22 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Cyclotomic, RootSpec, p_expansion, zeta_pow
+from .cyclo import Cyclotomic, RootSpec, p_expansion
 from .qalgebra import (
     CLASSICAL_ONE,
     ClassicalElement,
     ClassicalMonomial,
-    MONO_ONE,
     QElement,
     QMonomial,
     TensorElement,
-    classical_element_from_json,
+    _SidedTerms,
     coproduct,
     power,
     qmul,
-    tensor_mul,
 )
-from .qalgebra import _mono_mul  # engine route for single-monomial products
+from .qalgebra import _add_term, _mono_mul  # term merge; engine route for single-monomial products
 
 SIDES = ("left", "right")
 
@@ -52,17 +50,13 @@ def lift(g: ClassicalElement) -> QElement:
     spec = g.spec
     _require_standard(spec, "lift")
     l = spec.l
-    terms = {}
-    for m, v in g.terms.items():
-        # reduced classical keys have min(alpha, delta) = 0, so the lifted
-        # word is already a normal monomial with scalar 1
-        mono = QMonomial(l * m.alpha, l * m.beta, l * m.gamma, l * m.delta)
-        terms[mono] = terms[mono] + v if mono in terms else v
-    return QElement(spec, terms)
+    # reduced classical keys have min(alpha, delta) = 0, so each lifted
+    # word is already a normal monomial with scalar 1
+    return QElement(spec, {QMonomial(l * m.alpha, l * m.beta, l * m.gamma, l * m.delta): v
+                           for m, v in g.terms.items()})
 
 
-@dataclass(frozen=True)
-class ModuleElement:
+class ModuleElement(_SidedTerms):
     """Coordinates of an element over the l-th-power subalgebra.
 
     terms maps residual monomials (all exponents < l, min(a,d) = 0) to
@@ -70,40 +64,18 @@ class ModuleElement:
     multiplication on the left or the right.
     """
 
-    spec: RootSpec
-    side: str
-    terms: dict[QMonomial, ClassicalElement]
+    __slots__ = ()
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+    @staticmethod
+    def _key_json(mono) -> dict:
+        return {"monomial": mono._asdict()}
 
-    def to_json(self) -> dict:
-        return {
-            "side": self.side,
-            "terms": [
-                {"monomial": {"a": m.a, "b": m.b, "c": m.c, "d": m.d},
-                 "coeff": g.to_json()}
-                for m, g in self.sorted_terms()
-            ],
-        }
+    @staticmethod
+    def _key_from_json(row: dict) -> QMonomial:
+        return QMonomial(*(int(row["monomial"][name]) for name in QMonomial._fields))
 
 
-def module_element_from_json(data: dict, spec: RootSpec) -> ModuleElement:
-    terms = {}
-    for t in data["terms"]:
-        mm = t["monomial"]
-        mono = QMonomial(int(mm["a"]), int(mm["b"]), int(mm["c"]), int(mm["d"]))
-        g = classical_element_from_json(t["coeff"], spec)
-        terms[mono] = terms[mono] + g if mono in terms else g
-    terms = {m: g for m, g in terms.items() if not g.is_zero()}
-    return ModuleElement(spec, data["side"], terms)
-
-
-def _merge(acc: dict[QMonomial, ClassicalElement], mono: QMonomial, g: ClassicalElement):
-    if mono in acc:
-        acc[mono] = acc[mono] + g
-    else:
-        acc[mono] = g
+module_element_from_json = ModuleElement.from_json
 
 
 def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
@@ -123,7 +95,7 @@ def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
         blocks = ClassicalMonomial(i // l, j // l, k // l, m // l)
         residual = QMonomial(i % l, j % l, k % l, m % l)
         if blocks == CLASSICAL_ONE:
-            _merge(acc, residual, ClassicalElement.scalar(spec, coeff))
+            _add_term(acc, residual, ClassicalElement.scalar(spec, coeff))
             continue
         lifted = QMonomial(l * blocks.alpha, l * blocks.beta, l * blocks.gamma, l * blocks.delta)
         if side == "left":
@@ -133,8 +105,7 @@ def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
         if len(prod) != 1 or prod[0][0] != mono:
             raise AssertionError("block extraction produced a non-monomial product for %s" % (mono,))
         tau = prod[0][1]
-        _merge(acc, residual, ClassicalElement.monomial(spec, blocks, coeff * tau.inv()))
-    acc = {mm: g for mm, g in acc.items() if not g.is_zero()}
+        _add_term(acc, residual, ClassicalElement.monomial(spec, blocks, coeff * tau.inv()))
     return ModuleElement(spec, side, acc)
 
 

@@ -14,13 +14,17 @@ Q(zeta_N).  Mixed a,d powers contract through the product rows
 which hold for every t with no division.  The module also carries the Hopf
 maps (coproduct, counit, antipode) and the commutative coordinate ring of
 classical SL(2) used for Frobenius coefficients.
+
+Every element type of the package is a finite sparse combination; the
+term plumbing they share (zero pruning, addition, scaling, equality,
+sorting and JSON) lives once, in _Terms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .cyclo import (
     Cyclotomic,
@@ -31,6 +35,242 @@ from .cyclo import (
     root_spec_to_json,
     zeta_pow,
 )
+
+_SCALARS = (int, Fraction, Cyclotomic)
+
+
+def _add_term(acc: dict, key, value) -> None:
+    """acc[key] += value, creating the entry if it is missing."""
+    acc[key] = acc[key] + value if key in acc else value
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: v for k, v in terms.items() if not v.is_zero()}
+
+
+class _SortedTerms:
+    """Sorted view and JSON writer for a dict `terms` of key -> value.
+
+    A JSON document is the head fields followed by one row per term, in
+    sorted order; a row is the key's fields followed by the value's.
+    """
+
+    __slots__ = ()
+    _ROWS = "terms"  # the JSON field that holds the rows
+
+    @staticmethod
+    def _sort_key(key):
+        return key.sort_key()
+
+    def sorted_terms(self) -> list:
+        sort_key = self._sort_key
+        return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
+
+    @staticmethod
+    def _key_json(key) -> dict:
+        return key._asdict()
+
+    @staticmethod
+    def _value_json(value) -> dict:
+        return {"coeff": value.to_json()}
+
+    def to_json(self) -> dict:
+        out = self._json_head()
+        out[self._ROWS] = [{**self._key_json(k), **self._value_json(v)}
+                           for k, v in self.sorted_terms()]
+        return out
+
+
+class _Terms(_SortedTerms):
+    """An immutable finite combination over one root spec; zero values are never stored.
+
+    Values are Cyclotomic scalars or ClassicalElements.  The attributes
+    named in _HEAD fix the ambient module: two combinations add or compare
+    only when they have the same concrete type and the same head.  A
+    subclass normalises and validates keys in _key and gives its real
+    product in _mul.
+    """
+
+    __slots__ = ("spec", "terms")
+    _HEAD = ("spec",)
+
+    def __init__(self, spec: RootSpec, terms: dict | None = None):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "terms", self._clean(terms or {}))
+
+    def _key(self, key):
+        return key
+
+    def _clean(self, terms: dict) -> dict:
+        key = self._key
+        return _nonzero({key(k): v for k, v in terms.items()})
+
+    def _like(self, terms: dict):
+        """Same type and head; the keys are already normal, so only zeros are pruned."""
+        out = object.__new__(type(self))
+        for name in self._HEAD:
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "terms", _nonzero(terms))
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @classmethod
+    def zero(cls, *head):
+        return cls(*head)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _head(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._HEAD)
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError("cannot combine %s with %s"
+                            % (type(self).__name__, type(other).__name__))
+        for name in self._HEAD:
+            if getattr(self, name) != getattr(other, name):
+                raise ValueError("operands have different %s" % name)
+
+    def _coerce(self, other):
+        return other if type(other) is type(self) else NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        acc = dict(self.terms)
+        for k, v in other.terms.items():
+            _add_term(acc, k, v)
+        return self._like(acc)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._like({k: v * other for k, v in self.terms.items()})
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._mul(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self * other
+        return NotImplemented
+
+    def _mul(self, other):
+        return NotImplemented
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._head() == other._head() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._head(), tuple(self.sorted_terms())))
+
+    def __repr__(self):
+        return "%s<%d terms>" % (type(self).__name__, len(self.terms))
+
+    # -- JSON -------------------------------------------------------------
+
+    def _json_head(self) -> dict:
+        return {"spec": root_spec_to_json(self.spec)}
+
+    @staticmethod
+    def _head_from_json(data: dict, spec: RootSpec | None) -> tuple:
+        file_spec = root_spec_from_json(data["spec"]) if "spec" in data else spec
+        if file_spec is None:
+            raise ValueError("no root data in JSON and none supplied")
+        if spec is not None and file_spec != spec:
+            raise ValueError("JSON root data disagrees with the supplied spec")
+        return (file_spec,)
+
+    @classmethod
+    def _key_from_json(cls, row: dict):
+        return cls._KEY(*(int(row[name]) for name in cls._KEY._fields))
+
+    @staticmethod
+    def _value_from_json(row: dict, spec: RootSpec):
+        return cyclotomic_from_json(row["coeff"])
+
+    @classmethod
+    def from_json(cls, data: dict, spec: RootSpec | None = None):
+        """Inverse of to_json; repeated keys are summed."""
+        head = cls._head_from_json(data, spec)
+        terms: dict = {}
+        for row in data[cls._ROWS]:
+            _add_term(terms, cls._key_from_json(row), cls._value_from_json(row, head[0]))
+        return cls(*head, terms)
+
+
+class _Polynomial(_Terms):
+    """A combination of monomials in four letters, the field names of _KEY.
+
+    Scalars (int, Fraction, Cyclotomic) add as multiples of the unit.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def scalar(cls, spec: RootSpec, value):
+        if isinstance(value, (int, Fraction)):
+            value = Cyclotomic.from_rational(spec.N, value)
+        return cls(spec, {cls._KEY(0, 0, 0, 0): value})
+
+    @classmethod
+    def one(cls, spec: RootSpec):
+        return cls.scalar(spec, 1)
+
+    @classmethod
+    def monomial(cls, spec: RootSpec, mono, coeff=None):
+        return cls(spec, {mono: Cyclotomic.one(spec.N) if coeff is None else coeff})
+
+    @classmethod
+    def generator(cls, spec: RootSpec, letter: str):
+        letters = cls._KEY._fields
+        if letter not in letters:
+            raise ValueError("unknown generator %r" % (letter,))
+        return cls.monomial(spec, cls._KEY(*(int(name == letter) for name in letters)))
+
+    def _coerce(self, other):
+        if isinstance(other, _SCALARS):
+            return self.scalar(self.spec, other)
+        return super()._coerce(other)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined here")
+        acc = self.one(self.spec)
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def __repr__(self):
+        name = type(self).__name__
+        if self.is_zero():
+            return "%s<0>" % name
+        bits = []
+        for m, v in self.sorted_terms():
+            mono = "*".join("%s^%d" % (s, e) if e > 1 else s
+                            for s, e in zip(self._KEY._fields, m) if e) or "1"
+            bits.append("(%r)*%s" % (v, mono))
+        return "%s<%s>" % (name, " + ".join(bits))
 
 
 class QMonomial(NamedTuple):
@@ -53,21 +293,6 @@ class QMonomial(NamedTuple):
 
 
 MONO_ONE = QMonomial(0, 0, 0, 0)
-
-_LETTERS = ("a", "b", "c", "d")
-_LETTER_MONO = {
-    "a": QMonomial(1, 0, 0, 0),
-    "b": QMonomial(0, 1, 0, 0),
-    "c": QMonomial(0, 0, 1, 0),
-    "d": QMonomial(0, 0, 0, 1),
-}
-
-
-class Word(NamedTuple):
-    """A free word in the generators with a scalar prefactor."""
-
-    letters: tuple[str, ...]
-    prefactor: Cyclotomic | None = None
 
 
 @lru_cache(maxsize=None)
@@ -121,62 +346,21 @@ def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomi
     return tuple((m, v) for m, v in out.items() if not v.is_zero())
 
 
-class QElement:
+class QElement(_Polynomial):
     """A finite Q(zeta_N)-combination of normal monomials."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ()
+    _KEY = QMonomial
 
-    def __init__(self, spec: RootSpec, terms: dict[QMonomial, Cyclotomic] | None = None):
-        clean: dict[QMonomial, Cyclotomic] = {}
-        if terms:
-            for m, v in terms.items():
-                if not isinstance(m, QMonomial):
-                    m = QMonomial(*m)
-                if not m.is_reduced():
-                    raise ValueError("monomial %s is not in normal form" % (m,))
-                if not v.is_zero():
-                    clean[m] = v
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", clean)
+    def _key(self, m):
+        if not isinstance(m, QMonomial):
+            m = QMonomial(*m)
+        if not m.is_reduced():
+            raise ValueError("monomial %s is not in normal form" % (m,))
+        return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QElement is immutable")
-
-    @classmethod
-    def zero(cls, spec: RootSpec) -> "QElement":
-        return cls(spec, {})
-
-    @classmethod
-    def one(cls, spec: RootSpec) -> "QElement":
-        return cls(spec, {MONO_ONE: Cyclotomic.one(spec.N)})
-
-    @classmethod
-    def scalar(cls, spec: RootSpec, value) -> "QElement":
-        if isinstance(value, (int, Fraction)):
-            value = Cyclotomic.from_rational(spec.N, value)
-        return cls(spec, {MONO_ONE: value})
-
-    @classmethod
-    def generator(cls, spec: RootSpec, letter: str) -> "QElement":
-        if letter not in _LETTER_MONO:
-            raise ValueError("unknown generator %r" % letter)
-        return cls(spec, {_LETTER_MONO[letter]: Cyclotomic.one(spec.N)})
-
-    @classmethod
-    def monomial(cls, spec: RootSpec, mono: QMonomial, coeff=None) -> "QElement":
-        if coeff is None:
-            coeff = Cyclotomic.one(spec.N)
-        return cls(spec, {mono: coeff})
-
-    def _check(self, other: "QElement"):
-        if self.spec != other.spec:
-            raise ValueError("elements live over different root data")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[QMonomial, Cyclotomic]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+    def _mul(self, other):
+        return qmul(self, other)
 
     def coefficient(self, mono: QMonomial) -> Cyclotomic:
         return self.terms.get(mono, Cyclotomic.zero(self.spec.N))
@@ -184,87 +368,8 @@ class QElement:
     def max_exponent(self) -> int:
         return max((max(m) for m in self.terms), default=0)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = QElement.scalar(self.spec, other)
-        if not isinstance(other, QElement):
-            return NotImplemented
-        self._check(other)
-        acc = dict(self.terms)
-        for m, v in other.terms.items():
-            acc[m] = acc[m] + v if m in acc else v
-        return QElement(self.spec, acc)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = QElement.scalar(self.spec, other)
-        if not isinstance(other, QElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return QElement(self.spec, {m: -v for m, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return QElement(self.spec, {m: v * other for m, v in self.terms.items()})
-        if not isinstance(other, QElement):
-            return NotImplemented
-        return qmul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        return power(self, n)
-
-    def __eq__(self, other):
-        if not isinstance(other, QElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.spec, tuple(self.sorted_terms())))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "QElement<0>"
-        bits = []
-        for m, v in self.sorted_terms():
-            mono = "*".join("%s^%d" % (s, e) if e > 1 else s
-                            for s, e in zip(_LETTERS, m) if e) or "1"
-            bits.append("(%r)*%s" % (v, mono))
-        return "QElement<%s>" % " + ".join(bits)
-
-    def to_json(self) -> dict:
-        return {
-            "spec": root_spec_to_json(self.spec),
-            "terms": [
-                {"a": m.a, "b": m.b, "c": m.c, "d": m.d, "coeff": v.to_json()}
-                for m, v in self.sorted_terms()
-            ],
-        }
-
-
-def qelement_from_json(data: dict, spec: RootSpec | None = None) -> QElement:
-    file_spec = root_spec_from_json(data["spec"]) if "spec" in data else spec
-    if file_spec is None:
-        raise ValueError("no root data in JSON and none supplied")
-    if spec is not None and file_spec != spec:
-        raise ValueError("JSON root data disagrees with the supplied spec")
-    terms = {}
-    for t in data["terms"]:
-        mono = QMonomial(int(t["a"]), int(t["b"]), int(t["c"]), int(t["d"]))
-        coeff = cyclotomic_from_json(t["coeff"])
-        terms[mono] = terms[mono] + coeff if mono in terms else coeff
-    return QElement(file_spec, terms)
+qelement_from_json = QElement.from_json
 
 
 def qmul(x: QElement, y: QElement) -> QElement:
@@ -283,31 +388,33 @@ def qmul(x: QElement, y: QElement) -> QElement:
 
 def power(x: QElement, n: int) -> QElement:
     """n-fold product; power(x, 0) is the unit."""
-    if n < 0:
-        raise ValueError("negative powers are not defined here")
-    acc = QElement.one(x.spec)
-    for _ in range(n):
-        acc = qmul(acc, x)
-    return acc
+    return x ** n
 
 
 def straighten(word, spec: RootSpec) -> QElement:
-    """Normal form of a free word in the generators.
-
-    Accepts a Word, a plain string like "abcd", or any iterable of letters.
-    """
-    if isinstance(word, Word):
-        letters = word.letters
-        pref = word.prefactor
-    else:
-        letters = tuple(word)
-        pref = None
-    acc = QElement.one(spec) if pref is None else QElement.scalar(spec, pref)
-    for ch in letters:
-        if ch not in _LETTER_MONO:
-            raise ValueError("unknown generator %r" % ch)
+    """Normal form of a free word in the generators, e.g. the string "abcd"."""
+    acc = QElement.one(spec)
+    for ch in word:
         acc = qmul(acc, QElement.generator(spec, ch))
     return acc
+
+
+def random_qelement(spec: RootSpec, rng, nterms: int = 3, emax: int | None = None) -> QElement:
+    """Random element with reduced monomials, exponents <= emax (default 2l).
+
+    rng is a random.Random; the draws it makes are fixed, so a seed always
+    gives the same element.
+    """
+    emax = 2 * spec.l if emax is None else emax
+    terms: dict[QMonomial, Cyclotomic] = {}
+    for _ in range(nterms):
+        i = rng.randrange(0, emax + 1)
+        m = rng.randrange(0, emax + 1)
+        if i and m:
+            m = 0
+        mono = QMonomial(i, rng.randrange(0, emax + 1), rng.randrange(0, emax + 1), m)
+        _add_term(terms, mono, zeta_pow(spec, rng.randrange(spec.N)) * Fraction(rng.randrange(-3, 4)))
+    return QElement(spec, terms)
 
 
 def _reduce_mixed_recursive(spec: RootSpec, mono: QMonomial) -> dict[QMonomial, Cyclotomic]:
@@ -321,8 +428,7 @@ def _reduce_mixed_recursive(spec: RootSpec, mono: QMonomial) -> dict[QMonomial, 
     for sub, extra in ((QMonomial(i - 1, j, k, m - 1), f),
                        (QMonomial(i - 1, j + 1, k + 1, m - 1), f * zeta_pow(spec, 1))):
         for mm, vv in _reduce_mixed_recursive(spec, sub).items():
-            v = vv * extra
-            out[mm] = out[mm] + v if mm in out else v
+            _add_term(out, mm, vv * extra)
     return out
 
 
@@ -330,28 +436,30 @@ def _reduce_mixed_recursive(spec: RootSpec, mono: QMonomial) -> dict[QMonomial, 
 # Hopf structure
 
 
-class TensorElement:
+class TensorElement(_Terms):
     """An element of the two-fold tensor square, keyed by monomial pairs."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ()
 
-    def __init__(self, spec: RootSpec, terms: dict[tuple[QMonomial, QMonomial], Cyclotomic] | None = None):
-        clean: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
-        if terms:
-            for (m1, m2), v in terms.items():
-                if not (m1.is_reduced() and m2.is_reduced()):
-                    raise ValueError("tensor legs must be normal monomials")
-                if not v.is_zero():
-                    clean[(m1, m2)] = v
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", clean)
+    def _key(self, pair):
+        m1, m2 = pair
+        if not (m1.is_reduced() and m2.is_reduced()):
+            raise ValueError("tensor legs must be normal monomials")
+        return pair
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
+    @staticmethod
+    def _sort_key(pair):
+        return (pair[0].sort_key(), pair[1].sort_key())
 
-    @classmethod
-    def zero(cls, spec: RootSpec) -> "TensorElement":
-        return cls(spec, {})
+    @staticmethod
+    def _key_json(pair) -> dict:
+        return {"left": pair[0]._asdict(), "right": pair[1]._asdict()}
+
+    def _json_head(self) -> dict:
+        return {}
+
+    def _mul(self, other):
+        return tensor_mul(self, other)
 
     @classmethod
     def of(cls, left: QElement, right: QElement) -> "TensorElement":
@@ -362,65 +470,10 @@ class TensorElement:
                 terms[(m1, m2)] = c1 * c2
         return cls(left.spec, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.spec != other.spec:
-            raise ValueError("tensors live over different root data")
-        acc = dict(self.terms)
-        for k, v in other.terms.items():
-            acc[k] = acc[k] + v if k in acc else v
-        return TensorElement(self.spec, acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + TensorElement(other.spec, {k: -v for k, v in other.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return TensorElement(self.spec, {k: v * other for k, v in self.terms.items()})
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return tensor_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.spec, tuple(self.sorted_terms())))
-
-    def __repr__(self):
-        return "TensorElement<%d terms>" % len(self.terms)
-
-    def apply_leg(self, which: int, fn) -> "TensorElement":
-        """Apply a linear map (QElement -> QElement) to one tensor leg."""
-        acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
-        spec = self.spec
-        for (m1, m2), v in self.terms.items():
-            target = QElement.monomial(spec, m1 if which == 0 else m2)
-            img = fn(target)
-            for mi, ci in img.terms.items():
-                key = (mi, m2) if which == 0 else (m1, mi)
-                w = v * ci
-                acc[key] = acc[key] + w if key in acc else w
-        return TensorElement(spec, acc)
-
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     """Componentwise product (x1*y1) tensor (x2*y2), no braiding."""
-    if x.spec != y.spec:
-        raise ValueError("tensors live over different root data")
+    x._check(y)
     spec = x.spec
     acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
     for (x1, x2), cx in x.terms.items():
@@ -437,7 +490,7 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
 
 def _generator_coproduct(spec: RootSpec, letter: str) -> TensorElement:
     one = Cyclotomic.one(spec.N)
-    A, B, C, D = (_LETTER_MONO[ch] for ch in "abcd")
+    A, B, C, D = QMonomial(1, 0, 0, 0), QMonomial(0, 1, 0, 0), QMonomial(0, 0, 1, 0), QMonomial(0, 0, 0, 1)
     table = {
         "a": {(A, A): one, (B, C): one},
         "b": {(A, B): one, (B, D): one},
@@ -457,14 +510,15 @@ def _gen_coproduct_power(spec: RootSpec, letter: str, e: int) -> TensorElement:
 def coproduct(x: QElement) -> TensorElement:
     """The coalgebra map determined by Delta(a)=a@a+b@c etc., multiplicatively."""
     spec = x.spec
-    acc = TensorElement.zero(spec)
+    acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
     for mono, coeff in x.terms.items():
         t = _gen_coproduct_power(spec, "a", mono.a)
         for letter, e in zip("bcd", (mono.b, mono.c, mono.d)):
             if e:
                 t = tensor_mul(t, _gen_coproduct_power(spec, letter, e))
-        acc = acc + t * coeff
-    return acc
+        for pair, v in t.terms.items():
+            _add_term(acc, pair, v * coeff)
+    return TensorElement(spec, acc)
 
 
 def counit(x: QElement) -> Cyclotomic:
@@ -479,7 +533,7 @@ def counit(x: QElement) -> Cyclotomic:
 def antipode(x: QElement) -> QElement:
     """S(a)=d, S(b)=-q^-1 b, S(c)=-q c, S(d)=a, extended antimultiplicatively."""
     spec = x.spec
-    acc = QElement.zero(spec)
+    acc: dict[QMonomial, Cyclotomic] = {}
     for mono, coeff in x.terms.items():
         i, j, k, m = mono
         sign = -1 if (j + k) % 2 else 1
@@ -487,9 +541,8 @@ def antipode(x: QElement) -> QElement:
         # reversed word: a^m b^j c^k d^i, then contract the new mixed pair
         flipped = _mono_mul(spec, QMonomial(m, j, k, 0), QMonomial(0, 0, 0, i))
         for mm, vv in flipped:
-            v = scal * vv
-            acc = acc + QElement.monomial(spec, mm, v)
-    return acc
+            _add_term(acc, mm, scal * vv)
+    return QElement(spec, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +569,6 @@ class ClassicalMonomial(NamedTuple):
 
 CLASSICAL_ONE = ClassicalMonomial(0, 0, 0, 0)
 
-_CLASSICAL_LETTERS = ("alpha", "beta", "gamma", "delta")
-
 
 def _binomials(w: int) -> list[int]:
     row = [1]
@@ -526,164 +577,37 @@ def _binomials(w: int) -> list[int]:
     return row
 
 
-def _reduce_classical_monomial(mono: ClassicalMonomial, order: int) -> list[tuple[ClassicalMonomial, Fraction]]:
-    """Rewrite alpha^p ... delta^t with the determinant relation alpha*delta = 1 + beta*gamma."""
-    p, r, s, t = mono
-    w = min(p, t)
-    if w == 0:
-        return [(mono, Fraction(1))]
-    out = []
-    for i, binom in enumerate(_binomials(w)):
-        out.append((ClassicalMonomial(p - w, r + i, s + i, t - w), Fraction(binom)))
-    return out
+class ClassicalElement(_Polynomial):
+    """A polynomial in alpha, beta, gamma, delta modulo alpha*delta - beta*gamma = 1.
 
+    The constructor accepts any exponents >= 0 and reduces them to min(alpha, delta) = 0.
+    """
 
-class ClassicalElement:
-    """A polynomial in alpha, beta, gamma, delta modulo alpha*delta - beta*gamma = 1."""
+    __slots__ = ()
+    _KEY = ClassicalMonomial
 
-    __slots__ = ("spec", "terms")
+    def _key(self, m):
+        if not isinstance(m, ClassicalMonomial):
+            m = ClassicalMonomial(*m)
+        if min(m) < 0:
+            raise ValueError("negative exponent in %s" % (m,))
+        return m
 
-    def __init__(self, spec: RootSpec, terms: dict[ClassicalMonomial, Cyclotomic] | None = None):
-        clean: dict[ClassicalMonomial, Cyclotomic] = {}
-        if terms:
-            for m, v in terms.items():
-                if not isinstance(m, ClassicalMonomial):
-                    m = ClassicalMonomial(*m)
-                if min(m) < 0:
-                    raise ValueError("negative exponent in %s" % (m,))
-                if v.is_zero():
-                    continue
-                for mm, f in _reduce_classical_monomial(m, spec.N):
-                    w = v * f
-                    clean[mm] = clean[mm] + w if mm in clean else w
-        clean = {m: v for m, v in clean.items() if not v.is_zero()}
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", clean)
+    def _clean(self, terms: dict) -> dict:
+        acc: dict[ClassicalMonomial, Cyclotomic] = {}
+        for m, v in super()._clean(terms).items():
+            # alpha^w delta^w = (1 + beta*gamma)^w
+            w = min(m.alpha, m.delta)
+            for i, binom in enumerate(_binomials(w)):
+                mm = ClassicalMonomial(m.alpha - w, m.beta + i, m.gamma + i, m.delta - w)
+                _add_term(acc, mm, v if binom == 1 else v * binom)
+        return _nonzero(acc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassicalElement is immutable")
-
-    @classmethod
-    def zero(cls, spec: RootSpec) -> "ClassicalElement":
-        return cls(spec, {})
-
-    @classmethod
-    def one(cls, spec: RootSpec) -> "ClassicalElement":
-        return cls(spec, {CLASSICAL_ONE: Cyclotomic.one(spec.N)})
-
-    @classmethod
-    def scalar(cls, spec: RootSpec, value) -> "ClassicalElement":
-        if isinstance(value, (int, Fraction)):
-            value = Cyclotomic.from_rational(spec.N, value)
-        return cls(spec, {CLASSICAL_ONE: value})
-
-    @classmethod
-    def generator(cls, spec: RootSpec, name: str) -> "ClassicalElement":
-        if name not in _CLASSICAL_LETTERS:
-            raise ValueError("unknown classical generator %r" % name)
-        expo = tuple(1 if n == name else 0 for n in _CLASSICAL_LETTERS)
-        return cls(spec, {ClassicalMonomial(*expo): Cyclotomic.one(spec.N)})
-
-    @classmethod
-    def monomial(cls, spec: RootSpec, mono: ClassicalMonomial, coeff=None) -> "ClassicalElement":
-        if coeff is None:
-            coeff = Cyclotomic.one(spec.N)
-        return cls(spec, {mono: coeff})
-
-    def _check(self, other: "ClassicalElement"):
-        if self.spec != other.spec:
-            raise ValueError("elements live over different root data")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and CLASSICAL_ONE in self.terms and self.terms[CLASSICAL_ONE].is_one()
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = ClassicalElement.scalar(self.spec, other)
-        if not isinstance(other, ClassicalElement):
-            return NotImplemented
-        self._check(other)
-        acc = dict(self.terms)
-        for m, v in other.terms.items():
-            acc[m] = acc[m] + v if m in acc else v
-        return ClassicalElement(self.spec, acc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = ClassicalElement.scalar(self.spec, other)
-        if not isinstance(other, ClassicalElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return ClassicalElement(self.spec, {m: -v for m, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return ClassicalElement(self.spec, {m: v * other for m, v in self.terms.items()})
-        if not isinstance(other, ClassicalElement):
-            return NotImplemented
+    def _mul(self, other):
         return classical_mul(self, other)
 
-    __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = ClassicalElement.one(self.spec)
-        for _ in range(n):
-            acc = classical_mul(acc, self)
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassicalElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.spec, tuple(self.sorted_terms())))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "ClassicalElement<0>"
-        bits = []
-        for m, v in self.sorted_terms():
-            mono = "*".join("%s^%d" % (s, e) if e > 1 else s
-                            for s, e in zip(_CLASSICAL_LETTERS, m) if e) or "1"
-            bits.append("(%r)*%s" % (v, mono))
-        return "ClassicalElement<%s>" % " + ".join(bits)
-
-    def to_json(self) -> dict:
-        return {
-            "spec": root_spec_to_json(self.spec),
-            "terms": [
-                {"alpha": m.alpha, "beta": m.beta, "gamma": m.gamma, "delta": m.delta,
-                 "coeff": v.to_json()}
-                for m, v in self.sorted_terms()
-            ],
-        }
-
-
-def classical_element_from_json(data: dict, spec: RootSpec | None = None) -> ClassicalElement:
-    file_spec = root_spec_from_json(data["spec"]) if "spec" in data else spec
-    if file_spec is None:
-        raise ValueError("no root data in JSON and none supplied")
-    if spec is not None and file_spec != spec:
-        raise ValueError("JSON root data disagrees with the supplied spec")
-    terms = {}
-    for t in data["terms"]:
-        mono = ClassicalMonomial(int(t["alpha"]), int(t["beta"]), int(t["gamma"]), int(t["delta"]))
-        coeff = cyclotomic_from_json(t["coeff"])
-        terms[mono] = terms[mono] + coeff if mono in terms else coeff
-    return ClassicalElement(file_spec, terms)
+classical_element_from_json = ClassicalElement.from_json
 
 
 def classical_mul(x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
@@ -694,11 +618,31 @@ def classical_mul(x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
         for my, cy in y.terms.items():
             mono = ClassicalMonomial(mx.alpha + my.alpha, mx.beta + my.beta,
                                      mx.gamma + my.gamma, mx.delta + my.delta)
-            v = cx * cy
-            acc[mono] = acc[mono] + v if mono in acc else v
+            _add_term(acc, mono, cx * cy)
     return ClassicalElement(x.spec, acc)
 
 
-def classical_normalize(spec: RootSpec, terms: dict) -> ClassicalElement:
-    """Public constructor applying the determinant reduction to raw exponents."""
-    return ClassicalElement(spec, terms)
+# ---------------------------------------------------------------------------
+# Coordinates over the l-th-power subalgebra
+
+
+class _SidedTerms(_Terms):
+    """Classical coefficients keyed by basis data, acting on one side."""
+
+    __slots__ = ("side",)
+    _HEAD = ("spec", "side")
+
+    def __init__(self, spec: RootSpec, side: str, terms: dict | None = None):
+        object.__setattr__(self, "side", side)
+        super().__init__(spec, terms)
+
+    def _json_head(self) -> dict:
+        return {"side": self.side}
+
+    @staticmethod
+    def _head_from_json(data: dict, spec: RootSpec | None) -> tuple:
+        return (spec, data["side"])
+
+    @staticmethod
+    def _value_from_json(row: dict, spec: RootSpec):
+        return ClassicalElement.from_json(row["coeff"], spec)

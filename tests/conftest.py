@@ -1,9 +1,9 @@
-import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from qsl2 import Cyclotomic, QElement, QMonomial, make_root_spec, zeta_pow
+from qsl2 import QElement, QMonomial, make_root_spec, zeta_pow
+from qsl2.qalgebra import random_qelement  # noqa: F401  (imported by the test modules)
 
 SPEC2 = make_root_spec(2)
 SPEC3 = make_root_spec(3)
@@ -18,22 +18,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
-
-
-def random_qelement(spec, rng: random.Random, nterms: int = 3, emax=None) -> QElement:
-    """Random element with reduced monomials, exponents <= emax (default 2l)."""
-    emax = 2 * spec.l if emax is None else emax
-    terms = {}
-    for _ in range(nterms):
-        i = rng.randrange(0, emax + 1)
-        m = rng.randrange(0, emax + 1)
-        if i and m:
-            m = 0
-        mono = QMonomial(i, rng.randrange(0, emax + 1), rng.randrange(0, emax + 1), m)
-        z = zeta_pow(spec, rng.randrange(spec.N)) * Fraction(rng.randrange(-3, 4))
-        if not z.is_zero():
-            terms[mono] = terms.get(mono, Cyclotomic.zero(spec.N)) + z
-    return QElement(spec, {m: z for m, z in terms.items() if not z.is_zero()})
 
 
 def reduced_monomials(spec, emax):

@@ -35,7 +35,7 @@ from qsl2 import (
     verify_freeness,
     zeta_pow,
 )
-from qsl2.basis import _divide_by_alpha, _divide_by_beta
+from qsl2.basis import _divide_by_alpha, _divide_by_beta, residual_monomials
 
 F = Fraction
 
@@ -269,18 +269,36 @@ def test_classical_divisibility_helpers():
 # --- independent oracle ---
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_oracle_agrees_on_all_small_monomials_l2(side):
-    spec = SPEC2
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for m in range(2):
+@pytest.mark.parametrize("side,spec", [("left", SPEC2), ("right", SPEC2),
+                                       ("left", make_root_spec(4)), ("right", make_root_spec(4))],
+                         ids=["left", "right", "left-l4", "right-l4"])
+def test_oracle_agrees_on_all_small_monomials_l2(side, spec):
+    l = spec.l
+    for i in range(l):
+        for j in range(l):
+            for k in range(l):
+                for m in range(l):
                     if i and m:
                         continue
                     x = QElement.monomial(spec, QMonomial(i, j, k, m))
                     assert decompose(x, side).coefficients == \
                         oracle_decompose(x, side, 2).coefficients
+
+
+def test_decompose_oracle_recompose_agree_at_another_root():
+    spec = make_root_spec(3, zeta_exponent=2)
+    for side in ("left", "right"):
+        for mono in residual_monomials(3):
+            x = QElement.monomial(spec, mono)
+            dec = decompose(x, side)
+            assert dec.coefficients == oracle_decompose(x, side, 2).coefficients
+            assert recompose(dec) == x
+        rng = random.Random(7)
+        for _ in range(5):
+            x = random_qelement(spec, rng)
+            dec = decompose(x, side)
+            assert dec.coefficients == oracle_decompose(x, side).coefficients
+            assert recompose(dec) == x
 
 
 def test_oracle_agrees_on_combinations():

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,11 +6,9 @@ from hypothesis import given, settings
 
 from qsl2 import (
     Cyclotomic,
-    approx_complex,
     cyclotomic_from_json,
     cyclotomic_polynomial,
     euler_phi,
-    gauss_binomial,
     make_root_spec,
     p_coeff,
     p_expansion,
@@ -114,12 +111,6 @@ def test_json_roundtrip():
     assert cyclotomic_from_json(doc) == z
 
 
-def test_approx_complex():
-    z = Cyclotomic.zeta(8)
-    want = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    assert abs(approx_complex(z) - want) < 1e-9
-
-
 def test_make_root_spec():
     assert (make_root_spec(3).N, make_root_spec(3).parity_case) == (3, "odd")
     assert (make_root_spec(2).N, make_root_spec(2).parity_case) == (4, "even")
@@ -192,10 +183,3 @@ def test_p_coeff_domain():
     with pytest.raises(ValueError):
         p_coeff(spec, 4, 0)  # closed form only defined up to k = l
 
-
-def test_gauss_binomial():
-    assert gauss_binomial(4, 2, F(1)) == F(6)
-    assert gauss_binomial(4, 2, F(2)) == F(35)
-    assert gauss_binomial(5, 2, F(2)) == gauss_binomial(5, 3, F(2))
-    with pytest.raises(ZeroDivisionError):
-        gauss_binomial(4, 2, F(-1))

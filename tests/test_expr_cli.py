@@ -21,6 +21,7 @@ from qsl2 import (
     qmul,
     zeta_pow,
 )
+import qsl2.basis
 from qsl2.cli import run
 from qsl2.expr import (
     ExprSyntaxError,
@@ -224,6 +225,19 @@ def test_cli_verify_basis(capsys):
     assert code == 0 and doc["ok"] is True and doc["kernel_dimension"] == 0
 
 
+def test_cli_verify_basis_with_too_small_degree_bound(capsys):
+    code, out, _ = _cli(capsys, "--l", "2", "verify-basis", "--degree-bound", "0")
+    assert code == 1
+    assert "spanning: no" in out and "verify-basis: FAIL" in out
+
+
+def test_cli_verify_basis_certifies_the_requested_root(capsys, monkeypatch):
+    monkeypatch.setattr(qsl2.basis, "_COLUMN_SPACES", {})
+    code, out, _ = _cli(capsys, "--l", "3", "--zeta-exp", "2", "verify-basis")
+    assert code == 0 and "verify-basis: PASS" in out
+    assert {spec for spec, _, _ in qsl2.basis._COLUMN_SPACES} == {make_root_spec(3, zeta_exponent=2)}
+
+
 def test_cli_verify_fixtures(capsys, tmp_path):
     records = []
     for l, exprs in ((2, ["a"]), (3, ["a", "b*c*d^2"])):
@@ -263,6 +277,18 @@ def test_cli_selftest(capsys):
     lines = out.strip().splitlines()
     assert code == 0
     assert len(lines) == 8 and all(line.startswith("ok ") for line in lines)
+
+
+def test_selftest_checks_survive_python_optimize():
+    # with qmul returning its left factor, the selftest must fail even under -O
+    script = ("import sys\n"
+              "import qsl2.cli as cli\n"
+              "cli.qmul = lambda x, y: x\n"
+              "sys.exit(cli.run(['selftest']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 1
+    failures = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
+    assert failures and all(not line.endswith(": ") for line in failures)
 
 
 def test_console_script_stdin():

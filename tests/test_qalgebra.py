@@ -16,7 +16,6 @@ from qsl2 import (
     antipode,
     classical_element_from_json,
     classical_mul,
-    classical_normalize,
     coproduct,
     counit,
     make_root_spec,
@@ -306,7 +305,7 @@ def test_classical_ring_is_commutative(data):
 def test_classical_normalize_and_json():
     spec = SPEC3
     raw = {ClassicalMonomial(1, 0, 0, 1): Cyclotomic.one(3)}
-    normalized = classical_normalize(spec, raw)
+    normalized = ClassicalElement(spec, raw)
     assert normalized == ClassicalElement.one(spec) + ClassicalElement.monomial(
         spec, ClassicalMonomial(0, 1, 1, 0)
     )
