@@ -54,5 +54,8 @@ print()
 report = verify_freeness(2, "left", 2)
 print("brute-force freeness certificate at l = 2:",
       "kernel dimension %d," % report.kernel_dimension,
-      "%d/%d monomials spanned" % (report.monomials_checked,
+      "%d/%d monomials spanned" % (report.monomials_spanned,
                                    report.monomials_checked))
+if report.oracle_agreement != report.monomials_checked:
+    print("decompose/oracle agreement: %d/%d" % (report.oracle_agreement,
+                                                report.monomials_checked))

@@ -295,18 +295,6 @@ def _beta_append(spec: RootSpec, terms: dict, letter: str) -> dict:
     return _nonzero(out)
 
 
-def _beta_word_mul(spec: RootSpec, left: tuple[int, int, int], right: tuple[int, int, int]) -> dict:
-    terms = {left: Cyclotomic.one(spec.N)}
-    r, s, t = right
-    for _ in range(r):
-        terms = _beta_append(spec, terms, "a")
-    for _ in range(s):
-        terms = _beta_append(spec, terms, "b")
-    for _ in range(t):
-        terms = _beta_append(spec, terms, "d")
-    return terms
-
-
 def localize(x: QElement, chart: str) -> LocalizedElement:
     """Rewrite x over the requested chart with per-term minimal denominator powers."""
     spec = x.spec
@@ -348,21 +336,14 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
             for _ in range(m):
                 terms = _beta_append(spec, terms, "d")
             for (r, s, t), v in terms.items():
-                blocks = (r // l, s // l, t // l)
-                residual = (r % l, s % l, t % l)
-                if blocks == (0, 0, 0):
-                    _add_term(acc, QMonomial(r, s, 0, t), classical_mul(g, ClassicalElement.scalar(spec, v)))
-                    continue
-                block_word = (l * blocks[0], l * blocks[1], l * blocks[2])
-                prod = _beta_word_mul(spec, block_word, residual)
-                if len(prod) != 1:
-                    raise AssertionError("chart block extraction split unexpectedly")
-                (full, tau), = prod.items()
-                if full != (r, s, t):
-                    raise AssertionError("chart block extraction misaligned")
-                cm = ClassicalMonomial(blocks[0], blocks[1], 0, blocks[2])
-                coeff = ClassicalElement.monomial(spec, cm, v * tau.inv())
-                _add_term(acc, QMonomial(*residual[:2], 0, residual[2]), classical_mul(g, coeff))
+                A, B, C = r // l, s // l, t // l
+                r0, s0, t0 = r % l, s % l, t % l
+                # a^(lA) b^(lB) d^(lC) * a^r0 b^s0 d^t0 is q^(-l(r0 B + s0 C)) a^r b^s d^t:
+                # each a passes b^(lB) for q^(-lB) (and d^(lC) cleanly, q^(2l) = 1),
+                # each b passes d^(lC) for q^(-lC)
+                cm = ClassicalMonomial(A, B, 0, C)
+                coeff = ClassicalElement.monomial(spec, cm, v * zeta_pow(spec, l * (r0 * B + s0 * C)))
+                _add_term(acc, QMonomial(r0, s0, 0, t0), classical_mul(g, coeff))
     # divide out the common denominator power per term
     out: dict[QMonomial, tuple[ClassicalElement, int]] = {}
     divide = _divide_by_alpha if chart == "alpha" else _divide_by_beta
@@ -381,11 +362,12 @@ def clear_denominators(le: LocalizedElement) -> tuple[QElement, int]:
     spec = le.spec
     K = le.max_power()
     gen = ClassicalElement.generator(spec, "alpha" if le.chart == "alpha" else "beta")
-    acc = QElement.zero(spec)
+    acc: dict[QMonomial, Cyclotomic] = {}
     for mono, (g, k) in le.terms.items():
         full = classical_mul(g, gen ** (K - k))
-        acc = acc + qmul(lift(full), chart_monomial_element(spec, le.chart, mono))
-    return acc, K
+        for mono2, v in qmul(lift(full), chart_monomial_element(spec, le.chart, mono)).terms.items():
+            _add_term(acc, mono2, v)
+    return QElement(spec, acc), K
 
 
 def _divide_by_beta(g: ClassicalElement) -> ClassicalElement | None:
@@ -509,6 +491,38 @@ def _column_space(spec: RootSpec, side: str, bound: int) -> _ColumnSpace:
     return _COLUMN_SPACES[key]
 
 
+def _solve_weight(space: _ColumnSpace, w: tuple[int, int],
+                  rhs: list[dict[QMonomial, Cyclotomic]]) -> tuple[int, list[dict | None]]:
+    """Solve every right-hand side at weight w against the candidate columns, in one rref.
+
+    Returns the kernel dimension of the candidate columns and, per
+    right-hand side, its coordinates (BasisIndex -> ClassicalElement) or
+    None if it is not in their span.
+    """
+    spec = space.spec
+    pairs = space.pairs_by_weight.get(w, [])
+    cols = [space.element(idx, cm).terms for idx, cm in pairs] + rhs
+    rows = sorted(set().union(*cols), key=lambda mm: mm.sort_key())
+    zero = Cyclotomic.zero(spec.N)
+    red, pivots = rref(ExactMatrix.from_rows(spec.N, [[col.get(mono, zero) for col in cols]
+                                                      for mono in rows]))
+    ncols = len(pairs)
+    rank = sum(1 for col in pivots if col < ncols)
+    solutions: list[dict | None] = []
+    for j in range(ncols, len(cols)):
+        # column j is in the candidates' span iff it is no pivot and no row
+        # pivoted on another right-hand side uses it
+        if j in pivots or any(not red.at(i, j).is_zero() for i in range(rank, len(pivots))):
+            solutions.append(None)
+            continue
+        coords: dict[BasisIndex, ClassicalElement] = {}
+        for i in range(rank):
+            idx, cm = pairs[pivots[i]]
+            _add_term(coords, idx, ClassicalElement.monomial(spec, cm, red.at(i, j)))
+        solutions.append(coords)
+    return ncols - rank, solutions
+
+
 def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None = None) -> Decomposition:
     """Find the coordinates of x by exact linear solving; no elimination knowledge.
 
@@ -528,29 +542,15 @@ def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None =
         buckets.setdefault(_quantum_weight(mono), {})[mono] = v
     coeffs: dict[BasisIndex, ClassicalElement] = {}
     for w, rhs_terms in buckets.items():
-        pairs = space.pairs_by_weight.get(w, [])
-        if not pairs:
+        if w not in space.pairs_by_weight:
             raise DegreeBoundError("no candidates at weight %s; raise degree_bound" % (w,))
-        elems = [space.element(idx, cm) for idx, cm in pairs]
-        rows = set(rhs_terms)
-        for e in elems:
-            rows.update(e.terms)
-        rows = sorted(rows, key=lambda mm: mm.sort_key())
-        zero = Cyclotomic.zero(spec.N)
-        matrix_rows = []
-        for mono in rows:
-            matrix_rows.append([e.terms.get(mono, zero) for e in elems] +
-                               [rhs_terms.get(mono, zero)])
-        aug = ExactMatrix.from_rows(spec.N, matrix_rows)
-        red, pivots = rref(aug)
-        ncols = len(pairs)
-        if ncols in pivots:
+        kernel, (coords,) = _solve_weight(space, w, [rhs_terms])
+        if coords is None:
             raise DegreeBoundError("inconsistent system at weight %s; raise degree_bound" % (w,))
-        if len(pivots) < ncols:
-            raise FreenessError("system at weight %s has %d free columns" % (w, ncols - len(pivots)))
-        for i, col in enumerate(pivots):
-            idx, cm = pairs[col]
-            _add_term(coeffs, idx, ClassicalElement.monomial(spec, cm, red.at(i, ncols)))
+        if kernel:
+            raise FreenessError("system at weight %s has %d free columns" % (w, kernel))
+        for idx, g in coords.items():
+            _add_term(coeffs, idx, g)
     return Decomposition(spec, side, coeffs)
 
 
@@ -561,37 +561,43 @@ class FreenessReport:
     degree_bound: int
     monomials_checked: int
     kernel_dimension: int
-    all_decomposed: bool
+    monomials_spanned: int
+    oracle_agreement: int  # spanned monomials whose oracle coordinates equal decompose's
+
+    @property
+    def all_decomposed(self) -> bool:
+        return self.monomials_spanned == self.monomials_checked
 
 
 def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,
                     zeta_exponent: int | None = None) -> FreenessReport:
     """Brute-force certificate: no relations among columns, all monomials span.
 
-    The root data is make_root_spec(l, zeta_exponent), i.e. q = zeta_N^zeta_exponent.
+    One rref per weight gives the kernel of the candidate columns and the
+    oracle coordinates of every residual monomial of that weight, which are
+    also compared against decompose.  The root data is
+    make_root_spec(l, zeta_exponent), i.e. q = zeta_N^zeta_exponent.
     """
     spec = make_root_spec(l, zeta_exponent=zeta_exponent)
     _check_side(side)
     space = _column_space(spec, side, degree_bound)
-    kernel_dim = 0
-    zero = Cyclotomic.zero(spec.N)
-    for w, pairs in space.pairs_by_weight.items():
-        elems = [space.element(idx, cm) for idx, cm in pairs]
-        rows = set()
-        for e in elems:
-            rows.update(e.terms)
-        rows = sorted(rows, key=lambda mm: mm.sort_key())
-        matrix = ExactMatrix.from_rows(spec.N, [[e.terms.get(mono, zero) for e in elems]
-                                                for mono in rows])
-        _, pivots = rref(matrix)
-        kernel_dim += len(pairs) - len(pivots)
     monomials = residual_monomials(l)
-    all_ok = True
+    by_weight: dict[tuple[int, int], list[QMonomial]] = {w: [] for w in space.pairs_by_weight}
     for mono in monomials:
-        try:
-            oracle_decompose(QElement.monomial(spec, mono), side, degree_bound)
-        except DegreeBoundError:
-            all_ok = False
+        by_weight.setdefault(_quantum_weight(mono), []).append(mono)
+    one = Cyclotomic.one(spec.N)
+    kernel_dim = spanned = agree = 0
+    for w, monos in by_weight.items():
+        kernel, solutions = _solve_weight(space, w, [{mono: one} for mono in monos])
+        kernel_dim += kernel
+        for mono, coords in zip(monos, solutions):
+            if coords is None:
+                continue
+            spanned += 1
+            # a weight with a kernel has no unique coordinates to agree with
+            if not kernel and Decomposition(spec, side, coords).coefficients == \
+                    decompose(QElement.monomial(spec, mono), side).coefficients:
+                agree += 1
     return FreenessReport(l=l, side=side, degree_bound=degree_bound,
                           monomials_checked=len(monomials), kernel_dimension=kernel_dim,
-                          all_decomposed=all_ok)
+                          monomials_spanned=spanned, oracle_agreement=agree)

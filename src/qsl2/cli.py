@@ -17,16 +17,13 @@ from fractions import Fraction
 
 from .basis import (
     CHARTS,
-    DegreeBoundError,
     FamilyD,
     clear_denominators,
     decompose,
     decomposition_from_json,
     enumerate_basis,
     localize,
-    oracle_decompose,
     recompose,
-    residual_monomials,
     verify_freeness,
 )
 from .cyclo import (
@@ -260,16 +257,7 @@ def _cmd_verify_basis(args) -> int:
     l = spec.l
     count = len(enumerate_basis(l))
     report = verify_freeness(l, args.side, args.degree_bound, zeta_exponent=args.zeta_exp)
-    agree = total = 0
-    for mono in residual_monomials(l):
-        x = QElement.monomial(spec, mono)
-        total += 1
-        try:
-            oracle = oracle_decompose(x, args.side, args.degree_bound)
-        except DegreeBoundError:
-            continue  # the bound is too small to find x's coordinates: no agreement
-        if decompose(x, args.side).coefficients == oracle.coefficients:
-            agree += 1
+    agree, total = report.oracle_agreement, report.monomials_checked
     ok = (
         count == l**3
         and report.kernel_dimension == 0
@@ -499,15 +487,11 @@ def _check_frobenius():
 
 
 def _check_basis():
-    spec2 = make_root_spec(2)
-    for mono in residual_monomials(2):
-        x = QElement.monomial(spec2, mono)
-        for side in SIDES:
-            _expect(decompose(x, side).coefficients == oracle_decompose(x, side, 2).coefficients,
-                    "decompose == oracle for %s on the %s side at l=2" % (mono, side))
-    for l in (2, 3):
-        report = verify_freeness(l, "left", 2)
-        _expect(report.kernel_dimension == 0 and report.all_decomposed, "freeness certificate at l=%d" % l)
+    for l, side in ((2, "left"), (2, "right"), (3, "left")):
+        report = verify_freeness(l, side, 2)
+        _expect(report.kernel_dimension == 0 and report.all_decomposed
+                and report.oracle_agreement == report.monomials_checked,
+                "freeness certificate and decompose == oracle on the %s side at l=%d" % (side, l))
     rng = random.Random(15)
     spec3 = make_root_spec(3)
     for _ in range(10):

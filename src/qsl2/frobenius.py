@@ -103,7 +103,8 @@ def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
         else:
             prod = _mono_mul(spec, residual, lifted)
         if len(prod) != 1 or prod[0][0] != mono:
-            raise AssertionError("block extraction produced a non-monomial product for %s" % (mono,))
+            raise RuntimeError("block extraction produced a non-monomial product for %s; this is a bug"
+                               % (mono,))
         tau = prod[0][1]
         _add_term(acc, residual, ClassicalElement.monomial(spec, blocks, coeff * tau.inv()))
     return ModuleElement(spec, side, acc)
@@ -113,14 +114,13 @@ def module_recompose(me: ModuleElement) -> QElement:
     """Multiply coefficients back on their side; inverse of central_reduce."""
     _check_side(me.side)
     spec = me.spec
-    acc = QElement.zero(spec)
+    acc: dict[QMonomial, Cyclotomic] = {}
     for mono, g in me.terms.items():
         base = QElement.monomial(spec, mono)
-        if me.side == "left":
-            acc = acc + qmul(lift(g), base)
-        else:
-            acc = acc + qmul(base, lift(g))
-    return acc
+        prod = qmul(lift(g), base) if me.side == "left" else qmul(base, lift(g))
+        for mono2, v in prod.terms.items():
+            _add_term(acc, mono2, v)
+    return QElement(spec, acc)
 
 
 def is_central(x: QElement) -> bool:

@@ -35,7 +35,14 @@ from qsl2 import (
     verify_freeness,
     zeta_pow,
 )
-from qsl2.basis import _divide_by_alpha, _divide_by_beta, residual_monomials
+from qsl2.basis import (
+    _beta_append,
+    _column_space,
+    _divide_by_alpha,
+    _divide_by_beta,
+    residual_monomials,
+)
+from qsl2.exactla import ExactMatrix, nullspace
 
 F = Fraction
 
@@ -205,6 +212,22 @@ def test_localize_alpha_examples():
     assert le.max_power() == 0
 
 
+@pytest.mark.parametrize("l", range(2, 8))
+def test_beta_block_word_scalar_closed_form(l):
+    # localize splits a chart word a^r b^s d^t into l-th-power blocks (A, B, C)
+    # and a residual (r0, s0, t0), reading the scalar in closed form
+    spec = make_root_spec(l)
+    for A, B, C in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 1, 2)):
+        for r0 in range(l):
+            for s0 in range(l):
+                for t0 in (0, l - 1):
+                    terms = {(l * A, l * B, l * C): Cyclotomic.one(spec.N)}
+                    for letter in "a" * r0 + "b" * s0 + "d" * t0:
+                        terms = _beta_append(spec, terms, letter)
+                    key = (l * A + r0, l * B + s0, l * C + t0)
+                    assert terms == {key: zeta_pow(spec, -l * (r0 * B + s0 * C))}
+
+
 def test_localize_beta_example():
     spec = SPEC3
     le = localize(QElement.generator(spec, "c"), "beta")
@@ -326,3 +349,35 @@ def test_verify_freeness_l2(side):
     assert report.all_decomposed
     assert report.monomials_checked == 12
     assert report.l == 2 and report.side == side
+
+
+def _per_monomial_reference(l, side, bound):
+    """The certificate as one rref for the kernel and one oracle solve per monomial."""
+    spec = make_root_spec(l)
+    space = _column_space(spec, side, bound)
+    zero = Cyclotomic.zero(spec.N)
+    kernel = 0
+    for pairs in space.pairs_by_weight.values():
+        cols = [space.element(idx, cm).terms for idx, cm in pairs]
+        rows = sorted(set().union(*cols), key=lambda mm: mm.sort_key())
+        kernel += len(nullspace(ExactMatrix.from_rows(
+            spec.N, [[col.get(mono, zero) for col in cols] for mono in rows])))
+    spanned = agree = 0
+    for mono in residual_monomials(l):
+        x = QElement.monomial(spec, mono)
+        try:
+            oracle = oracle_decompose(x, side, bound)
+        except DegreeBoundError:
+            continue
+        spanned += 1
+        agree += oracle.coefficients == decompose(x, side).coefficients
+    return kernel, spanned == len(residual_monomials(l)), agree
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("l", [2, 3])
+def test_verify_freeness_matches_per_monomial_oracle(l, side, bound):
+    report = verify_freeness(l, side, bound)
+    assert (report.kernel_dimension, report.all_decomposed, report.oracle_agreement) == \
+        _per_monomial_reference(l, side, bound)

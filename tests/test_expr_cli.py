@@ -22,6 +22,7 @@ from qsl2 import (
     zeta_pow,
 )
 import qsl2.basis
+import qsl2.frobenius
 from qsl2.cli import run
 from qsl2.expr import (
     ExprSyntaxError,
@@ -229,6 +230,7 @@ def test_cli_verify_basis_with_too_small_degree_bound(capsys):
     code, out, _ = _cli(capsys, "--l", "2", "verify-basis", "--degree-bound", "0")
     assert code == 1
     assert "spanning: no" in out and "verify-basis: FAIL" in out
+    assert "decompose/oracle agreement: 8/12" in out
 
 
 def test_cli_verify_basis_certifies_the_requested_root(capsys, monkeypatch):
@@ -236,6 +238,14 @@ def test_cli_verify_basis_certifies_the_requested_root(capsys, monkeypatch):
     code, out, _ = _cli(capsys, "--l", "3", "--zeta-exp", "2", "verify-basis")
     assert code == 0 and "verify-basis: PASS" in out
     assert {spec for spec, _, _ in qsl2.basis._COLUMN_SPACES} == {make_root_spec(3, zeta_exponent=2)}
+
+
+def test_cli_broken_block_extraction_is_a_failure(capsys, monkeypatch):
+    one = Cyclotomic.one(SPEC3.N)
+    monkeypatch.setattr(qsl2.frobenius, "_mono_mul",
+                        lambda spec, x, y: ((QMonomial(0, 0, 0, 0), one), (QMonomial(1, 0, 0, 0), one)))
+    code, _, err = _cli(capsys, "--l", "3", "decompose", "a^4")
+    assert code == 1 and err.startswith("failure:")
 
 
 def test_cli_verify_fixtures(capsys, tmp_path):
