@@ -1,9 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Every scalar in the package lives here.  Elements are stored in the power
-basis 1, zeta, ..., zeta^(phi(N)-1) of Q[x]/Phi_N(x) with Fraction
-coefficients, so equality and zero-testing are canonical and zeta is a
-primitive N-th root of unity by construction.  No floating point is used.
+basis 1, zeta, ..., zeta^(phi(N)-1) of Q[x]/Phi_N(x) as a tuple of integer
+numerators over one positive common denominator (the layout of FLINT's
+fmpq_poly), kept in lowest terms, so equality and zero-testing are plain
+tuple comparisons and zeta is a primitive N-th root of unity by
+construction.  Phi_N is monic with integer coefficients, so products reduce
+with integer rows.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -12,10 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
@@ -54,99 +53,120 @@ def euler_phi(N: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(N: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows expressing x^k for k in [phi, 2*phi-2] in the power basis."""
+def _reduction_rows(N: int) -> tuple[tuple[int, ...], ...]:
+    """Rows expressing x^k for k in [phi, 2*phi-2] in the power basis.
+
+    Phi_N is monic with integer coefficients, so every row is an integer vector.
+    """
     poly = cyclotomic_polynomial(N)
     deg = len(poly) - 1
     rows = []
-    cur = [Fraction(-c) for c in poly[:-1]]  # x^deg, Phi_N is monic
+    cur = [-c for c in poly[:-1]]  # x^deg
     rows.append(tuple(cur))
     for _ in range(deg + 1, 2 * deg - 1):
-        top = cur[-1]
-        nxt = [_ZERO] + cur[:-1]
-        if top:
-            first = rows[0]
-            nxt = [nxt[i] + top * first[i] for i in range(deg)]
-        rows.append(tuple(nxt))
-        cur = nxt
+        cur = _times_x(cur, rows[0])
+        rows.append(tuple(cur))
     return tuple(rows)
 
 
+def _times_x(v: list[int], first: tuple[int, ...]) -> list[int]:
+    # x * v in the power basis; `first` is x^phi reduced
+    top = v[-1]
+    nxt = [0] + v[:-1]
+    if top:
+        nxt = [a + top * b for a, b in zip(nxt, first)]
+    return nxt
+
+
 @lru_cache(maxsize=None)
-def _power_coeffs(N: int, k: int) -> tuple[Fraction, ...]:
-    """x^k reduced mod Phi_N, as a basis vector."""
+def _zeta_power(N: int, k: int) -> "Cyclotomic":
+    """zeta_N^k for 0 <= k < N, built once per (N, k)."""
     deg = euler_phi(N)
-    k %= N
     if k < deg:
-        return tuple(_ONE if i == k else _ZERO for i in range(deg))
+        return _make(N, tuple(1 if i == k else 0 for i in range(deg)), 1)
     rows = _reduction_rows(N)
     if k <= 2 * deg - 2:
-        return rows[k - deg]
+        return _make(N, rows[k - deg], 1)
     # k < N can exceed 2*deg-2 (e.g. N=12); peel one power at a time.
-    prev = _power_coeffs(N, k - 1)
-    top = prev[-1]
-    nxt = [_ZERO] + list(prev[:-1])
-    if top:
-        first = rows[0]
-        nxt = [nxt[i] + top * first[i] for i in range(deg)]
-    return tuple(nxt)
+    return _make(N, tuple(_times_x(list(_zeta_power(N, k - 1).num), rows[0])), 1)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_N) in the power basis."""
+    """An element of Q(zeta_N) in the power basis: num[i] / den is the coefficient of zeta^i.
 
-    __slots__ = ("order", "coeffs")
+    The form is canonical: den > 0, gcd(den, *num) == 1, and zero is
+    (0, ..., 0) / 1.  Equal elements therefore have equal (order, num, den).
+    """
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length for Q(zeta_%d)" % order)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        z = _normalise(order, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+        _set_order(self, order)
+        _set_num(self, z.num)
+        _set_den(self, z.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     @classmethod
     def zero(cls, order: int) -> "Cyclotomic":
-        return cls(order, (_ZERO,) * euler_phi(order))
+        return _zero(order)
 
     @classmethod
     def one(cls, order: int) -> "Cyclotomic":
-        return cls.from_rational(order, _ONE)
+        return _zeta_power(order, 0)
 
     @classmethod
     def from_rational(cls, order: int, value) -> "Cyclotomic":
-        v = [_ZERO] * euler_phi(order)
-        v[0] = Fraction(value)
-        return cls(order, v)
+        if not isinstance(value, int):
+            value = Fraction(value)
+            if value.denominator != 1:
+                return _make(order, (value.numerator,) + _zero(order).num[1:], value.denominator)
+            value = value.numerator
+        return _make(order, (value,) + _zero(order).num[1:], 1)
 
     @classmethod
     def zeta(cls, order: int, k: int = 1) -> "Cyclotomic":
-        return cls(order, _power_coeffs(order, k % order))
+        return _zeta_power(order, k % order)
 
     def _check(self, other: "Cyclotomic"):
         if self.order != other.order:
             raise ValueError("mixed cyclotomic orders %d and %d" % (self.order, other.order))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def as_rational(self):
         """The Fraction value if the element is rational, else None."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
+        if any(self.num[1:]):
+            return None
+        return Fraction(self.num[0], self.den)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        return Cyclotomic(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _normalise(self.order, tuple(a + b for a, b in zip(self.num, other.num)), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _normalise(self.order, tuple(a * fa + b * fb for a, b in zip(self.num, other.num)), da * fa)
 
     __radd__ = __add__
 
@@ -155,7 +175,12 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _normalise(self.order, tuple(a - b for a, b in zip(self.num, other.num)), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _normalise(self.order, tuple(a * fa - b * fb for a, b in zip(self.num, other.num)), da * fa)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -164,7 +189,7 @@ class Cyclotomic:
         return other - self
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple(-a for a in self.num), self.den)
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
@@ -173,59 +198,81 @@ class Cyclotomic:
             return Cyclotomic.from_rational(self.order, other)
         return NotImplemented
 
+    def _scale(self, p: int, q: int) -> "Cyclotomic":
+        # self * p/q for q > 0
+        return _normalise(self.order, tuple(a * p for a in self.num), self.den * q)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclotomic(self.order, tuple(a * f for a in self.coeffs))
+            return self._scale(other.numerator, other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         n = len(a)
-        prod = [_ZERO] * (2 * n - 1)
+        prod = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
         if n > 1:
-            rows = _reduction_rows(self.order)
-            for k in range(2 * n - 2, n - 1, -1):
-                top = prod[k]
+            low = prod[:n]
+            for top, row in zip(prod[n:], _reduction_rows(self.order)):
                 if top:
-                    row = rows[k - n]
-                    for i in range(n):
-                        prod[i] += top * row[i]
-        return Cyclotomic(self.order, tuple(prod[:n]))
+                    low = [x + top * r for x, r in zip(low, row)]
+            prod = low
+        return _normalise(self.order, tuple(prod), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse: solve num * v = 1 mod Phi_N over the integers.
+
+        Column j of the system is num * zeta^j.  Fraction-free (Bareiss)
+        elimination keeps every entry an integer; its last pivot is the
+        determinant d, and w = d * v is integral (Cramer), so back
+        substitution divides exactly.  Then (num/den)^-1 = den * w / d.
+        """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic element is zero")
-        f = list(self.coeffs)
-        g = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # Maintain s_i*f = r_i (mod Phi_N); stop at the constant gcd.
-        r0, r1 = g, f
-        s0, s1 = [_ZERO], [_ONE]
-        while _poly_degree(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _poly_degree(r1) != 0:
-            raise ArithmeticError("element not invertible; Phi_N should be irreducible")
-        lead = r1[0]
-        n = euler_phi(self.order)
-        inv_coeffs = [c / lead for c in s1] + [_ZERO] * n
-        if _poly_degree(inv_coeffs) >= n:
-            raise ArithmeticError("Bezout coefficient exceeded the basis degree")
-        return Cyclotomic(self.order, inv_coeffs[:n])
+        head, rest = self.num[0], self.num[1:]
+        if not any(rest):
+            # rational, the common case of an rref pivot: (p/q)^-1 = q/p, already coprime
+            return _make(self.order, (self.den if head > 0 else -self.den,) + rest, abs(head))
+        n = len(self.num)
+        first = _reduction_rows(self.order)[0]
+        cols = [list(self.num)]
+        for _ in range(n - 1):
+            cols.append(_times_x(cols[-1], first))
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            hit = next((i for i in range(k, n) if rows[i][k]), None)
+            if hit is None:
+                raise ArithmeticError("element not invertible; Phi_N should be irreducible")
+            rows[k], rows[hit] = rows[hit], rows[k]
+            pk = rows[k]
+            piv = pk[k]
+            for ri in rows[k + 1:]:
+                f = ri[k]
+                ri[k:] = [(piv * a - f * b) // prev for a, b in zip(ri[k:], pk[k:])]
+            prev = piv
+        det = prev
+        w = [0] * n
+        for i in range(n - 1, -1, -1):
+            ri = rows[i]
+            w[i] = (det * ri[n] - sum(ri[j] * w[j] for j in range(i + 1, n))) // ri[i]
+        if det < 0:
+            det, w = -det, [-x for x in w]
+        return _normalise(self.order, tuple(self.den * x for x in w), det)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclotomic(self.order, tuple(a / f for a in self.coeffs))
+            if not other:
+                raise ZeroDivisionError("division of a cyclotomic element by zero")
+            p, q = other.numerator, other.denominator
+            return self._scale(q, p) if p > 0 else self._scale(-q, -p)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self * other.inv()
@@ -236,66 +283,65 @@ class Cyclotomic:
             return r is not None and r == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        # a rational element equals its Fraction, so it must hash like it
+        r = self.as_rational()
+        if r is not None:
+            return hash(r)
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.order, list(self.coeffs))
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [_fraction_str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": [_ratio_str(c, self.den) for c in self.num]}
 
 
-def _poly_degree(p) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
+_new = object.__new__
+_set_order = Cyclotomic.__dict__["order"].__set__
+_set_num = Cyclotomic.__dict__["num"].__set__
+_set_den = Cyclotomic.__dict__["den"].__set__
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
+def _make(order: int, num: tuple[int, ...], den: int) -> Cyclotomic:
+    """Trusted constructor: (num, den) must already be canonical."""
+    z = _new(Cyclotomic)
+    _set_order(z, order)
+    _set_num(z, num)
+    _set_den(z, den)
+    return z
 
 
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = _poly_degree(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[db]
-    q = [_ZERO] * max(1, len(a) - db)
-    for k in range(_poly_degree(a), db - 1, -1):
-        c = a[k] / lead
+def _normalise(order: int, num: tuple[int, ...], den: int) -> Cyclotomic:
+    """The canonical element num/den, for den > 0."""
+    if den == 1:
+        return _make(order, num, 1)
+    g = den
+    for c in num:
         if c:
-            q[k - db] = c
-            for i in range(db + 1):
-                a[k - db + i] -= c * b[i]
-    return q, a[:db] if db > 0 else [_ZERO]
+            g = math.gcd(g, c)
+            if g == 1:
+                return _make(order, num, den)
+    # here g == den if num is all zeros, which gives the canonical (0, ..., 0)/1
+    return _make(order, tuple(c // g for c in num), den // g)
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+@lru_cache(maxsize=None)
+def _zero(order: int) -> Cyclotomic:
+    return _make(order, (0,) * euler_phi(order), 1)
 
 
-def _fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, written like a Fraction but without the '/1'."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
 def cyclotomic_from_json(data: dict) -> Cyclotomic:
-    return Cyclotomic(int(data["order"]), [_fraction_from_str(s) for s in data["coeffs"]])
+    return Cyclotomic(int(data["order"]), [Fraction(s) for s in data["coeffs"]])
 
 
 @dataclass(frozen=True)
@@ -357,7 +403,7 @@ def root_spec_to_json(spec: RootSpec) -> dict:
 
 def zeta_pow(spec: RootSpec, k: int) -> Cyclotomic:
     """q^k as an exact field element."""
-    return Cyclotomic(spec.N, _power_coeffs(spec.N, (spec.zeta_exponent * k) % spec.N))
+    return _zeta_power(spec.N, (spec.zeta_exponent * k) % spec.N)
 
 
 @lru_cache(maxsize=None)

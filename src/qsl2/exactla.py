@@ -54,11 +54,15 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
             continue
         rows[prow], rows[hit] = rows[hit], rows[prow]
         inv = rows[prow][col].inv()
-        rows[prow] = [e * inv for e in rows[prow]]
+        pivot = rows[prow] = [e if e.is_zero() else e * inv for e in rows[prow]]
+        # the pivot row is sparse: update only the columns where it is nonzero
+        support = [(j, p) for j, p in enumerate(pivot) if not p.is_zero()]
         for i in range(m.nrows):
             if i != prow and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[prow])]
+                row = rows[i]
+                f = row[col]
+                for j, p in support:
+                    row[j] = row[j] - f * p
         pivots.append(col)
         prow += 1
     return ExactMatrix.from_rows(m.order, rows), tuple(pivots)

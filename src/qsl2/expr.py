@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .cyclo import Cyclotomic, RootSpec, euler_phi, zeta_pow
-from .exactla import ExactMatrix, solve
+from .exactla import ExactMatrix, rref
 from .frobenius import lift
 from .qalgebra import (
     ClassicalElement,
@@ -259,24 +259,40 @@ def parse_qelement(text: str, spec: RootSpec) -> QElement:
 
 
 @lru_cache(maxsize=None)
-def _q_basis_matrix(spec: RootSpec) -> ExactMatrix:
-    # columns are the zeta-power-basis coordinates of q^0 .. q^(phi-1);
-    # q is a primitive N-th root, so these are a Q-basis of the field
+def _q_basis_inverse(spec: RootSpec) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix taking zeta-power-basis coordinates to q-power-basis coordinates.
+
+    One rref of [M | I], where the columns of M are the zeta coordinates of
+    q^0 .. q^(phi-1); q is a primitive N-th root, so these are a Q-basis.
+    """
     phi = euler_phi(spec.N)
     cols = [zeta_pow(spec, j).coeffs for j in range(phi)]
-    rows = [
+    aug = ExactMatrix.from_rows(spec.N, [
         [Cyclotomic.from_rational(spec.N, cols[j][i]) for j in range(phi)]
+        + [Cyclotomic.from_rational(spec.N, int(i == j)) for j in range(phi)]
         for i in range(phi)
-    ]
-    return ExactMatrix.from_rows(spec.N, rows)
+    ])
+    red, pivots = rref(aug)
+    inverse = tuple(tuple(red.at(i, phi + j).as_rational() for j in range(phi)) for i in range(phi))
+    if pivots != tuple(range(phi)) or any(fr is None for row in inverse for fr in row):
+        raise RuntimeError("the q-power basis of %r is not a basis; this is a bug" % (spec,))
+    return inverse
+
 
 def _q_coordinates(spec: RootSpec, z: Cyclotomic) -> list[Fraction]:
-    rhs = [Cyclotomic.from_rational(spec.N, fr) for fr in z.coeffs]
-    sol = solve(_q_basis_matrix(spec), rhs)
-    coords = None if sol is None else [entry.as_rational() for entry in sol]
-    if coords is None or any(fr is None for fr in coords):
-        raise RuntimeError("q-coordinates of %r are not rational; this is a bug" % (z,))
-    return coords
+    coeffs = z.coeffs
+    return [sum(a * c for a, c in zip(row, coeffs)) for row in _q_basis_inverse(spec)]
+
+
+@lru_cache(maxsize=None)
+def _q_power_lookup(spec: RootSpec) -> dict[tuple, tuple[int, int]]:
+    """(num, den) of q^k and of -q^k, for 1 <= k < N, to (sign, k); +q^k wins a tie."""
+    out = {}
+    for sign in (-1, 1):
+        for k in range(1, spec.N):
+            z = zeta_pow(spec, k) * sign
+            out[(z.num, z.den)] = (sign, k)
+    return out
 
 
 def _q_power_text(spec: RootSpec, k: int) -> str:
@@ -311,12 +327,9 @@ def coefficient_parts(spec: RootSpec, z: Cyclotomic) -> tuple[int, Optional[str]
         sign = 1 if fr > 0 else -1
         mag = abs(fr)
         return sign, None if mag == 1 else str(mag)
-    for k in range(1, spec.N):
-        if z == zeta_pow(spec, k):
-            return 1, _q_power_text(spec, k)
-    for k in range(1, spec.N):
-        if -z == zeta_pow(spec, k):
-            return -1, _q_power_text(spec, k)
+    hit = _q_power_lookup(spec).get((z.num, z.den))
+    if hit is not None:
+        return hit[0], _q_power_text(spec, hit[1])
     coords = _q_coordinates(spec, z)
     if all(fr <= 0 for fr in coords):
         return -1, "(" + _poly_text([-fr for fr in coords]) + ")"

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -183,3 +185,150 @@ def test_p_coeff_domain():
     with pytest.raises(ValueError):
         p_coeff(spec, 4, 0)  # closed form only defined up to k = l
 
+
+
+# --- the integer scalar core, against a Fraction-per-coordinate reference ---
+
+_ORDERS = (3, 4, 5, 8, 12, 14)
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _ref_reduce(N, poly):
+    # poly mod Phi_N by long division over Fractions
+    phi = cyclotomic_polynomial(N)
+    n = len(phi) - 1
+    poly = [F(c) for c in poly] + [F(0)] * n
+    for k in range(len(poly) - 1, n - 1, -1):
+        top = poly[k]
+        if top:
+            for i, c in enumerate(phi):
+                poly[k - n + i] -= top * c
+    return poly[:n]
+
+
+def _ref_mul(N, a, b):
+    prod = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(N, prod)
+
+
+def _ref_inv(N, a):
+    # solve (multiplication by a) v = 1 by Gauss-Jordan over Fractions
+    n = len(a)
+    cols = [_ref_mul(N, a, [F(int(i == j)) for i in range(n)]) for j in range(n)]
+    aug = [[cols[j][i] for j in range(n)] + [F(int(i == 0))] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n] for row in aug]
+
+
+def _assert_canonical(z, N):
+    assert z.order == N and len(z.num) == euler_phi(N)
+    assert type(z.den) is int and all(type(c) is int for c in z.num)
+    assert z.den > 0
+    assert math.gcd(z.den, *z.num) == 1  # so zero is stored as (0, ..., 0)/1
+    if not any(z.num):
+        assert z.den == 1
+
+
+def _vectors(N):
+    n = euler_phi(N)
+    return st.lists(_RATIONALS, min_size=n, max_size=n)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_core_matches_fraction_reference(data):
+    N = data.draw(st.sampled_from(_ORDERS))
+    a, b = data.draw(_vectors(N)), data.draw(_vectors(N))
+    s = data.draw(st.one_of(st.integers(-5, 5), _RATIONALS))
+    x, y = Cyclotomic(N, a), Cyclotomic(N, b)
+    cases = [
+        (x + y, [p + q for p, q in zip(a, b)]),
+        (x - y, [p - q for p, q in zip(a, b)]),
+        (x - x, [F(0)] * len(a)),
+        (-x, [-p for p in a]),
+        (x * y, _ref_mul(N, a, b)),
+        (x * s, [p * s for p in a]),
+        (s * x, [p * s for p in a]),
+        (x + s, [a[0] + s] + a[1:]),
+        (s - x, [s - a[0]] + [-p for p in a[1:]]),
+    ]
+    if s:
+        cases.append((x / s, [p / s for p in a]))
+        cases.append((Cyclotomic.from_rational(N, s).inv(), [1 / F(s)] + [F(0)] * (len(a) - 1)))
+    if any(b):
+        yinv = _ref_inv(N, b)
+        cases += [(y.inv(), yinv), (x / y, _ref_mul(N, a, yinv))]
+    for z, ref in cases:
+        _assert_canonical(z, N)
+        assert z.coeffs == tuple(ref)
+        built = Cyclotomic(N, ref)
+        assert built == z and hash(built) == hash(z)
+
+
+def test_constructor_normalises_like_arithmetic():
+    # coefficients over a common denominator that is not in lowest terms
+    z = Cyclotomic(8, [F(2, 6), F(4, 6), F(0), 2])
+    arith = Cyclotomic.one(8) * F(1, 3) + Cyclotomic.zeta(8) * F(2, 3) + Cyclotomic.zeta(8, 3) * 2
+    assert (z.num, z.den) == ((1, 2, 0, 6), 3)
+    assert z == arith and hash(z) == hash(arith)
+    half = Cyclotomic(5, [F(1, 2), F(1, 2), F(1, 2), F(1, 2)]) * 2
+    assert (half.num, half.den) == ((1, 1, 1, 1), 1)
+    zero = Cyclotomic(5, [F(0, 7)] * 4)
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    assert zero == Cyclotomic.zero(5) == Cyclotomic.zeta(5) - Cyclotomic.zeta(5)
+    for w in (z, half, zero):
+        _assert_canonical(w, w.order)
+
+
+def test_hash_agrees_with_equality_for_rationals():
+    for order in (3, 8):
+        for value in (0, 1, -4, F(3, 2), F(-7, 5)):
+            z = Cyclotomic.from_rational(order, value)
+            assert z == value and hash(z) == hash(value)
+    assert len({Cyclotomic.from_rational(5, F(3, 2)), F(3, 2)}) == 1
+    assert len({Cyclotomic.from_rational(5, 2), 2}) == 1
+    assert hash(Cyclotomic.zeta(5) * 3) == hash(Cyclotomic(5, [0, 3, 0, 0]))
+
+
+def test_shared_units_and_powers():
+    spec = make_root_spec(4, zeta_exponent=3)
+    assert Cyclotomic.one(8) is Cyclotomic.one(8)
+    assert Cyclotomic.zero(8) is Cyclotomic.zero(8)
+    assert zeta_pow(spec, 5) is zeta_pow(spec, 5 + spec.N)
+    assert Cyclotomic.zeta(12, 7) is Cyclotomic.zeta(12, -5)
+    for k in range(12):
+        acc = Cyclotomic.one(12)
+        for _ in range(k):
+            acc = acc * Cyclotomic.zeta(12)
+        assert Cyclotomic.zeta(12, k) == acc
+
+
+def test_to_json_text_is_fixed():
+    values = [
+        (Cyclotomic.zero(5), '{"order": 5, "coeffs": ["0", "0", "0", "0"]}'),
+        (Cyclotomic.one(4), '{"order": 4, "coeffs": ["1", "0"]}'),
+        (zeta_pow(make_root_spec(3), -1), '{"order": 3, "coeffs": ["-1", "-1"]}'),
+        (Cyclotomic(8, [F(1, 2), F(-3, 4), 0, F(5, 6)]),
+         '{"order": 8, "coeffs": ["1/2", "-3/4", "0", "5/6"]}'),
+        (Cyclotomic.from_rational(7, F(-7, 3)),
+         '{"order": 7, "coeffs": ["-7/3", "0", "0", "0", "0", "0"]}'),
+        (zeta_pow(make_root_spec(5, 2), 3) * F(5, 6) + 1, '{"order": 5, "coeffs": ["1", "5/6", "0", "0"]}'),
+        (Cyclotomic(12, [F(4, 6), F(-2, 6), F(10, 4), 3]),
+         '{"order": 12, "coeffs": ["2/3", "-1/3", "5/2", "3"]}'),
+    ]
+    for z, text in values:
+        assert json.dumps(z.to_json()) == text
+        assert cyclotomic_from_json(json.loads(text)) == z
+    assert repr(values[3][0]) == (
+        "Cyclotomic(8, [Fraction(1, 2), Fraction(-3, 4), Fraction(0, 1), Fraction(5, 6)])"
+    )

@@ -106,3 +106,42 @@ def test_solve_returns_actual_solutions(data):
         for j in range(m.ncols):
             acc = acc + m.at(r, j) * sol[j]
         assert acc == rhs[r]
+
+
+def _dense_rref(m):
+    # reference: the whole-row Gauss-Jordan update, zero entries included
+    rows = [list(r) for r in m.entries]
+    pivots, prow = [], 0
+    for col in range(m.ncols):
+        hit = next((i for i in range(prow, m.nrows) if not rows[i][col].is_zero()), None)
+        if hit is None:
+            continue
+        rows[prow], rows[hit] = rows[hit], rows[prow]
+        inv = rows[prow][col].inv()
+        rows[prow] = [e * inv for e in rows[prow]]
+        for i in range(m.nrows):
+            if i != prow:
+                f = rows[i][col]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[prow])]
+        pivots.append(col)
+        prow += 1
+    return rows, tuple(pivots)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_rref_matches_dense_reference(data):
+    order = data.draw(st.sampled_from((5, 8, 12)))
+    shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 7)))
+    # mostly zeros, the rest small multiples of powers of zeta
+    entry = st.one_of(st.just(None), st.just(None), st.tuples(st.integers(-3, 3), st.integers(0, order - 1)))
+    cells = data.draw(st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]))
+    m = ExactMatrix.from_rows(order, [
+        [Cyclotomic.zero(order) if e is None else Cyclotomic.zeta(order, e[1]) * e[0] for e in row]
+        for row in cells
+    ])
+    reduced, pivots = rref(m)
+    rows, ref_pivots = _dense_rref(m)
+    assert pivots == ref_pivots
+    assert [list(r) for r in reduced.entries] == rows
