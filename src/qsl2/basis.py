@@ -454,54 +454,34 @@ def _candidate_classicals(bound: int) -> list[ClassicalMonomial]:
     return out
 
 
-class _ColumnSpace:
-    """Candidate columns lift(mu)*G (or G*lift(mu)) grouped by weight, lazily built."""
-
-    def __init__(self, spec: RootSpec, side: str, bound: int):
-        self.spec = spec
-        self.side = side
-        self.bound = bound
-        l = spec.l
-        self.pairs_by_weight: dict[tuple[int, int], list[tuple[BasisIndex, ClassicalMonomial]]] = {}
-        cands = _candidate_classicals(bound)
-        for idx in enumerate_basis(l):
-            gw = _quantum_weight(idx.monomial())
-            for cm in cands:
-                cw = _classical_weight(l, cm)
-                w = (gw[0] + cw[0], gw[1] + cw[1])
-                self.pairs_by_weight.setdefault(w, []).append((idx, cm))
-        self._elements: dict[tuple[BasisIndex, ClassicalMonomial], QElement] = {}
-
-    def element(self, idx: BasisIndex, cm: ClassicalMonomial) -> QElement:
-        key = (idx, cm)
-        if key not in self._elements:
-            g = lift(ClassicalElement.monomial(self.spec, cm))
-            base = QElement.monomial(self.spec, idx.monomial())
-            self._elements[key] = qmul(g, base) if self.side == "left" else qmul(base, g)
-        return self._elements[key]
+def _pairs_by_weight(l: int, bound: int) -> dict[tuple[int, int], list]:
+    """Every (basis index, candidate classical coefficient) pair, grouped by the weight of its column."""
+    out: dict[tuple[int, int], list[tuple[BasisIndex, ClassicalMonomial]]] = {}
+    cands = _candidate_classicals(bound)
+    for idx in enumerate_basis(l):
+        gw = _quantum_weight(idx.monomial())
+        for cm in cands:
+            cw = _classical_weight(l, cm)
+            out.setdefault((gw[0] + cw[0], gw[1] + cw[1]), []).append((idx, cm))
+    return out
 
 
-_COLUMN_SPACES: dict[tuple[RootSpec, str, int], _ColumnSpace] = {}
+def _column(spec: RootSpec, side: str, idx: BasisIndex, cm: ClassicalMonomial) -> QElement:
+    """The candidate column lift(cm) * G (left) or G * lift(cm) (right) for G the basis monomial."""
+    g = lift(ClassicalElement.monomial(spec, cm))
+    base = QElement.monomial(spec, idx.monomial())
+    return qmul(g, base) if side == "left" else qmul(base, g)
 
 
-def _column_space(spec: RootSpec, side: str, bound: int) -> _ColumnSpace:
-    key = (spec, side, bound)
-    if key not in _COLUMN_SPACES:
-        _COLUMN_SPACES[key] = _ColumnSpace(spec, side, bound)
-    return _COLUMN_SPACES[key]
-
-
-def _solve_weight(space: _ColumnSpace, w: tuple[int, int],
+def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[BasisIndex, ClassicalMonomial]],
                   rhs: list[dict[QMonomial, Cyclotomic]]) -> tuple[int, list[dict | None]]:
-    """Solve every right-hand side at weight w against the candidate columns, in one rref.
+    """Solve every right-hand side against the candidate columns of `pairs`, in one rref.
 
     Returns the kernel dimension of the candidate columns and, per
     right-hand side, its coordinates (BasisIndex -> ClassicalElement) or
     None if it is not in their span.
     """
-    spec = space.spec
-    pairs = space.pairs_by_weight.get(w, [])
-    cols = [space.element(idx, cm).terms for idx, cm in pairs] + rhs
+    cols = [_column(spec, side, idx, cm).terms for idx, cm in pairs] + rhs
     rows = sorted(set().union(*cols), key=lambda mm: mm.sort_key())
     zero = Cyclotomic.zero(spec.N)
     red, pivots = rref(ExactMatrix.from_rows(spec.N, [[col.get(mono, zero) for col in cols]
@@ -536,15 +516,15 @@ def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None =
     _check_side(side)
     if degree_bound is None:
         degree_bound = x.max_exponent() // spec.l + 2
-    space = _column_space(spec, side, degree_bound)
+    pairs_by_weight = _pairs_by_weight(spec.l, degree_bound)
     buckets: dict[tuple[int, int], dict[QMonomial, Cyclotomic]] = {}
     for mono, v in x.terms.items():
         buckets.setdefault(_quantum_weight(mono), {})[mono] = v
     coeffs: dict[BasisIndex, ClassicalElement] = {}
     for w, rhs_terms in buckets.items():
-        if w not in space.pairs_by_weight:
+        if w not in pairs_by_weight:
             raise DegreeBoundError("no candidates at weight %s; raise degree_bound" % (w,))
-        kernel, (coords,) = _solve_weight(space, w, [rhs_terms])
+        kernel, (coords,) = _solve_weight(spec, side, pairs_by_weight[w], [rhs_terms])
         if coords is None:
             raise DegreeBoundError("inconsistent system at weight %s; raise degree_bound" % (w,))
         if kernel:
@@ -580,15 +560,16 @@ def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,
     """
     spec = make_root_spec(l, zeta_exponent=zeta_exponent)
     _check_side(side)
-    space = _column_space(spec, side, degree_bound)
+    pairs_by_weight = _pairs_by_weight(l, degree_bound)
     monomials = residual_monomials(l)
-    by_weight: dict[tuple[int, int], list[QMonomial]] = {w: [] for w in space.pairs_by_weight}
+    by_weight: dict[tuple[int, int], list[QMonomial]] = {w: [] for w in pairs_by_weight}
     for mono in monomials:
         by_weight.setdefault(_quantum_weight(mono), []).append(mono)
     one = Cyclotomic.one(spec.N)
     kernel_dim = spanned = agree = 0
     for w, monos in by_weight.items():
-        kernel, solutions = _solve_weight(space, w, [{mono: one} for mono in monos])
+        kernel, solutions = _solve_weight(spec, side, pairs_by_weight.get(w, []),
+                                          [{mono: one} for mono in monos])
         kernel_dim += kernel
         for mono, coords in zip(monos, solutions):
             if coords is None:

@@ -31,7 +31,7 @@ from .cyclo import (
     make_root_spec,
     p_coeff,
     p_expansion,
-    remark_root_spec,
+    root_spec_for_order,
     zeta_pow,
 )
 from .expr import (
@@ -41,6 +41,7 @@ from .expr import (
     format_cyclotomic,
     format_qelement,
     format_tensor,
+    format_terms,
     parse_qelement,
     quantum_monomial_text,
 )
@@ -167,33 +168,12 @@ def _localized_text(le) -> str:
 
 
 def _det_line(spec, p: int, coeffs) -> str:
-    parts = []
-    for j, z in enumerate(coeffs):
-        if z.is_zero():
-            continue
-        text = format_cyclotomic(spec, z)
-        sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
-        if j > 0:
-            mono = "b^%d c^%d" % (j, j)
-            body = mono if body == "1" else "%s %s" % (body, mono)
-        parts.append((sign, body))
-    if not parts:
-        rhs = "0"
-    else:
-        rhs = parts[0][1] if parts[0][0] > 0 else "-" + parts[0][1]
-        for sign, body in parts[1:]:
-            rhs += (" + " if sign > 0 else " - ") + body
-    return "a^%d d^%d = %s" % (p, p, rhs)
-
-
-def _closure_spec(report):
-    if report.standard:
-        return make_root_spec(report.l)
-    return remark_root_spec(report.l)
+    pairs = ((None if j == 0 else "b^%d c^%d" % (j, j), z) for j, z in enumerate(coeffs) if not z.is_zero())
+    return "a^%d d^%d = %s" % (p, p, format_terms(spec, pairs, times=" "))
 
 
 def _closure_text(report) -> str:
-    spec = _closure_spec(report)
+    spec = root_spec_for_order(report.l, report.order)
     yes = lambda flag: "yes" if flag else "no"
     lines = [
         "closure diagnostic: l=%d, root order %d (%s case)"

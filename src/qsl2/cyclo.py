@@ -384,17 +384,26 @@ def remark_root_spec(l: int, zeta_exponent: int | None = None) -> RootSpec:
     return RootSpec(l=l, parity_case="odd", N=N, zeta_exponent=zeta_exponent % N, standard=False)
 
 
+def root_spec_for_order(l: int, N: int, zeta_exponent: int | None = None) -> RootSpec | None:
+    """The root data for q of order N at parameter l, or None if no case fits.
+
+    N = l (l odd) and N = 2l (l even) are the standard cases; N = 2l with
+    l odd is the remark case.
+    """
+    if N == (l if l % 2 else 2 * l):
+        return make_root_spec(l, zeta_exponent)
+    if l % 2 and N == 2 * l:
+        return remark_root_spec(l, zeta_exponent)
+    return None
+
+
 def root_spec_from_json(data: dict) -> RootSpec:
     l = int(data["l"])
     N = int(data["N"])
-    ze = int(data.get("zeta_exponent", 1))
-    if l % 2 and N == l:
-        return make_root_spec(l, ze)
-    if l % 2 == 0 and N == 2 * l:
-        return make_root_spec(l, ze)
-    if l % 2 and N == 2 * l:
-        return remark_root_spec(l, ze)
-    raise ValueError("inconsistent root data l=%d N=%d" % (l, N))
+    spec = root_spec_for_order(l, N, int(data.get("zeta_exponent", 1)))
+    if spec is None:
+        raise ValueError("inconsistent root data l=%d N=%d" % (l, N))
+    return spec
 
 
 def root_spec_to_json(spec: RootSpec) -> dict:

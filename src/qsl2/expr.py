@@ -8,12 +8,18 @@ Grammar (whitespace insignificant, no implicit multiplication):
     exponent := ('-')? INT | '(' ('-')? INT ')'
     base     := SYMBOL | rational | '(' expr ')'
     rational := INT ('/' INT)?
+    INT      := [0-9]+
 
 Symbols are a, b, c, d (quantum letters), alpha, beta, gamma, delta
 (classical letters, unicode aliases accepted), and q (the root of unity).
-Negative exponents are only allowed on q.  Inside a product, classical
-letters may appear before quantum letters but not after them; classical
-factors are routed through the Frobenius lift.
+Negative exponents are only allowed on q, bare or parenthesized.  Inside
+a product, classical letters may appear before quantum letters but not
+after them; classical factors are routed through the Frobenius lift.
+
+The parser evaluates as it reads, in one recursive-descent pass.  Each
+rule returns its value together with which letter kinds occur in it, so
+the ordering rule is checked where a product is formed, and a power of a
+single symbol is built directly as its monomial or root-of-unity scalar.
 
 The printer emits text that re-parses to an equal element: coefficients
 are rationals, powers of q, or parenthesized polynomials in q with
@@ -22,10 +28,9 @@ rational coefficients (lowest powers first).
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
-from .cyclo import Cyclotomic, RootSpec, euler_phi, zeta_pow
-from .exactla import ExactMatrix, rref
+from .cyclo import Cyclotomic, RootSpec, zeta_pow
 from .frobenius import lift
 from .qalgebra import (
     ClassicalElement,
@@ -39,6 +44,7 @@ QUANTUM_LETTERS = ("a", "b", "c", "d")
 CLASSICAL_LETTERS = ("alpha", "beta", "gamma", "delta")
 _UNICODE_ALIASES = {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta"}
 _SYMBOLS = set(QUANTUM_LETTERS) | set(CLASSICAL_LETTERS) | {"q"}
+_DIGITS = "0123456789"
 
 
 class ExprSyntaxError(ValueError):
@@ -49,239 +55,162 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-# AST nodes are plain tagged tuples:
-#   ("sum", [(sign, node), ...])    sign is +1/-1
-#   ("product", [node, ...])        written order preserved
-#   ("power", node, exponent)
-#   ("scalar", Fraction)
-#   ("symbol", name)                name is an ASCII symbol
-AstNode = tuple
+class _Parser:
+    """Recursive descent over `text` that evaluates as it reads.
 
+    The rules expr, term, factor and base return (value, quantum,
+    classical, name): the QElement read, whether quantum and whether
+    classical letters occur in it, and the symbol it consists of if it is
+    a single symbol, possibly parenthesized, else None.
+    """
 
-class _Tokenizer:
-    def __init__(self, text: str):
+    def __init__(self, text: str, spec: RootSpec):
         self.text = text
         self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.spec = spec
 
     def peek(self) -> Optional[str]:
-        self.skip_ws()
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
         if self.pos >= len(self.text):
             return None
         return self.text[self.pos]
 
     def take_int(self) -> int:
-        self.skip_ws()
+        self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ExprSyntaxError("expected integer", start)
         return int(self.text[start : self.pos])
 
-    def take_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        ch = self.text[start]
-        if ch in _UNICODE_ALIASES:
+    def take_signed_int(self) -> int:
+        if self.peek() == "-":
             self.pos += 1
-            return _UNICODE_ALIASES[ch]
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        name = self.text[start : self.pos]
-        if name not in _SYMBOLS:
-            raise ExprSyntaxError("unknown symbol %r" % name, start)
-        return name
+            return -self.take_int()
+        return self.take_int()
 
     def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
+        if self.peek() != ch:
             raise ExprSyntaxError("expected %r" % ch, self.pos)
         self.pos += 1
 
+    def expr(self) -> tuple:
+        negate = self.peek() == "-"
+        if negate:
+            self.pos += 1
+        value, quantum, classical, name = self.term()
+        if negate:
+            value, name = -value, None
+        while self.peek() in ("+", "-"):
+            sign = self.text[self.pos]
+            self.pos += 1
+            other, q, c, _ = self.term()
+            value = value + other if sign == "+" else value - other
+            quantum, classical, name = quantum or q, classical or c, None
+        return value, quantum, classical, name
 
-def parse_expression(text: str) -> AstNode:
-    """Parse `text` into an AST; raises ExprSyntaxError with a position."""
-    tok = _Tokenizer(text)
-    node = _parse_expr(tok)
-    if tok.peek() is not None:
-        raise ExprSyntaxError("unexpected %r" % tok.peek(), tok.pos)
-    return node
+    def term(self) -> tuple:
+        value, quantum, classical, name = self.factor()
+        while self.peek() == "*":
+            self.pos += 1
+            other, q, c, _ = self.factor()
+            if c and quantum:
+                raise ValueError("classical letters must precede quantum letters in a product")
+            value = value * other
+            quantum, classical, name = quantum or q, classical or c, None
+        return value, quantum, classical, name
 
+    def factor(self) -> tuple:
+        value, quantum, classical, name = self.base()
+        if self.peek() != "^":
+            return value, quantum, classical, name
+        self.pos += 1
+        if self.peek() == "(":
+            self.pos += 1
+            exponent = self.take_signed_int()
+            self.expect(")")
+        else:
+            exponent = self.take_signed_int()
+        if exponent < 0 and name != "q":
+            raise ExprSyntaxError("negative exponent only allowed on q", self.pos)
+        value = value ** exponent if name is None else self.symbol_power(name, exponent)
+        return value, quantum, classical, None
 
-def _parse_expr(tok: _Tokenizer) -> AstNode:
-    parts = []
-    sign = 1
-    if tok.peek() == "-":
-        tok.pos += 1
-        sign = -1
-    parts.append((sign, _parse_term(tok)))
-    while tok.peek() in ("+", "-"):
-        sign = 1 if tok.peek() == "+" else -1
-        tok.pos += 1
-        parts.append((sign, _parse_term(tok)))
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][1]
-    return ("sum", parts)
+    def base(self) -> tuple:
+        ch = self.peek()
+        if ch is None:
+            raise ExprSyntaxError("unexpected end of input", self.pos)
+        if ch == "(":
+            self.pos += 1
+            out = self.expr()
+            self.expect(")")
+            return out
+        if ch in _DIGITS:
+            num = self.take_int()
+            den = 1
+            if self.peek() == "/":
+                self.pos += 1
+                self.peek()  # skips whitespace, so a zero is reported where it is written
+                den_pos = self.pos
+                den = self.take_int()
+                if den == 0:
+                    raise ExprSyntaxError("zero denominator", den_pos)
+            return QElement.scalar(self.spec, Fraction(num, den)), False, False, None
+        if ch in _UNICODE_ALIASES:
+            self.pos += 1
+            name = _UNICODE_ALIASES[ch]
+        elif ch.isalpha():
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isalpha():
+                self.pos += 1
+            name = self.text[start : self.pos]
+            if name not in _SYMBOLS:
+                raise ExprSyntaxError("unknown symbol %r" % name, start)
+        else:
+            raise ExprSyntaxError("unexpected %r" % ch, self.pos)
+        return self.symbol_power(name, 1), name in QUANTUM_LETTERS, name in CLASSICAL_LETTERS, name
 
-
-def _parse_term(tok: _Tokenizer) -> AstNode:
-    factors = [_parse_factor(tok)]
-    while tok.peek() == "*":
-        tok.pos += 1
-        factors.append(_parse_factor(tok))
-    if len(factors) == 1:
-        return factors[0]
-    return ("product", factors)
-
-
-def _parse_factor(tok: _Tokenizer) -> AstNode:
-    base = _parse_base(tok)
-    if tok.peek() != "^":
-        return base
-    tok.pos += 1
-    exponent = _parse_exponent(tok)
-    if exponent < 0 and base != ("symbol", "q"):
-        raise ExprSyntaxError("negative exponent only allowed on q", tok.pos)
-    return ("power", base, exponent)
-
-
-def _parse_exponent(tok: _Tokenizer) -> int:
-    if tok.peek() == "(":
-        tok.pos += 1
-        value = _parse_signed_int(tok)
-        tok.expect(")")
-        return value
-    return _parse_signed_int(tok)
-
-
-def _parse_signed_int(tok: _Tokenizer) -> int:
-    sign = 1
-    if tok.peek() == "-":
-        tok.pos += 1
-        sign = -1
-    return sign * tok.take_int()
-
-
-def _parse_base(tok: _Tokenizer) -> AstNode:
-    ch = tok.peek()
-    if ch is None:
-        raise ExprSyntaxError("unexpected end of input", tok.pos)
-    if ch == "(":
-        tok.pos += 1
-        node = _parse_expr(tok)
-        tok.expect(")")
-        return node
-    if ch.isdigit():
-        num = tok.take_int()
-        if tok.peek() == "/":
-            tok.pos += 1
-            tok.skip_ws()
-            den_pos = tok.pos
-            den = tok.take_int()
-            if den == 0:
-                raise ExprSyntaxError("zero denominator", den_pos)
-            return ("scalar", Fraction(num, den))
-        return ("scalar", Fraction(num))
-    if ch.isalpha() or ch in _UNICODE_ALIASES:
-        return ("symbol", tok.take_name())
-    raise ExprSyntaxError("unexpected %r" % ch, tok.pos)
-
-
-def _symbol_kinds(node: AstNode) -> tuple[bool, bool]:
-    # -> (has quantum letters, has classical letters)
-    tag = node[0]
-    if tag == "symbol":
-        return node[1] in QUANTUM_LETTERS, node[1] in CLASSICAL_LETTERS
-    if tag == "scalar":
-        return False, False
-    if tag == "power":
-        return _symbol_kinds(node[1])
-    if tag == "product":
-        children = node[1]
-    else:  # sum
-        children = [child for _, child in node[1]]
-    hq = hc = False
-    for child in children:
-        cq, cc = _symbol_kinds(child)
-        hq, hc = hq or cq, hc or cc
-    return hq, hc
-
-
-def evaluate(ast: AstNode, spec: RootSpec) -> QElement:
-    """Evaluate an AST to a QElement; classical symbols go through lift."""
-    if spec is None:
-        raise ValueError("a root-of-unity spec is required to evaluate")
-    tag = ast[0]
-    if tag == "scalar":
-        return QElement.scalar(spec, ast[1])
-    if tag == "symbol":
-        name = ast[1]
+    def symbol_power(self, name: str, exponent: int) -> QElement:
+        spec = self.spec
         if name == "q":
-            return QElement.scalar(spec, zeta_pow(spec, 1))
-        if name in QUANTUM_LETTERS:
-            return QElement.generator(spec, name)
-        return lift(ClassicalElement.generator(spec, name))
-    if tag == "power":
-        _, base, exponent = ast
-        if base == ("symbol", "q"):
             return QElement.scalar(spec, zeta_pow(spec, exponent))
-        return evaluate(base, spec) ** exponent
-    if tag == "product":
-        seen_quantum = False
-        result = QElement.one(spec)
-        for child in ast[1]:
-            hq, hc = _symbol_kinds(child)
-            if hc and seen_quantum:
-                raise ValueError(
-                    "classical letters must precede quantum letters in a product"
-                )
-            seen_quantum = seen_quantum or hq
-            result = result * evaluate(child, spec)
-        return result
-    # sum
-    result = QElement.zero(spec)
-    for sign, child in ast[1]:
-        value = evaluate(child, spec)
-        result = result + value if sign > 0 else result - value
-    return result
+        if name in QUANTUM_LETTERS:
+            i = QUANTUM_LETTERS.index(name)
+            return QElement.monomial(spec, QMonomial(*(exponent * (j == i) for j in range(4))))
+        i = CLASSICAL_LETTERS.index(name)
+        return lift(ClassicalElement.monomial(spec, ClassicalMonomial(*(exponent * (j == i) for j in range(4)))))
 
 
 def parse_qelement(text: str, spec: RootSpec) -> QElement:
-    return evaluate(parse_expression(text), spec)
+    """Parse and evaluate `text`; raises ExprSyntaxError with a position."""
+    if spec is None:
+        raise ValueError("a root-of-unity spec is required to parse")
+    parser = _Parser(text, spec)
+    value = parser.expr()[0]
+    if parser.peek() is not None:
+        raise ExprSyntaxError("unexpected %r" % parser.peek(), parser.pos)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # printing
 
 
-@lru_cache(maxsize=None)
-def _q_basis_inverse(spec: RootSpec) -> tuple[tuple[Fraction, ...], ...]:
-    """The matrix taking zeta-power-basis coordinates to q-power-basis coordinates.
+def _q_coordinates(spec: RootSpec, z: Cyclotomic) -> tuple[Fraction, ...]:
+    """The coordinates of z in the basis q^0 .. q^(phi-1).
 
-    One rref of [M | I], where the columns of M are the zeta coordinates of
-    q^0 .. q^(phi-1); q is a primitive N-th root, so these are a Q-basis.
+    With q = zeta^e, the field automorphism sigma: zeta -> zeta^f, where
+    e*f = 1 mod N, sends q^j to zeta^j, so the q-coordinates of z are the
+    zeta-coordinates of sigma(z).
     """
-    phi = euler_phi(spec.N)
-    cols = [zeta_pow(spec, j).coeffs for j in range(phi)]
-    aug = ExactMatrix.from_rows(spec.N, [
-        [Cyclotomic.from_rational(spec.N, cols[j][i]) for j in range(phi)]
-        + [Cyclotomic.from_rational(spec.N, int(i == j)) for j in range(phi)]
-        for i in range(phi)
-    ])
-    red, pivots = rref(aug)
-    inverse = tuple(tuple(red.at(i, phi + j).as_rational() for j in range(phi)) for i in range(phi))
-    if pivots != tuple(range(phi)) or any(fr is None for row in inverse for fr in row):
-        raise RuntimeError("the q-power basis of %r is not a basis; this is a bug" % (spec,))
-    return inverse
-
-
-def _q_coordinates(spec: RootSpec, z: Cyclotomic) -> list[Fraction]:
-    coeffs = z.coeffs
-    return [sum(a * c for a, c in zip(row, coeffs)) for row in _q_basis_inverse(spec)]
+    f = pow(spec.zeta_exponent, -1, spec.N)
+    image = Cyclotomic.zero(spec.N)
+    for i, c in enumerate(z.coeffs):
+        if c:
+            image = image + Cyclotomic.zeta(spec.N, f * i) * c
+    return image.coeffs
 
 
 @lru_cache(maxsize=None)
@@ -301,32 +230,39 @@ def _q_power_text(spec: RootSpec, k: int) -> str:
     return "q" if rep == 1 else "q^%d" % rep
 
 
-def _poly_text(coords: list[Fraction]) -> str:
-    parts = []
-    for j, fr in enumerate(coords):
-        if fr == 0:
-            continue
-        sign = 1 if fr > 0 else -1
-        mag = abs(fr)
-        if j == 0:
-            body = str(mag)
+def _rational_parts(fr: Fraction) -> tuple[int, Optional[str]]:
+    mag = abs(fr)
+    return (1 if fr > 0 else -1), None if mag == 1 else str(mag)
+
+
+def _join_terms(terms, times: str = "*") -> str:
+    """'t1 + t2 - t3' from (sign, coefficient text, monomial text); None text means 1."""
+    out = []
+    for sign, ctext, mtext in terms:
+        if ctext is None:
+            body = mtext or "1"
+        elif mtext is None:
+            body = ctext
         else:
-            head = "q" if j == 1 else "q^%d" % j
-            body = head if mag == 1 else "%s*%s" % (mag, head)
-        parts.append((sign, body))
-    out = parts[0][1] if parts[0][0] > 0 else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        out += (" + " if sign > 0 else " - ") + body
-    return out
+            body = ctext + times + mtext
+        if out:
+            out.append(" + " if sign > 0 else " - ")
+        elif sign < 0:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
+
+
+def _poly_text(coords) -> str:
+    return _join_terms(_rational_parts(fr) + (_letters_text((("q", j),)),)
+                       for j, fr in enumerate(coords) if fr)
 
 
 def coefficient_parts(spec: RootSpec, z: Cyclotomic) -> tuple[int, Optional[str]]:
     """Split a nonzero coefficient into (sign, text); text None means 1."""
     fr = z.as_rational()
     if fr is not None:
-        sign = 1 if fr > 0 else -1
-        mag = abs(fr)
-        return sign, None if mag == 1 else str(mag)
+        return _rational_parts(fr)
     hit = _q_power_lookup(spec).get((z.num, z.den))
     if hit is not None:
         return hit[0], _q_power_text(spec, hit[1])
@@ -355,35 +291,22 @@ def classical_monomial_text(mono: ClassicalMonomial) -> Optional[str]:
     return _letters_text(zip(CLASSICAL_LETTERS, mono))
 
 
-def _format_terms(spec: RootSpec, pairs) -> str:
-    parts = []
-    for mono_text, coeff in pairs:
-        sign, ctext = coefficient_parts(spec, coeff)
-        if ctext is None and mono_text is None:
-            body = "1"
-        elif ctext is None:
-            body = mono_text
-        elif mono_text is None:
-            body = ctext
-        else:
-            body = "%s*%s" % (ctext, mono_text)
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    out = parts[0][1] if parts[0][0] > 0 else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        out += (" + " if sign > 0 else " - ") + body
-    return out
+def format_terms(spec: RootSpec, pairs, times: str = "*") -> str:
+    """Signed sum of (monomial text or None for 1, nonzero coefficient) pairs.
+
+    `times` joins a coefficient to its monomial; an empty sum prints as 0.
+    """
+    return _join_terms((coefficient_parts(spec, z) + (mono_text,) for mono_text, z in pairs), times)
 
 
 def format_qelement(x: QElement) -> str:
-    return _format_terms(
+    return format_terms(
         x.spec, ((quantum_monomial_text(m), z) for m, z in x.sorted_terms())
     )
 
 
 def format_classical(g: ClassicalElement) -> str:
-    return _format_terms(
+    return format_terms(
         g.spec, ((classical_monomial_text(m), z) for m, z in g.sorted_terms())
     )
 
@@ -391,14 +314,11 @@ def format_classical(g: ClassicalElement) -> str:
 def format_cyclotomic(spec: RootSpec, z: Cyclotomic) -> str:
     if z.is_zero():
         return "0"
-    sign, text = coefficient_parts(spec, z)
-    if text is None:
-        text = "1"
-    return text if sign > 0 else "-" + text
+    return format_terms(spec, ((None, z),))
 
 
 def format_tensor(t: TensorElement) -> str:
-    return _format_terms(t.spec, (
+    return format_terms(t.spec, (
         ("%s (x) %s" % (quantum_monomial_text(m1) or "1", quantum_monomial_text(m2) or "1"), z)
         for (m1, m2), z in t.sorted_terms()
     ))

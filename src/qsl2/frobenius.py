@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Cyclotomic, RootSpec, p_expansion
+from .cyclo import Cyclotomic, RootSpec, p_expansion, root_spec_for_order
 from .qalgebra import (
     CLASSICAL_ONE,
     ClassicalElement,
@@ -150,15 +150,8 @@ class ClosureReport:
 
 def closure_diagnostic(l: int, N: int) -> ClosureReport:
     """Probe which parts of the l-th-power construction close for q of order N."""
-    from .cyclo import make_root_spec, remark_root_spec
-
-    if l % 2 and N == l:
-        spec = make_root_spec(l)
-    elif l % 2 == 0 and N == 2 * l:
-        spec = make_root_spec(l)
-    elif l % 2 and N == 2 * l:
-        spec = remark_root_spec(l)
-    else:
+    spec = root_spec_for_order(l, N)
+    if spec is None:
         raise ValueError("unsupported pair l=%d, N=%d" % (l, N))
     p = l if spec.standard else 2 * l
 

@@ -639,9 +639,13 @@ class _SidedTerms(_Terms):
     def _json_head(self) -> dict:
         return {"side": self.side}
 
-    @staticmethod
-    def _head_from_json(data: dict, spec: RootSpec | None) -> tuple:
-        return (spec, data["side"])
+    @classmethod
+    def _head_from_json(cls, data: dict, spec: RootSpec | None) -> tuple:
+        if spec is None:
+            # each coefficient carries the root data; every row is checked against it as it is read
+            spec = next((root_spec_from_json(row["coeff"]["spec"]) for row in data[cls._ROWS]
+                         if "spec" in row["coeff"]), None)
+        return super()._head_from_json({}, spec) + (data["side"],)
 
     @staticmethod
     def _value_from_json(row: dict, spec: RootSpec):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from qsl2 import (
     FamilyD,
     QElement,
     QMonomial,
+    central_reduce,
     clear_denominators,
     decompose,
     decomposition_from_json,
@@ -26,6 +28,7 @@ from qsl2 import (
     lift,
     localize,
     make_root_spec,
+    module_element_from_json,
     module_recompose,
     oracle_decompose,
     power,
@@ -37,9 +40,10 @@ from qsl2 import (
 )
 from qsl2.basis import (
     _beta_append,
-    _column_space,
+    _column,
     _divide_by_alpha,
     _divide_by_beta,
+    _pairs_by_weight,
     residual_monomials,
 )
 from qsl2.exactla import ExactMatrix, nullspace
@@ -191,6 +195,20 @@ def test_decomposition_json_roundtrip():
     back = decomposition_from_json(doc, SPEC3)
     assert back.coefficients == dec.coefficients
     assert recompose(back) == x
+
+
+def test_sided_json_reads_root_data_from_coefficients():
+    spec = make_root_spec(3, zeta_exponent=2)
+    x = straighten("abcd", spec) + QElement.generator(spec, "d") * F(3, 7)
+    dec = decompose(x, "right")
+    back = decomposition_from_json(dec.to_json())
+    assert back == dec and back.spec == spec and recompose(back) == x
+    assert json.dumps(back.to_json()) == json.dumps(dec.to_json())
+    me = central_reduce(x, "left")
+    assert module_element_from_json(me.to_json()) == me
+    for read in (decomposition_from_json, module_element_from_json):
+        with pytest.raises(ValueError, match="no root data"):
+            read({"side": "left", "entries": [], "terms": []})
 
 
 # --- localization charts ---
@@ -354,11 +372,10 @@ def test_verify_freeness_l2(side):
 def _per_monomial_reference(l, side, bound):
     """The certificate as one rref for the kernel and one oracle solve per monomial."""
     spec = make_root_spec(l)
-    space = _column_space(spec, side, bound)
     zero = Cyclotomic.zero(spec.N)
     kernel = 0
-    for pairs in space.pairs_by_weight.values():
-        cols = [space.element(idx, cm).terms for idx, cm in pairs]
+    for pairs in _pairs_by_weight(l, bound).values():
+        cols = [_column(spec, side, idx, cm).terms for idx, cm in pairs]
         rows = sorted(set().union(*cols), key=lambda mm: mm.sort_key())
         kernel += len(nullspace(ExactMatrix.from_rows(
             spec.N, [[col.get(mono, zero) for col in cols] for mono in rows])))

@@ -30,7 +30,6 @@ from qsl2.expr import (
     format_cyclotomic,
     format_qelement,
     format_tensor,
-    parse_expression,
     parse_qelement,
 )
 
@@ -64,22 +63,35 @@ def test_parse_rationals_and_parens():
 
 def test_parse_error_positions():
     with pytest.raises(ExprSyntaxError) as info:
-        parse_expression("a^(2")
+        parse_qelement("a^(2", SPEC3)
     assert info.value.position == 4
     with pytest.raises(ExprSyntaxError) as info:
-        parse_expression("a + foo*b")
+        parse_qelement("a + foo*b", SPEC3)
     assert info.value.position == 4 and "unknown symbol" in str(info.value)
     with pytest.raises(ExprSyntaxError):
-        parse_expression("a b")  # no implicit multiplication
+        parse_qelement("a b", SPEC3)  # no implicit multiplication
     with pytest.raises(ExprSyntaxError):
-        parse_expression("1/0")
+        parse_qelement("1/0", SPEC3)
+    for text in ("a^²", "a^٣"):  # only ASCII digits are integers
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_qelement(text, SPEC3)
+        assert info.value.position == 2 and "expected integer" in str(info.value)
 
 
 def test_negative_exponents_only_on_q():
     for bad in ("a^-1", "alpha^-2", "(a+b)^-1", "2^-1"):
         with pytest.raises(ExprSyntaxError):
-            parse_expression(bad)
-    parse_expression("q^-5")
+            parse_qelement(bad, SPEC3)
+    parse_qelement("q^-5", SPEC3)
+
+
+def test_parenthesized_q_takes_negative_exponents():
+    A = QElement.generator(SPEC3, "a")
+    assert parse_qelement("(q)^-1", SPEC3) == QElement.scalar(SPEC3, zeta_pow(SPEC3, -1))
+    assert parse_qelement("((q))^(-2)*a", SPEC3) == A * zeta_pow(SPEC3, 1)
+    for bad in ("(-q)^-1", "(q^2)^-1", "(1*q)^-1"):
+        with pytest.raises(ExprSyntaxError):
+            parse_qelement(bad, SPEC3)
 
 
 def test_classical_factors_must_come_first():
@@ -119,11 +131,26 @@ def test_format_cyclotomic_prefers_short_q_powers():
     assert format_cyclotomic(SPEC3, Cyclotomic.zero(3)) == "0"
 
 
+@pytest.mark.parametrize("l,e,want", [
+    (4, 3, ["(2 + q)", "(q + q^3)", "(1/2*q^2 - 3*q^3)", "-(1 + q)", "(-q^2 + q^3)"]),
+    (5, 2, ["(2 + q)", "(1 + 2*q + q^2 + q^3)", "(1/2*q^2 - 3*q^3)", "-(1 + q)", "(q + q^3)"]),
+    (5, 3, ["(2 + q)", "(1 + 2*q + q^2 + q^3)", "(1/2*q^2 - 3*q^3)", "-(1 + q)", "-(1 + q + q^3)"]),
+])
+def test_format_cyclotomic_in_q_coordinates(l, e, want):
+    # with q = zeta^e, e != 1, a non-monomial coefficient is written as a polynomial in q
+    spec = make_root_spec(l, zeta_exponent=e)
+    one, q, zeta = Cyclotomic.one(spec.N), zeta_pow(spec, 1), Cyclotomic.zeta(spec.N)
+    values = [one * 2 + q, q - zeta_pow(spec, -1), zeta_pow(spec, 2) * F(1, 2) - zeta_pow(spec, 3) * 3,
+              -(one + q), zeta + zeta * zeta]
+    assert [format_cyclotomic(spec, z) for z in values] == want
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_print_parse_roundtrip(data):
     spec = data.draw(st.sampled_from(
-        (SPEC2, SPEC3, make_root_spec(5), make_root_spec(5, zeta_exponent=2))
+        (SPEC2, SPEC3, make_root_spec(4, zeta_exponent=3), make_root_spec(5),
+         make_root_spec(5, zeta_exponent=2))
     ))
     rng_seed = data.draw(st.integers(0, 10**6))
     import random
@@ -234,10 +261,16 @@ def test_cli_verify_basis_with_too_small_degree_bound(capsys):
 
 
 def test_cli_verify_basis_certifies_the_requested_root(capsys, monkeypatch):
-    monkeypatch.setattr(qsl2.basis, "_COLUMN_SPACES", {})
+    solve, specs = qsl2.basis._solve_weight, set()
+
+    def recording_solve(spec, *rest):
+        specs.add(spec)
+        return solve(spec, *rest)
+
+    monkeypatch.setattr(qsl2.basis, "_solve_weight", recording_solve)
     code, out, _ = _cli(capsys, "--l", "3", "--zeta-exp", "2", "verify-basis")
     assert code == 0 and "verify-basis: PASS" in out
-    assert {spec for spec, _, _ in qsl2.basis._COLUMN_SPACES} == {make_root_spec(3, zeta_exponent=2)}
+    assert specs == {make_root_spec(3, zeta_exponent=2)}
 
 
 def test_cli_broken_block_extraction_is_a_failure(capsys, monkeypatch):
