@@ -466,11 +466,18 @@ def _pairs_by_weight(l: int, bound: int) -> dict[tuple[int, int], list]:
     return out
 
 
-def _column(spec: RootSpec, side: str, idx: BasisIndex, cm: ClassicalMonomial) -> QElement:
-    """The candidate column lift(cm) * G (left) or G * lift(cm) (right) for G the basis monomial."""
-    g = lift(ClassicalElement.monomial(spec, cm))
-    base = QElement.monomial(spec, idx.monomial())
-    return qmul(g, base) if side == "left" else qmul(base, g)
+def _column(spec: RootSpec, side: str, idx: BasisIndex,
+            cm: ClassicalMonomial) -> dict[QMonomial, Cyclotomic]:
+    """The terms of the candidate column lift(cm) * G (left) or G * lift(cm) (right).
+
+    lift(cm) = a^(lp) b^(lr) c^(ls) d^(lt) is a normal monomial with scalar
+    1, so the column is one product of two normal monomials.  Each column
+    is built once, so the product skips the _mono_mul cache.
+    """
+    l = spec.l
+    g = QMonomial(l * cm.alpha, l * cm.beta, l * cm.gamma, l * cm.delta)
+    x, y = (g, idx.monomial()) if side == "left" else (idx.monomial(), g)
+    return dict(_mono_mul.__wrapped__(spec, x, y))
 
 
 def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[BasisIndex, ClassicalMonomial]],
@@ -481,7 +488,7 @@ def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[BasisIndex, Class
     right-hand side, its coordinates (BasisIndex -> ClassicalElement) or
     None if it is not in their span.
     """
-    cols = [_column(spec, side, idx, cm).terms for idx, cm in pairs] + rhs
+    cols = [_column(spec, side, idx, cm) for idx, cm in pairs] + rhs
     rows = sorted(set().union(*cols), key=lambda mm: mm.sort_key())
     zero = Cyclotomic.zero(spec.N)
     red, pivots = rref(ExactMatrix.from_rows(spec.N, [[col.get(mono, zero) for col in cols]

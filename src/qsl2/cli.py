@@ -70,6 +70,11 @@ class _UsageError(ValueError):
     pass
 
 
+# largest ptable row: p_expansion costs grow about as k^2 scalar products of
+# growing size (k = 1000 takes seconds, k = 2000 four times as long)
+PTABLE_MAX_K = 1000
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsl2",
@@ -298,6 +303,8 @@ def _dispatch(args) -> int:
     if cmd == "ptable":
         if args.k < 0:
             raise _UsageError("--k must be >= 0")
+        if args.k > PTABLE_MAX_K:
+            raise _UsageError("--k must be <= %d (the ptable limit)" % PTABLE_MAX_K)
         row = p_expansion(spec, args.k)
         if args.k <= spec.l:
             for j in range(args.k + 1):

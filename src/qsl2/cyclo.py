@@ -7,6 +7,13 @@ fmpq_poly), kept in lowest terms, so equality and zero-testing are plain
 tuple comparisons and zeta is a primitive N-th root of unity by
 construction.  Phi_N is monic with integer coefficients, so products reduce
 with integer rows.  No floating point is used.
+
+Most scalars the package multiplies are units +-zeta^k (the powers of q in
+the relations, the product rows and the antipode).  A table built on first
+use per order maps each unit's numerators to its products with every other
+unit, its inverse, and the columns of multiplication by it, so unit * unit
+and unit inverses are lookups, and unit * z maps z's numerators through
+the unit's integer columns and keeps z's denominator.
 """
 
 from __future__ import annotations
@@ -203,11 +210,23 @@ class Cyclotomic:
         return _normalise(self.order, tuple(a * p for a in self.num), self.den * q)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other.numerator, other.denominator)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        self._check(other)
+        if type(other) is not Cyclotomic:
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other.numerator, other.denominator)
+            if not isinstance(other, Cyclotomic):
+                return NotImplemented
+        order = self.order
+        if order != other.order:
+            raise ValueError("mixed cyclotomic orders %d and %d" % (order, other.order))
+        units = _UNIT_TABLES.get(order) or _unit_table(order)
+        u = units.get(other.num) if other.den == 1 else None
+        v = units.get(self.num) if self.den == 1 else None
+        if u is not None:
+            if v is not None:
+                return v[2][u[0]]
+            return _unit_times(u[1], self)
+        if v is not None:
+            return _unit_times(v[1], other)
         a, b = self.num, other.num
         n = len(a)
         prod = [0] * (2 * n - 1)
@@ -218,11 +237,11 @@ class Cyclotomic:
                         prod[i + j] += ai * bj
         if n > 1:
             low = prod[:n]
-            for top, row in zip(prod[n:], _reduction_rows(self.order)):
+            for top, row in zip(prod[n:], _reduction_rows(order)):
                 if top:
                     low = [x + top * r for x, r in zip(low, row)]
             prod = low
-        return _normalise(self.order, tuple(prod), self.den * other.den)
+        return _normalise(order, tuple(prod), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -233,9 +252,15 @@ class Cyclotomic:
         elimination keeps every entry an integer; its last pivot is the
         determinant d, and w = d * v is integral (Cramer), so back
         substitution divides exactly.  Then (num/den)^-1 = den * w / d.
+        Units +-zeta^k, most of the certificate's rref pivots, are looked
+        up in the unit table instead.
         """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic element is zero")
+        if self.den == 1:
+            unit = _unit_table(self.order).get(self.num)
+            if unit is not None:
+                return unit[3]
         head, rest = self.num[0], self.num[1:]
         if not any(rest):
             # rational, the common case of an rref pivot: (p/q)^-1 = q/p, already coprime
@@ -331,6 +356,52 @@ def _normalise(order: int, num: tuple[int, ...], den: int) -> Cyclotomic:
 @lru_cache(maxsize=None)
 def _zero(order: int) -> Cyclotomic:
     return _make(order, (0,) * euler_phi(order), 1)
+
+
+# order N -> {num of a unit: (index, columns, products, inverse)}, built on first use
+_UNIT_TABLES: dict[int, dict] = {}
+
+
+def _unit_table(N: int) -> dict:
+    """The units +-zeta^k of Q(zeta_N), keyed by their numerators (den 1).
+
+    They form a cyclic group of order M generated by g = zeta (N even,
+    where -1 = zeta^(N/2)) or g = -zeta (N odd, M = 2N).  The entry of
+    g^e holds e, the sparse columns of multiplication by g^e (column j is
+    g^e * zeta^j as (index, value) pairs), the row of products g^e * g^f
+    indexed by f, and the inverse g^-e.  Elements with sign + are the
+    shared _zeta_power objects.
+    """
+    table = _UNIT_TABLES.get(N)
+    if table is not None:
+        return table
+    deg = euler_phi(N)
+    M = N if N % 2 == 0 else 2 * N
+    signs = [-1 if M != N and e % 2 else 1 for e in range(M)]
+    elems = [_zeta_power(N, e % N) if signs[e] == 1 else -_zeta_power(N, e % N) for e in range(M)]
+    table = {}
+    for e, z in enumerate(elems):
+        sign = signs[e]
+        cols = tuple(tuple((i, sign * x) for i, x in enumerate(_zeta_power(N, (e + j) % N).num) if x)
+                     for j in range(deg))
+        products = tuple(elems[(e + f) % M] for f in range(M))
+        table[z.num] = (e, cols, products, elems[-e % M])
+    _UNIT_TABLES[N] = table
+    return table
+
+
+def _unit_times(cols: tuple, z: Cyclotomic) -> Cyclotomic:
+    """z times the unit whose multiplication columns are `cols`.
+
+    A unit acts on the numerators by a matrix in GL(phi, Z), which keeps
+    their gcd with den, so the result is canonical without a gcd.
+    """
+    out = [0] * len(cols)
+    for c, col in zip(z.num, cols):
+        if c:
+            for i, x in col:
+                out[i] += c * x
+    return _make(z.order, tuple(out), z.den)
 
 
 def _ratio_str(num: int, den: int) -> str:

@@ -160,10 +160,15 @@ def test_decompose_zero_and_basis_fixed_points():
         assert dec.coefficients == {ix: ClassicalElement.one(SPEC2)}
 
 
+SPEC4 = make_root_spec(4)
+SPEC6 = make_root_spec(6)
+SPEC5_ZETA2 = make_root_spec(5, zeta_exponent=2)
+
+
 @given(st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_decompose_recompose_roundtrip(data):
-    spec = data.draw(st.sampled_from((SPEC2, SPEC3, SPEC5)))
+    spec = data.draw(st.sampled_from((SPEC2, SPEC3, SPEC4, SPEC5, SPEC6, SPEC5_ZETA2)))
     side = data.draw(st.sampled_from(("left", "right")))
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     x = random_qelement(spec, rng, nterms=3, emax=2 * spec.l)
@@ -369,13 +374,29 @@ def test_verify_freeness_l2(side):
     assert report.l == 2 and report.side == side
 
 
+def _lifted_column(spec, side, idx, cm):
+    # the candidate column through lift and qmul, sharing no code with _column
+    g = lift(ClassicalElement.monomial(spec, cm))
+    base = QElement.monomial(spec, idx.monomial())
+    return (qmul(g, base) if side == "left" else qmul(base, g)).terms
+
+
+@pytest.mark.parametrize("spec", [SPEC2, SPEC3, SPEC4, SPEC5, SPEC5_ZETA2],
+                         ids=lambda s: "l%d_e%d" % (s.l, s.zeta_exponent))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_column_is_the_lifted_product(spec, side):
+    for pairs in _pairs_by_weight(spec.l, 2).values():
+        for idx, cm in pairs:
+            assert _column(spec, side, idx, cm) == _lifted_column(spec, side, idx, cm)
+
+
 def _per_monomial_reference(l, side, bound):
     """The certificate as one rref for the kernel and one oracle solve per monomial."""
     spec = make_root_spec(l)
     zero = Cyclotomic.zero(spec.N)
     kernel = 0
     for pairs in _pairs_by_weight(l, bound).values():
-        cols = [_column(spec, side, idx, cm).terms for idx, cm in pairs]
+        cols = [_lifted_column(spec, side, idx, cm) for idx, cm in pairs]
         rows = sorted(set().union(*cols), key=lambda mm: mm.sort_key())
         kernel += len(nullspace(ExactMatrix.from_rows(
             spec.N, [[col.get(mono, zero) for col in cols] for mono in rows])))

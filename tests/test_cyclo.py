@@ -332,3 +332,58 @@ def test_to_json_text_is_fixed():
     assert repr(values[3][0]) == (
         "Cyclotomic(8, [Fraction(1, 2), Fraction(-3, 4), Fraction(0, 1), Fraction(5, 6)])"
     )
+
+
+# --- the +-zeta^k fast path: products and inverses of units by table ---
+
+_UNIT_ORDERS = (3, 4, 5, 7, 8, 12, 14)  # odd N: -1 is not a power of zeta
+
+
+def _unit(N, k, sign):
+    z = Cyclotomic.zeta(N, k)
+    return z if sign > 0 else -z
+
+
+def _units(N):
+    return st.tuples(st.integers(0, N - 1), st.sampled_from((1, -1))).map(lambda ks: _unit(N, *ks))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_unit_products_match_fraction_reference(data):
+    N = data.draw(st.sampled_from(_UNIT_ORDERS))
+    u = data.draw(_units(N))
+    other = data.draw(st.one_of(_units(N), _vectors(N).map(lambda v: Cyclotomic(N, v))))
+    for x, y in ((u, other), (other, u)):
+        z = x * y
+        ref = _ref_mul(N, list(x.coeffs), list(y.coeffs))
+        _assert_canonical(z, N)
+        assert z.coeffs == tuple(ref)
+        built = Cyclotomic(N, ref)
+        assert built == z and hash(built) == hash(z)
+
+
+@pytest.mark.parametrize("N", _UNIT_ORDERS)
+def test_unit_inverses_and_shared_products(N):
+    for k in range(N):
+        for sign in (1, -1):
+            u = _unit(N, k, sign)
+            inv = u.inv()
+            _assert_canonical(inv, N)
+            assert inv.coeffs == tuple(_ref_inv(N, list(u.coeffs)))
+            assert inv == _unit(N, -k, sign) and u * inv == 1
+            for j in range(N):
+                for sign2 in (1, -1):
+                    w = u * _unit(N, j, sign2)
+                    assert w == _unit(N, j + k, sign * sign2)
+                    if sign * sign2 > 0 or N % 2 == 0:
+                        # +zeta^m, and for even N every unit, is the shared power
+                        assert w is Cyclotomic.zeta(N, j + k + (0 if sign * sign2 > 0 else N // 2))
+
+
+def test_products_of_q_powers_are_the_shared_zeta_pow():
+    for spec in (make_root_spec(3), make_root_spec(4, zeta_exponent=3), make_root_spec(7, zeta_exponent=2)):
+        for i in range(-spec.N, spec.N):
+            for j in range(spec.N):
+                assert zeta_pow(spec, i) * zeta_pow(spec, j) is zeta_pow(spec, i + j)
+            assert zeta_pow(spec, i).inv() is zeta_pow(spec, -i)

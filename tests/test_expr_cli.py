@@ -22,6 +22,7 @@ from qsl2 import (
     zeta_pow,
 )
 import qsl2.basis
+import qsl2.cli
 import qsl2.frobenius
 from qsl2.cli import run
 from qsl2.expr import (
@@ -232,6 +233,17 @@ def test_cli_ptable(capsys):
     assert lines[1] == "p[3,1] = 0"
     assert lines[2] == "p[3,2] = 0"
     assert lines[3] == "p[3,3] = 1"
+
+
+def test_cli_ptable_rejects_huge_k_before_computing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("p_expansion called for an out-of-range k")
+
+    monkeypatch.setattr(qsl2.cli, "p_expansion", refuse)
+    for k in (qsl2.cli.PTABLE_MAX_K + 1, 100000):
+        code, out, err = _cli(capsys, "--l", "3", "ptable", "--k", str(k))
+        assert code == 2 and out == ""
+        assert "--k must be <= 1000" in err
 
 
 def test_cli_closure_reports(capsys):
