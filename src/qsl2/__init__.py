@@ -71,6 +71,6 @@ from .basis import (
     recompose,
     verify_freeness,
 )
-from .exactla import ExactMatrix, nullspace, rref, solve
+from .exactla import ExactMatrix, nullspace, rref
 
 __version__ = "0.1.0"

@@ -127,6 +127,11 @@ class Decomposition(_SidedTerms):
     __slots__ = ()
     _ROWS = "entries"
 
+    def _key(self, idx: BasisIndex) -> BasisIndex:
+        if is_basis_monomial(idx.monomial(), self.spec.l) != idx:
+            raise ValueError("%s is not a basis index for l=%d" % (idx, self.spec.l))
+        return idx
+
     @property
     def coefficients(self) -> dict[BasisIndex, ClassicalElement]:
         return self.terms
@@ -218,8 +223,8 @@ def decompose(x: QElement, side: str = "left") -> Decomposition:
                 raise RuntimeError("eliminating %s produced %s out of order; this is a bug"
                                    % (mono, mono2))
             _add_term(settled if cls2 is not None else pending, mono2, classical_mul(g, h))
-    # distinct basis monomials have distinct indices
-    return Decomposition(spec, side, {is_basis_monomial(mono, l): g for mono, g in settled.items()})
+    # distinct basis monomials have distinct indices, and each one classifies to itself
+    return Decomposition(spec, side)._like({is_basis_monomial(mono, l): g for mono, g in settled.items()})
 
 
 def recompose(dec: Decomposition) -> QElement:
@@ -489,23 +494,25 @@ def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[BasisIndex, Class
     None if it is not in their span.
     """
     cols = [_column(spec, side, idx, cm) for idx, cm in pairs] + rhs
-    rows = sorted(set().union(*cols), key=lambda mm: mm.sort_key())
-    zero = Cyclotomic.zero(spec.N)
-    red, pivots = rref(ExactMatrix.from_rows(spec.N, [[col.get(mono, zero) for col in cols]
-                                                      for mono in rows]))
+    rows: dict[QMonomial, dict[int, Cyclotomic]] = {}
+    for j, col in enumerate(cols):
+        for mono, v in col.items():
+            rows.setdefault(mono, {})[j] = v
+    red, pivots = rref(ExactMatrix(spec.N, len(cols), tuple(rows.values())))
     ncols = len(pairs)
     rank = sum(1 for col in pivots if col < ncols)
     solutions: list[dict | None] = []
     for j in range(ncols, len(cols)):
         # column j is in the candidates' span iff it is no pivot and no row
         # pivoted on another right-hand side uses it
-        if j in pivots or any(not red.at(i, j).is_zero() for i in range(rank, len(pivots))):
+        if j in pivots or any(j in row for row in red.rows[rank:len(pivots)]):
             solutions.append(None)
             continue
         coords: dict[BasisIndex, ClassicalElement] = {}
-        for i in range(rank):
-            idx, cm = pairs[pivots[i]]
-            _add_term(coords, idx, ClassicalElement.monomial(spec, cm, red.at(i, j)))
+        for col, row in zip(pivots[:rank], red.rows):
+            if j in row:
+                idx, cm = pairs[col]
+                _add_term(coords, idx, ClassicalElement.monomial(spec, cm, row[j]))
         solutions.append(coords)
     return ncols - rank, solutions
 

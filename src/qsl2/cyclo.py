@@ -412,7 +412,11 @@ def _ratio_str(num: int, den: int) -> str:
 
 
 def cyclotomic_from_json(data: dict) -> Cyclotomic:
-    return Cyclotomic(int(data["order"]), [Fraction(s) for s in data["coeffs"]])
+    """Inverse of Cyclotomic.to_json; a malformed document raises ValueError."""
+    try:
+        return Cyclotomic(int(data["order"]), [Fraction(s) for s in data["coeffs"]])
+    except (TypeError, ZeroDivisionError) as err:
+        raise ValueError("malformed cyclotomic %r: %s" % (data, err)) from None
 
 
 @dataclass(frozen=True)
@@ -502,11 +506,8 @@ def p_expansion(spec: RootSpec, k: int, inverse: bool = False) -> tuple[Cyclotom
     sign = -1 if inverse else 1
     for j in range(1, k + 1):
         f = zeta_pow(spec, sign * (2 * j - 1))
-        nxt = [Cyclotomic.zero(spec.N) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i] + c
-            nxt[i + 1] = nxt[i + 1] + c * f
-        coeffs = nxt
+        coeffs = ([coeffs[0]] + [coeffs[i] + coeffs[i - 1] * f for i in range(1, len(coeffs))]
+                  + [coeffs[-1] * f])
     return tuple(coeffs)
 
 

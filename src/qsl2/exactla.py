@@ -1,7 +1,11 @@
-"""Dense exact linear algebra over a fixed cyclotomic field.
+"""Sparse exact linear algebra over a fixed cyclotomic field.
 
-Small systems only; everything is Gauss-Jordan with exact arithmetic and
-no pivoting heuristics beyond first-nonzero.
+A matrix is a tuple of rows, each a dict {column: nonzero Cyclotomic};
+zero entries are never stored.  rref is Gauss-Jordan elimination with
+exact arithmetic that touches only stored entries.  Among the rows that
+can pivot a column it takes the one with the fewest entries (Markowitz,
+1957) to limit fill-in; the reduced form is unique, so the choice changes
+no result.
 """
 
 from __future__ import annotations
@@ -14,88 +18,72 @@ from .cyclo import Cyclotomic
 @dataclass(frozen=True)
 class ExactMatrix:
     order: int
-    nrows: int
     ncols: int
-    entries: tuple  # tuple of row tuples of Cyclotomic
+    rows: tuple  # one dict {column: nonzero Cyclotomic} per row
 
     @classmethod
-    def from_rows(cls, order: int, rows) -> "ExactMatrix":
-        rows = tuple(tuple(r) for r in rows)
-        ncols = len(rows[0]) if rows else 0
+    def from_rows(cls, order: int, ncols: int, rows) -> "ExactMatrix":
+        """A matrix from dict rows, checking every stored entry."""
+        rows = tuple(dict(r) for r in rows)
         for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for e in r:
-                if not isinstance(e, Cyclotomic) or e.order != order:
-                    raise ValueError("entry of wrong field")
-        return cls(order, len(rows), ncols, rows)
+            for j, v in r.items():
+                if not (isinstance(j, int) and 0 <= j < ncols):
+                    raise ValueError("column %r out of range for %d columns" % (j, ncols))
+                if not isinstance(v, Cyclotomic) or v.order != order or v.is_zero():
+                    raise ValueError("entry in column %d is not a nonzero element of Q(zeta_%d)"
+                                     % (j, order))
+        return cls(order, ncols, rows)
 
-    def row(self, i: int):
-        return self.entries[i]
-
-    def at(self, i: int, j: int) -> Cyclotomic:
-        return self.entries[i][j]
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in m.entries]
-    pivots = []
-    prow = 0
-    for col in range(m.ncols):
-        if prow >= m.nrows:
-            break
-        hit = None
-        for i in range(prow, m.nrows):
-            if not rows[i][col].is_zero():
-                hit = i
-                break
-        if hit is None:
-            continue
-        rows[prow], rows[hit] = rows[hit], rows[prow]
-        inv = rows[prow][col].inv()
-        pivot = rows[prow] = [e if e.is_zero() else e * inv for e in rows[prow]]
-        # the pivot row is sparse: update only the columns where it is nonzero
-        support = [(j, p) for j, p in enumerate(pivot) if not p.is_zero()]
-        for i in range(m.nrows):
-            if i != prow and not rows[i][col].is_zero():
-                row = rows[i]
-                f = row[col]
-                for j, p in support:
-                    row[j] = row[j] - f * p
-        pivots.append(col)
-        prow += 1
-    return ExactMatrix.from_rows(m.order, rows), tuple(pivots)
+    """Reduced row echelon form and the pivot column indices.
 
-
-def solve(m: ExactMatrix, rhs) -> list[Cyclotomic] | None:
-    """One solution of m*x = rhs with free variables at zero, or None."""
-    rhs = list(rhs)
-    if len(rhs) != m.nrows:
-        raise ValueError("rhs length %d does not match %d rows" % (len(rhs), m.nrows))
-    if m.nrows == 0:
-        return [Cyclotomic.zero(m.order)] * m.ncols
-    aug = ExactMatrix.from_rows(m.order, [list(r) + [v] for r, v in zip(m.entries, rhs)])
-    red, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [Cyclotomic.zero(m.order) for _ in range(m.ncols)]
-    for i, col in enumerate(pivots):
-        x[col] = red.at(i, m.ncols)
-    return x
-
-
-def nullspace(m: ExactMatrix) -> list[list[Cyclotomic]]:
-    """A basis of the kernel of m."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    zero = Cyclotomic.zero(m.order)
+    Row i of the reduced matrix is the one that pivots on column
+    pivots[i]; the zero rows come last.
+    """
+    rows = [dict(r) for r in m.rows]
+    reduced, pivots = [], []
     one = Cyclotomic.one(m.order)
-    for f in free:
-        v = [zero] * m.ncols
-        v[f] = one
-        for i, col in enumerate(pivots):
-            v[col] = -red.at(i, f)
+    for col in range(m.ncols):
+        hits = [i for i, r in enumerate(rows) if col in r]
+        if not hits:
+            continue
+        pivot = rows.pop(min(hits, key=lambda i: len(rows[i])))
+        inv = pivot.pop(col).inv()
+        pivot = {j: v * inv for j, v in pivot.items()}
+        for r in rows + reduced:
+            f = r.pop(col, None)
+            if f is None:
+                continue
+            f = -f
+            for j, v in pivot.items():
+                if j in r:
+                    w = r[j] + f * v
+                    if w.is_zero():
+                        del r[j]
+                    else:
+                        r[j] = w
+                else:
+                    r[j] = f * v
+        pivot[col] = one
+        reduced.append(pivot)
+        pivots.append(col)
+    return ExactMatrix(m.order, m.ncols, tuple(reduced) + ({},) * len(rows)), tuple(pivots)
+
+
+def nullspace(m: ExactMatrix) -> list[dict[int, Cyclotomic]]:
+    """A basis of the kernel of m, one sparse vector {column: value} per free column."""
+    red, pivots = rref(m)
+    one = Cyclotomic.one(m.order)
+    basis = []
+    for f in sorted(set(range(m.ncols)) - set(pivots)):
+        v = {f: one}
+        for row, col in zip(red.rows, pivots):
+            if f in row:
+                v[col] = -row[f]
         basis.append(v)
     return basis

@@ -211,11 +211,14 @@ class _Terms(_SortedTerms):
 
     @classmethod
     def from_json(cls, data: dict, spec: RootSpec | None = None):
-        """Inverse of to_json; repeated keys are summed."""
-        head = cls._head_from_json(data, spec)
+        """Inverse of to_json; repeated keys are summed and a malformed document raises ValueError."""
         terms: dict = {}
-        for row in data[cls._ROWS]:
-            _add_term(terms, cls._key_from_json(row), cls._value_from_json(row, head[0]))
+        try:
+            head = cls._head_from_json(data, spec)
+            for row in data[cls._ROWS]:
+                _add_term(terms, cls._key_from_json(row), cls._value_from_json(row, head[0]))
+        except TypeError as err:
+            raise ValueError("malformed %s JSON: %s" % (cls.__name__, err)) from None
         return cls(*head, terms)
 
 
@@ -383,7 +386,7 @@ def qmul(x: QElement, y: QElement) -> QElement:
             for mz, cz in _mono_mul(spec, mx, my):
                 v = cxy * cz
                 acc[mz] = acc[mz] + v if mz in acc else v
-    return QElement(spec, acc)
+    return x._like(acc)
 
 
 def power(x: QElement, n: int) -> QElement:
@@ -485,7 +488,7 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
                     key = (mz1, mz2)
                     v = c1 * cz2
                     acc[key] = acc[key] + v if key in acc else v
-    return TensorElement(spec, acc)
+    return x._like(acc)
 
 
 def _generator_coproduct(spec: RootSpec, letter: str) -> TensorElement:
@@ -518,7 +521,7 @@ def coproduct(x: QElement) -> TensorElement:
                 t = tensor_mul(t, _gen_coproduct_power(spec, letter, e))
         for pair, v in t.terms.items():
             _add_term(acc, pair, v * coeff)
-    return TensorElement(spec, acc)
+    return TensorElement(spec)._like(acc)
 
 
 def counit(x: QElement) -> Cyclotomic:
@@ -542,7 +545,7 @@ def antipode(x: QElement) -> QElement:
         flipped = _mono_mul(spec, QMonomial(m, j, k, 0), QMonomial(0, 0, 0, i))
         for mm, vv in flipped:
             _add_term(acc, mm, scal * vv)
-    return QElement(spec, acc)
+    return x._like(acc)
 
 
 # ---------------------------------------------------------------------------

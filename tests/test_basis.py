@@ -202,6 +202,19 @@ def test_decomposition_json_roundtrip():
     assert recompose(back) == x
 
 
+@pytest.mark.parametrize("idx", [FamilyD(5, 0, 0), FamilyD(0, 2, 1), FamilyD(0, 0, -1),
+                                 FamilyA(2, 0, 1), FamilyA(0, 0, 1), FamilyA(1, 3, 1)],
+                         ids=repr)
+def test_decomposition_rejects_indices_outside_the_basis(idx):
+    one = ClassicalElement.one(SPEC3)
+    doc = Decomposition(SPEC3, "left", {FamilyD(0, 0, 0): one}).to_json()
+    doc["entries"][0].update(idx.to_json())
+    with pytest.raises(ValueError, match="not (reduced|a basis index)"):
+        decomposition_from_json(doc, SPEC3)
+    with pytest.raises(ValueError):
+        Decomposition(SPEC3, "left", {idx: one})
+
+
 def test_sided_json_reads_root_data_from_coefficients():
     spec = make_root_spec(3, zeta_exponent=2)
     x = straighten("abcd", spec) + QElement.generator(spec, "d") * F(3, 7)
@@ -393,13 +406,14 @@ def test_column_is_the_lifted_product(spec, side):
 def _per_monomial_reference(l, side, bound):
     """The certificate as one rref for the kernel and one oracle solve per monomial."""
     spec = make_root_spec(l)
-    zero = Cyclotomic.zero(spec.N)
     kernel = 0
     for pairs in _pairs_by_weight(l, bound).values():
         cols = [_lifted_column(spec, side, idx, cm) for idx, cm in pairs]
-        rows = sorted(set().union(*cols), key=lambda mm: mm.sort_key())
-        kernel += len(nullspace(ExactMatrix.from_rows(
-            spec.N, [[col.get(mono, zero) for col in cols] for mono in rows])))
+        rows = {}
+        for j, col in enumerate(cols):
+            for mono, v in col.items():
+                rows.setdefault(mono, {})[j] = v
+        kernel += len(nullspace(ExactMatrix.from_rows(spec.N, len(cols), rows.values())))
     spanned = agree = 0
     for mono in residual_monomials(l):
         x = QElement.monomial(spec, mono)

@@ -166,6 +166,28 @@ def test_p_expansion_matches_oracle(l):
             assert list(p_expansion(spec, k, inverse)) == _expand_row(spec, k, inverse)
 
 
+def _two_add_row(spec, k, inverse):
+    # each row added into a fresh list of zeros, two additions per coefficient
+    coeffs = [Cyclotomic.one(spec.N)]
+    for j in range(1, k + 1):
+        f = zeta_pow(spec, (-1 if inverse else 1) * (2 * j - 1))
+        nxt = [Cyclotomic.zero(spec.N) for _ in range(len(coeffs) + 1)]
+        for i, c in enumerate(coeffs):
+            nxt[i] = nxt[i] + c
+            nxt[i + 1] = nxt[i + 1] + c * f
+        coeffs = nxt
+    return coeffs
+
+
+@pytest.mark.parametrize("spec", [make_root_spec(2), make_root_spec(3), make_root_spec(4),
+                                  make_root_spec(5, zeta_exponent=2)],
+                         ids=lambda s: "l%d_e%d" % (s.l, s.zeta_exponent))
+def test_p_expansion_matches_the_two_add_construction(spec):
+    for k in range(3 * spec.l + 1):
+        for inverse in (False, True):
+            assert list(p_expansion(spec, k, inverse)) == _two_add_row(spec, k, inverse)
+
+
 @pytest.mark.parametrize("l", [2, 3, 5])
 def test_p_coeff_closed_form(l):
     for spec in (make_root_spec(l), make_root_spec(l, zeta_exponent=l - 1 if l > 2 else 3)):

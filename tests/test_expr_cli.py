@@ -214,6 +214,16 @@ def test_cli_decompose_recompose_roundtrip(capsys):
     assert out == want
 
 
+def test_cli_recompose_rejects_malformed_json(capsys):
+    over_zero = {"terms": [{"alpha": 0, "beta": 0, "gamma": 0, "delta": 0,
+                            "coeff": {"order": 3, "coeffs": ["1/0", "0"]}}]}
+    bad_coeff = {"side": "left", "entries": [{"family": "D", "n": 0, "s": 0, "r": 1, "coeff": over_zero}]}
+    for doc in ('{"side":"left","entries":5}', "[1]", json.dumps(bad_coeff)):
+        code, out, err = _cli(capsys, "--l", "3", "recompose", doc)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_localize(capsys):
     code, out, _ = _cli(capsys, "--l", "3", "localize", "d", "--chart", "alpha")
     lines = out.strip().splitlines()
