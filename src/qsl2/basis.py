@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .cyclo import Cyclotomic, RootSpec, make_root_spec, p_expansion, zeta_pow
+from .cyclo import Cyclotomic, RootSpec, json_int, make_root_spec, p_expansion, zeta_pow
 from .exactla import ExactMatrix, rref
 from .frobenius import (
     ModuleElement,
@@ -143,9 +143,9 @@ class Decomposition(_SidedTerms):
     @staticmethod
     def _key_from_json(row: dict) -> BasisIndex:
         if row["family"] == "D":
-            return FamilyD(int(row["n"]), int(row["s"]), int(row["r"]))
+            return FamilyD(json_int(row["n"]), json_int(row["s"]), json_int(row["r"]))
         if row["family"] == "A":
-            return FamilyA(int(row["m"]), int(row["n"]), int(row["s"]))
+            return FamilyA(json_int(row["m"]), json_int(row["n"]), json_int(row["s"]))
         raise ValueError("unknown family %r" % (row["family"],))
 
 

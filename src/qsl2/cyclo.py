@@ -411,10 +411,24 @@ def _ratio_str(num: int, den: int) -> str:
     return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
-def cyclotomic_from_json(data: dict) -> Cyclotomic:
-    """Inverse of Cyclotomic.to_json; a malformed document raises ValueError."""
+def json_int(value) -> int:
+    """An integer field of a JSON document; a float, bool, string or anything else raises ValueError."""
+    if type(value) is not int:
+        raise ValueError("expected an integer, got %r" % (value,))
+    return value
+
+
+def cyclotomic_from_json(data: dict, order: int | None = None) -> Cyclotomic:
+    """Inverse of Cyclotomic.to_json; a malformed document raises ValueError.
+
+    With `order` given, a document of any other order is rejected before
+    its field is built, so a huge order fails at once.
+    """
     try:
-        return Cyclotomic(int(data["order"]), [Fraction(s) for s in data["coeffs"]])
+        found = json_int(data["order"])
+        if order is not None and found != order:
+            raise ValueError("coefficient of order %d where %d is expected" % (found, order))
+        return Cyclotomic(found, [Fraction(s) for s in data["coeffs"]])
     except (TypeError, ZeroDivisionError) as err:
         raise ValueError("malformed cyclotomic %r: %s" % (data, err)) from None
 
@@ -473,9 +487,9 @@ def root_spec_for_order(l: int, N: int, zeta_exponent: int | None = None) -> Roo
 
 
 def root_spec_from_json(data: dict) -> RootSpec:
-    l = int(data["l"])
-    N = int(data["N"])
-    spec = root_spec_for_order(l, N, int(data.get("zeta_exponent", 1)))
+    l = json_int(data["l"])
+    N = json_int(data["N"])
+    spec = root_spec_for_order(l, N, json_int(data.get("zeta_exponent", 1)))
     if spec is None:
         raise ValueError("inconsistent root data l=%d N=%d" % (l, N))
     return spec

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Cyclotomic, RootSpec, p_expansion, root_spec_for_order
+from .cyclo import Cyclotomic, RootSpec, json_int, p_expansion, root_spec_for_order
 from .qalgebra import (
     CLASSICAL_ONE,
     ClassicalElement,
@@ -72,7 +72,7 @@ class ModuleElement(_SidedTerms):
 
     @staticmethod
     def _key_from_json(row: dict) -> QMonomial:
-        return QMonomial(*(int(row["monomial"][name]) for name in QMonomial._fields))
+        return QMonomial(*(json_int(row["monomial"][name]) for name in QMonomial._fields))
 
 
 module_element_from_json = ModuleElement.from_json

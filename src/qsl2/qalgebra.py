@@ -30,6 +30,7 @@ from .cyclo import (
     Cyclotomic,
     RootSpec,
     cyclotomic_from_json,
+    json_int,
     p_expansion,
     root_spec_from_json,
     root_spec_to_json,
@@ -203,11 +204,11 @@ class _Terms(_SortedTerms):
 
     @classmethod
     def _key_from_json(cls, row: dict):
-        return cls._KEY(*(int(row[name]) for name in cls._KEY._fields))
+        return cls._KEY(*(json_int(row[name]) for name in cls._KEY._fields))
 
     @staticmethod
     def _value_from_json(row: dict, spec: RootSpec):
-        return cyclotomic_from_json(row["coeff"])
+        return cyclotomic_from_json(row["coeff"], spec.N)
 
     @classmethod
     def from_json(cls, data: dict, spec: RootSpec | None = None):
@@ -491,36 +492,80 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     return x._like(acc)
 
 
-def _generator_coproduct(spec: RootSpec, letter: str) -> TensorElement:
-    one = Cyclotomic.one(spec.N)
-    A, B, C, D = QMonomial(1, 0, 0, 0), QMonomial(0, 1, 0, 0), QMonomial(0, 0, 1, 0), QMonomial(0, 0, 0, 1)
-    table = {
-        "a": {(A, A): one, (B, C): one},
-        "b": {(A, B): one, (B, D): one},
-        "c": {(C, A): one, (D, C): one},
-        "d": {(C, B): one, (D, D): one},
-    }
-    return TensorElement(spec, table[letter])
+def _gauss_row(spec: RootSpec, n: int) -> list[Cyclotomic]:
+    """The Gaussian binomials [n k] in q^-2 for k = 0..n.
+
+    Built by the Pascal rule [r k] = [r-1 k-1] + q^(-2k) [r-1 k], which
+    never divides, so the row is right at every root, zeros included.
+    """
+    row = [Cyclotomic.one(spec.N)]
+    for _ in range(n):
+        row = [row[0]] + [row[k - 1] + row[k] * zeta_pow(spec, -2 * k)
+                          for k in range(1, len(row))] + [row[-1]]
+    return row
 
 
-@lru_cache(maxsize=None)
-def _gen_coproduct_power(spec: RootSpec, letter: str, e: int) -> TensorElement:
-    if e == 0:
-        return TensorElement.of(QElement.one(spec), QElement.one(spec))
-    return tensor_mul(_gen_coproduct_power(spec, letter, e - 1), _generator_coproduct(spec, letter))
+@lru_cache(maxsize=256)
+def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
+    """Delta(a^e1 b^e2) grouped by left leg, as pairs (T, R_T).
+
+    Delta(a^e1 b^e2) = sum_T a^(e1+e2-T) b^T (x) R_T and, with the same
+    R_T, Delta(c^e1 d^e2) = sum_T c^(e1+e2-T) d^T (x) R_T, where
+
+        R_T = sum_{t1+t2=T} [e1 t1][e2 t2] q^(-t1(e2-t2)) nf(a^(e1-t1) b^(e2-t2) c^t1 d^t2)
+
+    is given as (monomial, scalar) pairs.  The power of q moves b^t1
+    (d^t1) right across a^(e2-t2) (c^(e2-t2)) in the left leg.
+    """
+    g1, g2 = _gauss_row(spec, e1), _gauss_row(spec, e2)
+    groups: dict[int, dict[QMonomial, Cyclotomic]] = {}
+    for t1, b1 in enumerate(g1):
+        for t2, b2 in enumerate(g2):
+            c = b1 * b2 * zeta_pow(spec, -t1 * (e2 - t2))
+            if c.is_zero():
+                continue
+            acc = groups.setdefault(t1 + t2, {})
+            for mono, v in _mono_mul(spec, QMonomial(e1 - t1, e2 - t2, 0, 0), QMonomial(0, 0, t1, t2)):
+                _add_term(acc, mono, c * v)
+    return tuple((T, tuple((m, v) for m, v in acc.items() if not v.is_zero()))
+                 for T, acc in groups.items())
 
 
 def coproduct(x: QElement) -> TensorElement:
-    """The coalgebra map determined by Delta(a)=a@a+b@c etc., multiplicatively."""
+    """The algebra map with Delta(a)=a@a+b@c, Delta(b)=a@b+b@d, Delta(c)=c@a+d@c, Delta(d)=c@b+d@d.
+
+    Each generator's image is X + Y with (X, Y) = (a@a, b@c), (a@b, b@d),
+    (c@a, d@c) or (c@b, d@d), and in every case YX = q^-2 XY.  So the
+    q-binomial theorem gives Delta(x^n) = sum_k [n k]_{q^-2} X^(n-k) Y^k.
+    Since Delta is multiplicative, Delta(a^i b^j c^k d^m) is the product of
+    the two halves Delta(a^i b^j) and Delta(c^k d^m) (see _coproduct_half):
+    for each pair of left legs the right legs are multiplied first and
+    then crossed with the normal form of the left-leg product.
+    """
     spec = x.spec
     acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
     for mono, coeff in x.terms.items():
-        t = _gen_coproduct_power(spec, "a", mono.a)
-        for letter, e in zip("bcd", (mono.b, mono.c, mono.d)):
-            if e:
-                t = tensor_mul(t, _gen_coproduct_power(spec, letter, e))
-        for pair, v in t.terms.items():
-            _add_term(acc, pair, v * coeff)
+        i, j, k, m = mono
+        ab = _coproduct_half(spec, i, j)
+        cd = _coproduct_half(spec, k, m)
+        for T, right_ab in ab:
+            right_ab = [(r, v * coeff) for r, v in right_ab]
+            left_ab = QMonomial(i + j - T, T, 0, 0)
+            for U, right_cd in cd:
+                right: dict[QMonomial, Cyclotomic] = {}
+                for r1, v1 in right_ab:
+                    for r2, v2 in right_cd:
+                        v12 = v1 * v2
+                        for r, v in _mono_mul(spec, r1, r2):
+                            v = v12 * v
+                            right[r] = right[r] + v if r in right else v
+                for left, u in _mono_mul(spec, left_ab, QMonomial(0, 0, k + m - U, U)):
+                    unit = u.is_one()
+                    for r, v in right.items():
+                        key = (left, r)
+                        if not unit:
+                            v = u * v
+                        acc[key] = acc[key] + v if key in acc else v
     return TensorElement(spec)._like(acc)
 
 

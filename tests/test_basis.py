@@ -32,6 +32,7 @@ from qsl2 import (
     module_recompose,
     oracle_decompose,
     power,
+    qelement_from_json,
     qmul,
     recompose,
     straighten,
@@ -227,6 +228,20 @@ def test_sided_json_reads_root_data_from_coefficients():
     for read in (decomposition_from_json, module_element_from_json):
         with pytest.raises(ValueError, match="no root data"):
             read({"side": "left", "entries": [], "terms": []})
+
+
+def test_json_readers_reject_non_integer_exponents():
+    spec = SPEC3
+    x = straighten("abcd", spec)
+    me = central_reduce(x, "left")
+    doc = x.to_json()
+    doc["terms"][0]["b"] = 1.5
+    with pytest.raises(ValueError, match="expected an integer"):
+        qelement_from_json(doc)
+    doc = me.to_json()
+    doc["terms"][0]["monomial"]["b"] = 1.0
+    with pytest.raises(ValueError, match="expected an integer"):
+        module_element_from_json(doc, spec)
 
 
 # --- localization charts ---

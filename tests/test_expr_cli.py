@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -222,6 +223,33 @@ def test_cli_recompose_rejects_malformed_json(capsys):
         code, out, err = _cli(capsys, "--l", "3", "recompose", doc)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _one_entry_decomposition(index: dict, coeff: dict) -> str:
+    classical = {"terms": [{"alpha": 0, "beta": 0, "gamma": 0, "delta": 0, "coeff": coeff}]}
+    return json.dumps({"side": "left", "entries": [{**index, "coeff": classical}]})
+
+
+def test_cli_recompose_rejects_non_integer_fields(capsys):
+    one = {"order": 3, "coeffs": ["1", "0"]}
+    code, out, _ = _cli(capsys, "--l", "3", "recompose",
+                        _one_entry_decomposition({"family": "D", "n": 0, "s": 0, "r": 1}, one))
+    assert code == 0 and out.strip() == "d"
+    for index in ({"family": "D", "n": 0.9, "s": 0, "r": 1.7}, {"family": "D", "n": 0, "s": 0, "r": 1.0},
+                  {"family": "A", "m": "1", "n": 0, "s": 0}, {"family": "D", "n": 0, "s": True, "r": 1}):
+        code, out, err = _cli(capsys, "--l", "3", "recompose", _one_entry_decomposition(index, one))
+        assert code == 2 and out == "" and "expected an integer" in err
+    code, out, err = _cli(capsys, "--l", "3", "recompose", _one_entry_decomposition(
+        {"family": "D", "n": 0, "s": 0, "r": 1}, {"order": 3.0, "coeffs": ["1", "0"]}))
+    assert code == 2 and out == "" and "expected an integer" in err
+
+
+def test_cli_recompose_rejects_a_huge_coefficient_order_at_once(capsys):
+    doc = _one_entry_decomposition({"family": "D", "n": 0, "s": 0, "r": 1}, {"order": 30000, "coeffs": ["1"]})
+    start = time.perf_counter()
+    code, out, err = _cli(capsys, "--l", "3", "recompose", doc)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "order 30000" in err
 
 
 def test_cli_localize(capsys):

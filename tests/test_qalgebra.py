@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
@@ -23,6 +24,7 @@ from qsl2 import (
     power,
     qelement_from_json,
     qmul,
+    remark_root_spec,
     straighten,
     tensor_mul,
     zeta_pow,
@@ -162,6 +164,70 @@ def test_coproduct_on_generators():
     assert coproduct(B).terms == {(MA, MB): one, (MB, MD): one}
     assert coproduct(C).terms == {(MC, MA): one, (MD, MC): one}
     assert coproduct(D).terms == {(MC, MB): one, (MD, MD): one}
+
+
+COPRODUCT_SPECS = tuple(make_root_spec(l) for l in range(2, 8)) + (
+    make_root_spec(5, zeta_exponent=2), remark_root_spec(3), remark_root_spec(5))
+
+
+def _reference_coproduct(x):
+    """Delta(x) as a product over letters of (generator image)^e, one tensor_mul per letter."""
+    spec = x.spec
+    one = Cyclotomic.one(spec.N)
+    A, B, C, D = (QMonomial(1, 0, 0, 0), QMonomial(0, 1, 0, 0),
+                  QMonomial(0, 0, 1, 0), QMonomial(0, 0, 0, 1))
+    images = {
+        "a": TensorElement(spec, {(A, A): one, (B, C): one}),
+        "b": TensorElement(spec, {(A, B): one, (B, D): one}),
+        "c": TensorElement(spec, {(C, A): one, (D, C): one}),
+        "d": TensorElement(spec, {(C, B): one, (D, D): one}),
+    }
+    acc = TensorElement.zero(spec)
+    for mono, coeff in x.terms.items():
+        t = TensorElement.of(QElement.one(spec), QElement.one(spec))
+        for letter, e in zip("abcd", mono):
+            for _ in range(e):
+                t = tensor_mul(t, images[letter])
+        acc = acc + t * coeff
+    return acc
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_coproduct_matches_generator_products(data):
+    spec = data.draw(st.sampled_from(COPRODUCT_SPECS))
+    x = data.draw(qelements(spec, emax=2 * spec.l + 1, max_terms=2))
+    assert coproduct(x) == _reference_coproduct(x)
+
+
+def _gaussian_binomial(spec, n, k):
+    """[n k] in p = q^-2 as a sum over k-subsets S of {0..n-1} of p^(sum(S) - k(k-1)/2)."""
+    acc = Cyclotomic.zero(spec.N)
+    for subset in combinations(range(n), k):
+        acc = acc + zeta_pow(spec, -2 * (sum(subset) - k * (k - 1) // 2))
+    return acc
+
+
+# letter -> exponents of the legs of X^(n-k) Y^k, where Delta(letter) = X + Y
+_BINOMIAL_LEGS = {
+    "a": lambda r, k: (QMonomial(r, k, 0, 0), QMonomial(r, 0, k, 0)),
+    "b": lambda r, k: (QMonomial(r, k, 0, 0), QMonomial(0, r, 0, k)),
+    "c": lambda r, k: (QMonomial(0, 0, r, k), QMonomial(r, 0, k, 0)),
+    "d": lambda r, k: (QMonomial(0, 0, r, k), QMonomial(0, r, 0, k)),
+}
+
+
+@pytest.mark.parametrize("spec", COPRODUCT_SPECS)
+def test_letter_power_coproduct_is_q_binomial(spec):
+    for letter, legs in _BINOMIAL_LEGS.items():
+        x = QElement.generator(spec, letter)
+        for n in range(2 * spec.l + 1):
+            want = {}
+            for k in range(n + 1):
+                coeff = _gaussian_binomial(spec, n, k)
+                if not coeff.is_zero():
+                    want[legs(n - k, k)] = coeff
+            assert coproduct(power(x, n)).terms == want, (letter, n)
 
 
 @given(st.data())
