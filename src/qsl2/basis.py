@@ -20,8 +20,7 @@ exact linear algebra and knows nothing about the relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .cyclo import Cyclotomic, RootSpec, json_int, make_root_spec, p_expansion, zeta_pow
 from .exactla import ExactMatrix, rref
@@ -30,7 +29,7 @@ from .frobenius import (
     _check_side,
     _require_standard,
     central_reduce,
-    lift,
+    lifted_monomial,
     module_recompose,
 )
 from .qalgebra import (
@@ -41,14 +40,28 @@ from .qalgebra import (
     _SidedTerms,
     _SortedTerms,
     classical_mul,
-    qmul,
 )
 from .qalgebra import _add_term, _mono_mul, _nonzero
 
 
-@dataclass(frozen=True)
-class FamilyA:
-    """Generator a^m b^n c^s with 1 <= m <= s."""
+def _index_eq(self, other):
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _index_ne(self, other):
+    return not _index_eq(self, other)
+
+
+def _index_hash(self):
+    return hash(self.sort_key())
+
+
+class FamilyA(NamedTuple):
+    """Generator a^m b^n c^s with 1 <= m <= s.
+
+    Indices of the two families compare and hash by family too, so
+    FamilyA(1, 1, 1) and FamilyD(1, 1, 1) are distinct keys.
+    """
 
     m: int
     n: int
@@ -60,12 +73,13 @@ class FamilyA:
     def sort_key(self):
         return (1, self.m, self.n, self.s)
 
+    __eq__, __ne__, __hash__ = _index_eq, _index_ne, _index_hash
+
     def to_json(self) -> dict:
         return {"family": "A", "m": self.m, "n": self.n, "s": self.s}
 
 
-@dataclass(frozen=True)
-class FamilyD:
+class FamilyD(NamedTuple):
     """Generator b^n c^s d^r with s + r <= l - 1."""
 
     n: int
@@ -77,6 +91,8 @@ class FamilyD:
 
     def sort_key(self):
         return (0, self.n, self.s, self.r)
+
+    __eq__, __ne__, __hash__ = _index_eq, _index_ne, _index_hash
 
     def to_json(self) -> dict:
         return {"family": "D", "n": self.n, "s": self.s, "r": self.r}
@@ -224,13 +240,13 @@ def decompose(x: QElement, side: str = "left") -> Decomposition:
                                    % (mono, mono2))
             _add_term(settled if cls2 is not None else pending, mono2, classical_mul(g, h))
     # distinct basis monomials have distinct indices, and each one classifies to itself
-    return Decomposition(spec, side)._like({is_basis_monomial(mono, l): g for mono, g in settled.items()})
+    return Decomposition._like(spec, side, {is_basis_monomial(mono, l): g for mono, g in settled.items()})
 
 
 def recompose(dec: Decomposition) -> QElement:
     """Evaluate the coordinates back to an element; inverse of decompose."""
     monomials = {idx.monomial(): g for idx, g in dec.coefficients.items()}
-    return module_recompose(ModuleElement(dec.spec, dec.side, monomials))
+    return module_recompose(ModuleElement._like(dec.spec, dec.side, monomials))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +256,6 @@ def recompose(dec: Decomposition) -> QElement:
 CHARTS = ("alpha", "beta")
 
 
-@dataclass(frozen=True)
 class LocalizedElement(_SortedTerms):
     """x written over a chart: sum of lift(numerator)/denominator^k times chart monomials.
 
@@ -248,11 +263,25 @@ class LocalizedElement(_SortedTerms):
     a^r b^s c^t (stored with d = 0).  chart "beta": denominators are powers
     of beta, chart monomials are the words a^r b^s d^t (stored with c = 0;
     note the stored tuple names exponents of that word, not a normal form).
+    terms maps chart monomials to (numerator ClassicalElement, power k).
     """
 
-    spec: RootSpec
-    chart: str
-    terms: dict[QMonomial, tuple[ClassicalElement, int]]
+    __slots__ = ("spec", "chart", "terms")
+
+    def __init__(self, spec: RootSpec, chart: str, terms: dict):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if type(other) is not LocalizedElement:
+            return NotImplemented
+        return (self.spec, self.chart, self.terms) == (other.spec, other.chart, other.terms)
+
+    __hash__ = None  # terms is a dict
+
+    def __repr__(self):
+        return "LocalizedElement(spec=%r, chart=%r, terms=%r)" % (self.spec, self.chart, self.terms)
 
     def max_power(self) -> int:
         return max((k for _, k in self.terms.values()), default=0)
@@ -311,19 +340,19 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
     acc: dict[QMonomial, ClassicalElement] = {}
     if chart == "alpha":
         K = max((m.d for m in me.terms), default=0)
-        blowup = ClassicalElement.generator(spec, "alpha") ** K
+        blowup = ClassicalElement.monomial(spec, ClassicalMonomial(K, 0, 0, 0))
         for mono, g in me.terms.items():
             if mono.d == 0:
                 _add_term(acc, mono, classical_mul(g, blowup))
                 continue
             # alpha^K kills every d: a^(lK) against d^m contracts completely
             prod = _mono_mul(spec, QMonomial(l * K, 0, 0, 0), mono)
-            sub = central_reduce(QElement(spec, dict(prod)), "left")
+            sub = central_reduce(QElement._like(spec, dict(prod)), "left")
             for mono2, h in sub.terms.items():
                 _add_term(acc, mono2, classical_mul(g, h))
     else:
         K = max((m.c for m in me.terms), default=0)
-        blowup = ClassicalElement.generator(spec, "beta") ** K
+        blowup = ClassicalElement.monomial(spec, ClassicalMonomial(0, K, 0, 0))
         for mono, g in me.terms.items():
             i, j, k, m = mono
             if k == 0:
@@ -362,17 +391,32 @@ def clear_denominators(le: LocalizedElement) -> tuple[QElement, int]:
     """Multiply through by denom^max_power; returns (element, max_power).
 
     The contract localize satisfies: the returned element equals
-    lift(denom_generator^max_power) * x.
+    lift(denom_generator^max_power) * x.  Each term of a cleared numerator
+    lifts to one normal monomial, which multiplies the chart monomial (its
+    straightened word on the beta chart) straight into one sum.
     """
     spec = le.spec
+    _require_standard(spec, "clear_denominators")
+    l = spec.l
     K = le.max_power()
-    gen = ClassicalElement.generator(spec, "alpha" if le.chart == "alpha" else "beta")
+    one = Cyclotomic.one(spec.N)
     acc: dict[QMonomial, Cyclotomic] = {}
     for mono, (g, k) in le.terms.items():
-        full = classical_mul(g, gen ** (K - k))
-        for mono2, v in qmul(lift(full), chart_monomial_element(spec, le.chart, mono)).terms.items():
-            _add_term(acc, mono2, v)
-    return QElement(spec, acc), K
+        if le.chart == "alpha":
+            gen_power = ClassicalMonomial(K - k, 0, 0, 0)
+            word = ((mono, one),)
+        else:
+            gen_power = ClassicalMonomial(0, K - k, 0, 0)
+            word = chart_monomial_element(spec, le.chart, mono).terms.items()
+        full = classical_mul(g, ClassicalElement._like(spec, {gen_power: one}))
+        for m, c in full.terms.items():
+            lifted = lifted_monomial(l, m)
+            for m2, c2 in word:
+                cc = c * c2
+                for mz, cz in _mono_mul(spec, lifted, m2):
+                    v = cc * cz
+                    acc[mz] = acc[mz] + v if mz in acc else v
+    return QElement._like(spec, acc), K
 
 
 def _divide_by_beta(g: ClassicalElement) -> ClassicalElement | None:
@@ -381,7 +425,7 @@ def _divide_by_beta(g: ClassicalElement) -> ClassicalElement | None:
         if mono.beta < 1:
             return None
         terms[ClassicalMonomial(mono.alpha, mono.beta - 1, mono.gamma, mono.delta)] = v
-    return ClassicalElement(g.spec, terms)
+    return ClassicalElement._like(g.spec, terms)
 
 
 def _divide_by_alpha(g: ClassicalElement) -> ClassicalElement | None:
@@ -409,7 +453,8 @@ def _divide_by_alpha(g: ClassicalElement) -> ClassicalElement | None:
                     out[ClassicalMonomial(0, r0 + u, s0 + u, tp)] = cur
             if not cur.is_zero():
                 return None
-    return ClassicalElement(spec, out)
+    # every key has alpha = 0 or delta = 0, and the two groups of keys differ in delta
+    return ClassicalElement._like(spec, out)
 
 
 def _valuation(g: ClassicalElement, cap: int, divide) -> tuple[int, ClassicalElement]:
@@ -479,8 +524,7 @@ def _column(spec: RootSpec, side: str, idx: BasisIndex,
     1, so the column is one product of two normal monomials.  Each column
     is built once, so the product skips the _mono_mul cache.
     """
-    l = spec.l
-    g = QMonomial(l * cm.alpha, l * cm.beta, l * cm.gamma, l * cm.delta)
+    g = lifted_monomial(spec.l, cm)
     x, y = (g, idx.monomial()) if side == "left" else (idx.monomial(), g)
     return dict(_mono_mul.__wrapped__(spec, x, y))
 
@@ -548,8 +592,7 @@ def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None =
     return Decomposition(spec, side, coeffs)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     l: int
     side: str
     degree_bound: int

@@ -19,9 +19,9 @@ the unit's integer columns and keeps z's denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
@@ -418,6 +418,26 @@ def json_int(value) -> int:
     return value
 
 
+def _json_ratio(text) -> tuple[int, int]:
+    """(num, den) of one coefficient string as Cyclotomic.to_json writes it: "p" or "p/q", q > 0.
+
+    Anything else raises ValueError, a JSON number or bool included: a
+    float would otherwise be read at its binary value.
+    """
+    if type(text) is not str:
+        raise ValueError("coefficient %r is not a string \"p\" or \"p/q\"" % (text,))
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (_is_digits(digits) and (not slash or (_is_digits(den) and int(den)))):
+        raise ValueError("coefficient %r is not an integer \"p\" or a ratio \"p/q\" with q > 0"
+                         % (text,))
+    return int(num), int(den) if slash else 1
+
+
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def cyclotomic_from_json(data: dict, order: int | None = None) -> Cyclotomic:
     """Inverse of Cyclotomic.to_json; a malformed document raises ValueError.
 
@@ -428,13 +448,17 @@ def cyclotomic_from_json(data: dict, order: int | None = None) -> Cyclotomic:
         found = json_int(data["order"])
         if order is not None and found != order:
             raise ValueError("coefficient of order %d where %d is expected" % (found, order))
-        return Cyclotomic(found, [Fraction(s) for s in data["coeffs"]])
-    except (TypeError, ZeroDivisionError) as err:
+        coeffs = data["coeffs"]
+        if type(coeffs) is not list or len(coeffs) != euler_phi(found):
+            raise ValueError("coefficient vector has wrong length for Q(zeta_%d)" % found)
+    except TypeError as err:
         raise ValueError("malformed cyclotomic %r: %s" % (data, err)) from None
+    ratios = [_json_ratio(c) for c in coeffs]
+    den = math.lcm(*(q for _, q in ratios))
+    return _normalise(found, tuple(p * (den // q) for p, q in ratios), den)
 
 
-@dataclass(frozen=True)
-class RootSpec:
+class RootSpec(NamedTuple):
     """A choice of root of unity q = zeta_N^zeta_exponent for a given l.
 
     standard=True are the two main parity cases (l odd, N=l and l even,

@@ -10,13 +10,12 @@ no result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import Cyclotomic
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(NamedTuple):
     order: int
     ncols: int
     rows: tuple  # one dict {column: nonzero Cyclotomic} per row

@@ -15,7 +15,7 @@ a separate table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import Cyclotomic, RootSpec, json_int, p_expansion, root_spec_for_order
 from .qalgebra import (
@@ -45,15 +45,21 @@ def _check_side(side: str):
         raise ValueError("side must be 'left' or 'right', got %r" % (side,))
 
 
+def lifted_monomial(l: int, m: ClassicalMonomial) -> QMonomial:
+    """The word a^(lp) b^(lr) c^(ls) d^(lt) for alpha^p beta^r gamma^s delta^t.
+
+    A reduced classical monomial has min(p, t) = 0, so the word is already
+    a normal monomial and lift(m) is it with scalar 1.
+    """
+    return QMonomial(l * m.alpha, l * m.beta, l * m.gamma, l * m.delta)
+
+
 def lift(g: ClassicalElement) -> QElement:
     """The algebra map sending alpha, beta, gamma, delta to a^l, b^l, c^l, d^l."""
     spec = g.spec
     _require_standard(spec, "lift")
     l = spec.l
-    # reduced classical keys have min(alpha, delta) = 0, so each lifted
-    # word is already a normal monomial with scalar 1
-    return QElement(spec, {QMonomial(l * m.alpha, l * m.beta, l * m.gamma, l * m.delta): v
-                           for m, v in g.terms.items()})
+    return QElement._like(spec, {lifted_monomial(l, m): v for m, v in g.terms.items()})
 
 
 class ModuleElement(_SidedTerms):
@@ -95,9 +101,9 @@ def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
         blocks = ClassicalMonomial(i // l, j // l, k // l, m // l)
         residual = QMonomial(i % l, j % l, k % l, m % l)
         if blocks == CLASSICAL_ONE:
-            _add_term(acc, residual, ClassicalElement.scalar(spec, coeff))
+            _add_term(acc, residual, ClassicalElement._like(spec, {blocks: coeff}))
             continue
-        lifted = QMonomial(l * blocks.alpha, l * blocks.beta, l * blocks.gamma, l * blocks.delta)
+        lifted = lifted_monomial(l, blocks)
         if side == "left":
             prod = _mono_mul(spec, lifted, residual)
         else:
@@ -106,21 +112,30 @@ def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
             raise RuntimeError("block extraction produced a non-monomial product for %s; this is a bug"
                                % (mono,))
         tau = prod[0][1]
-        _add_term(acc, residual, ClassicalElement.monomial(spec, blocks, coeff * tau.inv()))
-    return ModuleElement(spec, side, acc)
+        # blocks of a normal monomial have min(alpha, delta) = 0, so the key is reduced
+        _add_term(acc, residual, ClassicalElement._like(spec, {blocks: coeff * tau.inv()}))
+    return ModuleElement._like(spec, side, acc)
 
 
 def module_recompose(me: ModuleElement) -> QElement:
-    """Multiply coefficients back on their side; inverse of central_reduce."""
+    """Multiply coefficients back on their side; inverse of central_reduce.
+
+    Each coefficient term c * m lifts to the one normal monomial
+    lifted_monomial(l, m), so the products go straight into one sum.
+    """
     _check_side(me.side)
     spec = me.spec
+    _require_standard(spec, "module_recompose")
+    l = spec.l
+    left = me.side == "left"
     acc: dict[QMonomial, Cyclotomic] = {}
     for mono, g in me.terms.items():
-        base = QElement.monomial(spec, mono)
-        prod = qmul(lift(g), base) if me.side == "left" else qmul(base, lift(g))
-        for mono2, v in prod.terms.items():
-            _add_term(acc, mono2, v)
-    return QElement(spec, acc)
+        for m, c in g.terms.items():
+            lifted = lifted_monomial(l, m)
+            for mz, cz in _mono_mul(spec, lifted, mono) if left else _mono_mul(spec, mono, lifted):
+                v = c * cz
+                acc[mz] = acc[mz] + v if mz in acc else v
+    return QElement._like(spec, acc)
 
 
 def is_central(x: QElement) -> bool:
@@ -132,8 +147,7 @@ def is_central(x: QElement) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """What survives of the Frobenius picture for a given (l, order) pair."""
 
     l: int

@@ -50,7 +50,7 @@ def _nonzero(terms: dict) -> dict:
 
 
 class _SortedTerms:
-    """Sorted view and JSON writer for a dict `terms` of key -> value.
+    """Sorted view and JSON writer for an immutable dict `terms` of key -> value.
 
     A JSON document is the head fields followed by one row per term, in
     sorted order; a row is the key's fields followed by the value's.
@@ -58,6 +58,9 @@ class _SortedTerms:
 
     __slots__ = ()
     _ROWS = "terms"  # the JSON field that holds the rows
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @staticmethod
     def _sort_key(key):
@@ -90,6 +93,10 @@ class _Terms(_SortedTerms):
     only when they have the same concrete type and the same head.  A
     subclass normalises and validates keys in _key and gives its real
     product in _mul.
+
+    The constructor cls(*head, terms) validates every key.  Internal
+    producers whose keys are normal by construction build through
+    cls._like(*head, terms) instead, which only prunes zeros.
     """
 
     __slots__ = ("spec", "terms")
@@ -104,18 +111,21 @@ class _Terms(_SortedTerms):
 
     def _clean(self, terms: dict) -> dict:
         key = self._key
-        return _nonzero({key(k): v for k, v in terms.items()})
-
-    def _like(self, terms: dict):
-        """Same type and head; the keys are already normal, so only zeros are pruned."""
-        out = object.__new__(type(self))
-        for name in self._HEAD:
-            object.__setattr__(out, name, getattr(self, name))
-        object.__setattr__(out, "terms", _nonzero(terms))
+        out = {}
+        for k, v in terms.items():
+            k = key(k)  # every key is checked, zero-valued ones too
+            if not v.is_zero():
+                out[k] = v
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
+    @classmethod
+    def _like(cls, *head_terms):
+        """cls(*head, terms) for keys that are already normal: only zeros are pruned."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._HEAD, head_terms):
+            object.__setattr__(out, name, value)
+        object.__setattr__(out, "terms", _nonzero(head_terms[-1]))
+        return out
 
     @classmethod
     def zero(cls, *head):
@@ -146,7 +156,7 @@ class _Terms(_SortedTerms):
         acc = dict(self.terms)
         for k, v in other.terms.items():
             _add_term(acc, k, v)
-        return self._like(acc)
+        return self._like(*self._head(), acc)
 
     __radd__ = __add__
 
@@ -160,11 +170,11 @@ class _Terms(_SortedTerms):
         return (-self) + other
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.terms.items()})
+        return self._like(*self._head(), {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return self._like({k: v * other for k, v in self.terms.items()})
+            return self._like(*self._head(), {k: v * other for k, v in self.terms.items()})
         if type(other) is not type(self):
             return NotImplemented
         return self._mul(other)
@@ -387,7 +397,7 @@ def qmul(x: QElement, y: QElement) -> QElement:
             for mz, cz in _mono_mul(spec, mx, my):
                 v = cxy * cz
                 acc[mz] = acc[mz] + v if mz in acc else v
-    return x._like(acc)
+    return QElement._like(spec, acc)
 
 
 def power(x: QElement, n: int) -> QElement:
@@ -489,7 +499,7 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
                     key = (mz1, mz2)
                     v = c1 * cz2
                     acc[key] = acc[key] + v if key in acc else v
-    return x._like(acc)
+    return TensorElement._like(spec, acc)
 
 
 def _gauss_row(spec: RootSpec, n: int) -> list[Cyclotomic]:
@@ -566,7 +576,7 @@ def coproduct(x: QElement) -> TensorElement:
                         if not unit:
                             v = u * v
                         acc[key] = acc[key] + v if key in acc else v
-    return TensorElement(spec)._like(acc)
+    return TensorElement._like(spec, acc)
 
 
 def counit(x: QElement) -> Cyclotomic:
@@ -590,7 +600,7 @@ def antipode(x: QElement) -> QElement:
         flipped = _mono_mul(spec, QMonomial(m, j, k, 0), QMonomial(0, 0, 0, i))
         for mm, vv in flipped:
             _add_term(acc, mm, scal * vv)
-    return x._like(acc)
+    return QElement._like(spec, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +635,17 @@ def _binomials(w: int) -> list[int]:
     return row
 
 
+def _add_classical_term(acc: dict, m: ClassicalMonomial, v) -> None:
+    """acc += v * m, with alpha^w delta^w rewritten as (1 + beta*gamma)^w so every key is reduced."""
+    if not (m.alpha and m.delta):
+        _add_term(acc, m, v)
+        return
+    w = min(m.alpha, m.delta)
+    for i, binom in enumerate(_binomials(w)):
+        mm = ClassicalMonomial(m.alpha - w, m.beta + i, m.gamma + i, m.delta - w)
+        _add_term(acc, mm, v if binom == 1 else v * binom)
+
+
 class ClassicalElement(_Polynomial):
     """A polynomial in alpha, beta, gamma, delta modulo alpha*delta - beta*gamma = 1.
 
@@ -644,11 +665,7 @@ class ClassicalElement(_Polynomial):
     def _clean(self, terms: dict) -> dict:
         acc: dict[ClassicalMonomial, Cyclotomic] = {}
         for m, v in super()._clean(terms).items():
-            # alpha^w delta^w = (1 + beta*gamma)^w
-            w = min(m.alpha, m.delta)
-            for i, binom in enumerate(_binomials(w)):
-                mm = ClassicalMonomial(m.alpha - w, m.beta + i, m.gamma + i, m.delta - w)
-                _add_term(acc, mm, v if binom == 1 else v * binom)
+            _add_classical_term(acc, m, v)
         return _nonzero(acc)
 
     def _mul(self, other):
@@ -666,8 +683,8 @@ def classical_mul(x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
         for my, cy in y.terms.items():
             mono = ClassicalMonomial(mx.alpha + my.alpha, mx.beta + my.beta,
                                      mx.gamma + my.gamma, mx.delta + my.delta)
-            _add_term(acc, mono, cx * cy)
-    return ClassicalElement(x.spec, acc)
+            _add_classical_term(acc, mono, cx * cy)
+    return ClassicalElement._like(x.spec, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,13 @@ from qsl2 import (
     DegreeBoundError,
     FamilyA,
     FamilyD,
+    LocalizedElement,
+    ModuleElement,
     QElement,
     QMonomial,
     central_reduce,
+    chart_monomial_element,
+    classical_mul,
     clear_denominators,
     decompose,
     decomposition_from_json,
@@ -448,3 +452,114 @@ def test_verify_freeness_matches_per_monomial_oracle(l, side, bound):
     report = verify_freeness(l, side, bound)
     assert (report.kernel_dimension, report.all_decomposed, report.oracle_agreement) == \
         _per_monomial_reference(l, side, bound)
+
+
+def test_family_indices_with_equal_fields_are_distinct_keys():
+    a, d = FamilyA(1, 1, 1), FamilyD(1, 1, 1)
+    assert a != d and not a == d
+    assert hash(a) != hash(d)
+    assert a == FamilyA(1, 1, 1) and not a != FamilyA(1, 1, 1)
+    assert hash(a) == hash(FamilyA(1, 1, 1))
+    one = Cyclotomic.one(SPEC3.N)
+    dec = Decomposition(SPEC3, "left", {a: ClassicalElement.one(SPEC3),
+                                        d: ClassicalElement.scalar(SPEC3, one * 2)})
+    assert len(dec.coefficients) == 2
+    assert decomposition_from_json(json.loads(json.dumps(dec.to_json())), SPEC3) == dec
+    assert recompose(dec) == QElement.monomial(SPEC3, a.monomial()) + QElement.monomial(SPEC3, d.monomial()) * 2
+
+
+def test_localized_element_is_immutable():
+    le = localize(QElement.generator(SPEC3, "d"), "alpha")
+    for name in ("spec", "chart", "terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(le, name, None)
+    assert le == localize(QElement.generator(SPEC3, "d"), "alpha")
+    assert le != localize(QElement.generator(SPEC3, "d"), "beta")
+    assert le == LocalizedElement(le.spec, le.chart, dict(le.terms))
+    with pytest.raises(TypeError):
+        hash(le)
+
+
+# --- the direct routes against references built from the public constructors and qmul ---
+
+
+ROUTE_SPECS = [make_root_spec(l) for l in range(2, 8)] + [SPEC5_ZETA2]
+
+
+def _route_id(spec):
+    return "l%d_e%d" % (spec.l, spec.zeta_exponent)
+
+
+def _random_classical(spec, rng, nterms=3, emax=2):
+    """A random classical element through the reducing public constructor; alpha and delta may meet."""
+    terms = {}
+    for _ in range(nterms):
+        mono = ClassicalMonomial(*(rng.randrange(0, emax + 1) for _ in range(4)))
+        terms[mono] = terms.get(mono, 0) + zeta_pow(spec, rng.randrange(spec.N)) * F(rng.randrange(1, 4))
+    return ClassicalElement(spec, terms)
+
+
+def _classical_mul_reference(x, y):
+    acc = ClassicalElement.zero(x.spec)
+    for mx, cx in x.terms.items():
+        for my, cy in y.terms.items():
+            mono = tuple(e + f for e, f in zip(mx, my))
+            acc = acc + ClassicalElement(x.spec, {mono: cx * cy})
+    return acc
+
+
+def _recompose_reference(me):
+    acc = QElement.zero(me.spec)
+    for mono, g in me.terms.items():
+        base = QElement.monomial(me.spec, mono)
+        acc = acc + (qmul(lift(g), base) if me.side == "left" else qmul(base, lift(g)))
+    return acc
+
+
+def _clear_reference(le):
+    spec, K = le.spec, le.max_power()
+    gen = ClassicalElement.generator(spec, le.chart)
+    acc = QElement.zero(spec)
+    for mono, (g, k) in le.terms.items():
+        full = _classical_mul_reference(g, gen ** (K - k))
+        acc = acc + qmul(lift(full), chart_monomial_element(spec, le.chart, mono))
+    return acc, K
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=_route_id)
+def test_classical_mul_matches_the_constructor_reference(spec):
+    rng = random.Random(100 + spec.l)
+    for _ in range(6):
+        x, y = _random_classical(spec, rng), _random_classical(spec, rng)
+        prod = classical_mul(x, y)
+        assert prod == _classical_mul_reference(x, y)
+        assert all(m.is_reduced() for m in prod.terms)
+        # lift is an injective algebra map, and the quantum engine reduces a^l d^l its own way
+        assert lift(prod) == qmul(lift(x), lift(y))
+    assert lift(x) == QElement(spec, {QMonomial(*(spec.l * e for e in m)): v for m, v in x.terms.items()})
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=_route_id)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_module_recompose_matches_the_qmul_reference(spec, side):
+    rng = random.Random(200 + spec.l)
+    residuals = residual_monomials(spec.l)
+    for _ in range(3):
+        x = random_qelement(spec, rng, nterms=3)
+        me = central_reduce(x, side)
+        assert module_recompose(me) == _recompose_reference(me) == x
+        arbitrary = ModuleElement(spec, side, {rng.choice(residuals): _random_classical(spec, rng)
+                                               for _ in range(3)})
+        assert module_recompose(arbitrary) == _recompose_reference(arbitrary)
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=_route_id)
+@pytest.mark.parametrize("chart", ["alpha", "beta"])
+def test_clear_denominators_matches_the_qmul_reference(spec, chart):
+    rng = random.Random(300 + spec.l)
+    gen = ClassicalElement.generator(spec, chart)
+    for _ in range(3):
+        x = random_qelement(spec, rng, nterms=3)
+        cleared, k = clear_denominators(localize(x, chart))
+        assert (cleared, k) == _clear_reference(localize(x, chart))
+        assert cleared == qmul(lift(gen ** k), x)

@@ -113,6 +113,29 @@ def test_json_roundtrip():
     assert cyclotomic_from_json(doc) == z
 
 
+@given(st.data())
+@settings(max_examples=60)
+def test_json_roundtrip_at_every_small_order(data):
+    order = data.draw(st.integers(2, 16))
+    coeffs = data.draw(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=30),
+                                min_size=euler_phi(order), max_size=euler_phi(order)))
+    z = Cyclotomic(order, coeffs)
+    back = cyclotomic_from_json(json.loads(json.dumps(z.to_json())), order)
+    assert back == z and (back.num, back.den) == (z.num, z.den)
+
+
+def test_json_reader_takes_only_the_writer_format():
+    assert cyclotomic_from_json({"order": 4, "coeffs": ["-3/4", "0"]}) == Cyclotomic(4, [F(-3, 4), 0])
+    assert cyclotomic_from_json({"order": 4, "coeffs": ["2/4", "-0"]}) == Cyclotomic(4, [F(1, 2), 0])
+    for bad in (0.1, 1, True, None, "1.5", "1e3", "+1", " 1", "1_0", "\u0663", "-", "1/", "/2",
+                "1/0", "1/-2", "1/2/3", "0x10"):
+        with pytest.raises(ValueError):
+            cyclotomic_from_json({"order": 4, "coeffs": [bad, "0"]})
+    for coeffs in (["1"], ["1", "0", "0"], "10", {"0": "1"}):
+        with pytest.raises(ValueError):
+            cyclotomic_from_json({"order": 4, "coeffs": coeffs})
+
+
 def test_make_root_spec():
     assert (make_root_spec(3).N, make_root_spec(3).parity_case) == (3, "odd")
     assert (make_root_spec(2).N, make_root_spec(2).parity_case) == (4, "even")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -244,6 +245,20 @@ def test_cli_recompose_rejects_non_integer_fields(capsys):
     assert code == 2 and out == "" and "expected an integer" in err
 
 
+def test_cli_recompose_reads_coefficients_only_as_the_writer_writes_them(capsys):
+    index = {"family": "D", "n": 0, "s": 0, "r": 1}
+    code, out, _ = _cli(capsys, "--l", "3", "recompose",
+                        _one_entry_decomposition(index, {"order": 3, "coeffs": ["1/10", "-3"]}))
+    assert code == 0 and out.strip() == "(1/10 - 3*q)*d"
+    # a JSON float would be read at its binary value, 3602879701896397/36028797018963968
+    for coeffs in ([0.1, "0"], ["1.5", "0"], [True, "0"], [1, "0"], ["1/0", "0"], ["1/-2", "0"],
+                   ["1"], ["1", "0", "0"], "10"):
+        code, out, err = _cli(capsys, "--l", "3", "recompose",
+                              _one_entry_decomposition(index, {"order": 3, "coeffs": coeffs}))
+        assert code == 2 and out == "", coeffs
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_recompose_rejects_a_huge_coefficient_order_at_once(capsys):
     doc = _one_entry_decomposition({"family": "D", "n": 0, "s": 0, "r": 1}, {"order": 30000, "coeffs": ["1"]})
     start = time.perf_counter()
@@ -395,3 +410,15 @@ def test_console_script_stdin():
         input="a\nb\n", capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "a*b"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site hooks out, so the modules listed are the ones qsl2.cli pulls in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsl2.cli.__file__)))
+    script = ("import sys\n"
+              "sys.path.insert(0, %r)\n"
+              "import qsl2.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n" % src)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
