@@ -380,10 +380,16 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
                 _add_term(acc, QMonomial(r0, s0, 0, t0), classical_mul(g, coeff))
     # divide out the common denominator power per term
     out: dict[QMonomial, tuple[ClassicalElement, int]] = {}
-    divide = _divide_by_alpha if chart == "alpha" else _divide_by_beta
     for mono, g in _nonzero(acc).items():
-        v, reduced_g = _valuation(g, K, divide)
-        out[mono] = (reduced_g, K - v)
+        if chart == "alpha":
+            v, g = _valuation(g, K)
+        else:
+            # beta never meets the alpha-delta rewrite, so its valuation is the least beta exponent
+            v = min(K, min(cm.beta for cm in g.terms))
+            if v:
+                g = ClassicalElement._like(spec, {ClassicalMonomial(al, be - v, ga, de): c
+                                                  for (al, be, ga, de), c in g.terms.items()})
+        out[mono] = (g, K - v)
     return LocalizedElement(spec, chart, out)
 
 
@@ -419,15 +425,6 @@ def clear_denominators(le: LocalizedElement) -> tuple[QElement, int]:
     return QElement._like(spec, acc), K
 
 
-def _divide_by_beta(g: ClassicalElement) -> ClassicalElement | None:
-    terms = {}
-    for mono, v in g.terms.items():
-        if mono.beta < 1:
-            return None
-        terms[ClassicalMonomial(mono.alpha, mono.beta - 1, mono.gamma, mono.delta)] = v
-    return ClassicalElement._like(g.spec, terms)
-
-
 def _divide_by_alpha(g: ClassicalElement) -> ClassicalElement | None:
     """Solve alpha * D = g in the reduced basis, or None if g is not divisible."""
     spec = g.spec
@@ -457,12 +454,12 @@ def _divide_by_alpha(g: ClassicalElement) -> ClassicalElement | None:
     return ClassicalElement._like(spec, out)
 
 
-def _valuation(g: ClassicalElement, cap: int, divide) -> tuple[int, ClassicalElement]:
-    """(v, h) with g = gen^v * h for the largest v <= cap; divide(g) is g / gen or None."""
+def _valuation(g: ClassicalElement, cap: int) -> tuple[int, ClassicalElement]:
+    """(v, h) with g = alpha^v * h for the largest v <= cap."""
     v = 0
     cur = g
     while v < cap:
-        nxt = divide(cur)
+        nxt = _divide_by_alpha(cur)
         if nxt is None:
             break
         cur = nxt
@@ -527,6 +524,20 @@ def _column(spec: RootSpec, side: str, idx: BasisIndex,
     g = lifted_monomial(spec.l, cm)
     x, y = (g, idx.monomial()) if side == "left" else (idx.monomial(), g)
     return dict(_mono_mul.__wrapped__(spec, x, y))
+
+
+def _trailing_monomial(l: int, idx: BasisIndex, cm: ClassicalMonomial) -> QMonomial:
+    """tau(idx, cm), the unique lowest-degree monomial of the candidate column, on either side.
+
+    Multiplying the two normal monomials contracts a^A d^D (exponents
+    summed over both factors) to a^(A-t) d^(D-t), t = min(A, D), times
+    sum_j p_{t,j} (bc)^j.  The j = 0 term is tau with a coefficient +-q^k;
+    every other term carries (bc)^j, j >= 1, so its degree is higher.
+    """
+    i, j, k, m = idx.monomial()
+    A, D = l * cm.alpha + i, l * cm.delta + m
+    t = min(A, D)
+    return QMonomial(A - t, l * cm.beta + j, l * cm.gamma + k, D - t)
 
 
 def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[BasisIndex, ClassicalMonomial]],
@@ -610,9 +621,18 @@ def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,
                     zeta_exponent: int | None = None) -> FreenessReport:
     """Brute-force certificate: no relations among columns, all monomials span.
 
-    One rref per weight gives the kernel of the candidate columns and the
-    oracle coordinates of every residual monomial of that weight, which are
-    also compared against decompose.  The root data is
+    Columns whose trailing monomials (_trailing_monomial) are pairwise
+    distinct are independent.  In a nontrivial relation, take a column
+    of nonzero coefficient whose trailing monomial has least degree; no
+    other such column contains that monomial (their trailing monomials
+    differ from it and their other terms lie higher), so it cannot cancel.
+    A weight with no residual monomial and distinct trailing monomials
+    is therefore certified without linear algebra.  Every other weight
+    takes one rref, which gives the kernel of its candidate columns and
+    the oracle coordinates of its residual monomials, which are also
+    compared against decompose.  kernel_dimension is the sum of the
+    rref kernels of the solved weights, plus 0 for each weight certified
+    by distinct trailing monomials.  The root data is
     make_root_spec(l, zeta_exponent), i.e. q = zeta_N^zeta_exponent.
     """
     spec = make_root_spec(l, zeta_exponent=zeta_exponent)
@@ -625,8 +645,10 @@ def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,
     one = Cyclotomic.one(spec.N)
     kernel_dim = spanned = agree = 0
     for w, monos in by_weight.items():
-        kernel, solutions = _solve_weight(spec, side, pairs_by_weight.get(w, []),
-                                          [{mono: one} for mono in monos])
+        pairs = pairs_by_weight.get(w, [])
+        if not monos and len({_trailing_monomial(l, idx, cm) for idx, cm in pairs}) == len(pairs):
+            continue
+        kernel, solutions = _solve_weight(spec, side, pairs, [{mono: one} for mono in monos])
         kernel_dim += kernel
         for mono, coords in zip(monos, solutions):
             if coords is None:

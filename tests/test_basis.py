@@ -43,12 +43,14 @@ from qsl2 import (
     verify_freeness,
     zeta_pow,
 )
+import qsl2.basis
 from qsl2.basis import (
     _beta_append,
     _column,
     _divide_by_alpha,
-    _divide_by_beta,
     _pairs_by_weight,
+    _quantum_weight,
+    _trailing_monomial,
     residual_monomials,
 )
 from qsl2.exactla import ExactMatrix, nullspace
@@ -340,8 +342,33 @@ def test_classical_divisibility_helpers():
     assert _divide_by_alpha(g1) == de
     assert _divide_by_alpha(de) is None
     assert _divide_by_alpha(ClassicalElement.one(spec)) is None
-    assert _divide_by_beta(be * be + be * al) == be + al
-    assert _divide_by_beta(al) is None
+
+
+def _beta_valuation_reference(g, cap):
+    """Divide by beta one power at a time while every term has one, at most cap times."""
+    v = 0
+    while v < cap and all(m.beta >= 1 for m in g.terms):
+        g = ClassicalElement(g.spec, {ClassicalMonomial(m.alpha, m.beta - 1, m.gamma, m.delta): c
+                                      for m, c in g.terms.items()})
+        v += 1
+    return v, g
+
+
+@pytest.mark.parametrize("l", [5, 7])
+def test_beta_chart_denominators_match_stepwise_division(l):
+    spec = make_root_spec(l)
+    rng = random.Random(400 + l)
+    be = ClassicalElement.generator(spec, "beta")
+    powers = set()
+    for _ in range(6):
+        x = random_qelement(spec, rng, nterms=3)
+        # localize blows every numerator up by beta^K, K the largest c-block of x
+        K = max((m.c for m in central_reduce(x, "left").terms), default=0)
+        for g, k in localize(x, "beta").terms.values():
+            undivided = classical_mul(g, be ** (K - k))
+            assert _beta_valuation_reference(undivided, K) == (K - k, g)
+            powers.add(k)
+    assert len(powers) > 1
 
 
 # --- independent oracle ---
@@ -447,11 +474,60 @@ def _per_monomial_reference(l, side, bound):
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("l", [2, 3, 4])
 def test_verify_freeness_matches_per_monomial_oracle(l, side, bound):
     report = verify_freeness(l, side, bound)
     assert (report.kernel_dimension, report.all_decomposed, report.oracle_agreement) == \
         _per_monomial_reference(l, side, bound)
+
+
+TRAILING_SPECS = [make_root_spec(l) for l in range(2, 8)] + [make_root_spec(3, zeta_exponent=2), SPEC5_ZETA2]
+
+
+@pytest.mark.parametrize("spec", TRAILING_SPECS, ids=lambda s: "l%d_e%d" % (s.l, s.zeta_exponent))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_trailing_monomial_is_the_unit_lowest_degree_term(spec, side):
+    units = {sign * zeta_pow(spec, k) for k in range(spec.N) for sign in (1, -1)}
+    for pairs in _pairs_by_weight(spec.l, 2).values():
+        for idx, cm in pairs:
+            col = _column(spec, side, idx, cm)
+            tau = _trailing_monomial(spec.l, idx, cm)
+            assert tau == min(col, key=QMonomial.sort_key)
+            assert col[tau] in units
+            assert all(m.degree() > tau.degree() for m in col if m != tau)
+
+
+def _count_solved_weights(monkeypatch):
+    solve, calls = qsl2.basis._solve_weight, []
+
+    def counting_solve(spec, side, pairs, rhs):
+        calls.append(len(rhs))
+        return solve(spec, side, pairs, rhs)
+
+    monkeypatch.setattr(qsl2.basis, "_solve_weight", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("l,solved", [(3, 25), (4, 49)])
+def test_verify_freeness_solves_only_weights_with_residual_monomials(l, solved, side, monkeypatch):
+    calls = _count_solved_weights(monkeypatch)
+    report = verify_freeness(l, side, 2)
+    assert report.kernel_dimension == 0 and report.all_decomposed
+    assert len(calls) == solved == len({_quantum_weight(m) for m in residual_monomials(l)})
+    assert all(calls)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_verify_freeness_falls_back_to_rref_when_trailing_monomials_collide(side, monkeypatch):
+    want = verify_freeness(3, side, 2)
+    calls = _count_solved_weights(monkeypatch)
+    monkeypatch.setattr(qsl2.basis, "_trailing_monomial", lambda l, idx, cm: QMonomial(0, 0, 0, 0))
+    assert verify_freeness(3, side, 2) == want
+    # a lone column cannot collide, so only a weight with one column and no residual monomial skips the rref
+    solved = {w for w, pairs in _pairs_by_weight(3, 2).items() if len(pairs) > 1}
+    solved |= {_quantum_weight(m) for m in residual_monomials(3)}
+    assert len(calls) == len(solved) == 241
 
 
 def test_family_indices_with_equal_fields_are_distinct_keys():
