@@ -257,13 +257,15 @@ CHARTS = ("alpha", "beta")
 
 
 class LocalizedElement(_SortedTerms):
-    """x written over a chart: sum of lift(numerator)/denominator^k times chart monomials.
+    """x written over a chart: sum of lift(numerator)/denominator^k times chart words.
 
-    chart "alpha": denominators are powers of alpha, chart monomials are
-    a^r b^s c^t (stored with d = 0).  chart "beta": denominators are powers
-    of beta, chart monomials are the words a^r b^s d^t (stored with c = 0;
-    note the stored tuple names exponents of that word, not a normal form).
-    terms maps chart monomials to (numerator ClassicalElement, power k).
+    chart "alpha": denominators are powers of alpha, chart words are the
+    normal monomials a^r b^s c^t (stored with d = 0).  chart "beta":
+    denominators are powers of beta, chart words are a^r b^s d^t (stored
+    with c = 0), which may hold both a and d and are not straightened.
+    All exponents are below l.  terms maps chart words to (numerator
+    ClassicalElement, power k); clear_denominators multiplies each word
+    as it is written.
     """
 
     __slots__ = ("spec", "chart", "terms")
@@ -340,11 +342,7 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
     acc: dict[QMonomial, ClassicalElement] = {}
     if chart == "alpha":
         K = max((m.d for m in me.terms), default=0)
-        blowup = ClassicalElement.monomial(spec, ClassicalMonomial(K, 0, 0, 0))
         for mono, g in me.terms.items():
-            if mono.d == 0:
-                _add_term(acc, mono, classical_mul(g, blowup))
-                continue
             # alpha^K kills every d: a^(lK) against d^m contracts completely
             prod = _mono_mul(spec, QMonomial(l * K, 0, 0, 0), mono)
             sub = central_reduce(QElement._like(spec, dict(prod)), "left")
@@ -352,12 +350,8 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
                 _add_term(acc, mono2, classical_mul(g, h))
     else:
         K = max((m.c for m in me.terms), default=0)
-        blowup = ClassicalElement.monomial(spec, ClassicalMonomial(0, K, 0, 0))
         for mono, g in me.terms.items():
             i, j, k, m = mono
-            if k == 0:
-                _add_term(acc, mono, classical_mul(g, blowup))
-                continue
             # beta^K * mono: b^(lK) past a^i, then pair each c with a b:
             # b^(lK+j) c^k = b^(lK+j-k) (bc)^k and bc = q^-1 (ad - 1)
             terms = {(i, l * K + j - k, 0): zeta_pow(spec, -i * l * K - k)}
@@ -397,32 +391,17 @@ def clear_denominators(le: LocalizedElement) -> tuple[QElement, int]:
     """Multiply through by denom^max_power; returns (element, max_power).
 
     The contract localize satisfies: the returned element equals
-    lift(denom_generator^max_power) * x.  Each term of a cleared numerator
-    lifts to one normal monomial, which multiplies the chart monomial (its
-    straightened word on the beta chart) straight into one sum.
+    lift(denom_generator^max_power) * x.  A term g/denom^k over the chart
+    word w becomes the left module term (w, g * denom^(K-k)), and
+    module_recompose multiplies each lifted coefficient monomial into w
+    as it is written (a beta-chart word a^r b^s d^t may hold both a and d).
     """
     spec = le.spec
     _require_standard(spec, "clear_denominators")
-    l = spec.l
     K = le.max_power()
-    one = Cyclotomic.one(spec.N)
-    acc: dict[QMonomial, Cyclotomic] = {}
-    for mono, (g, k) in le.terms.items():
-        if le.chart == "alpha":
-            gen_power = ClassicalMonomial(K - k, 0, 0, 0)
-            word = ((mono, one),)
-        else:
-            gen_power = ClassicalMonomial(0, K - k, 0, 0)
-            word = chart_monomial_element(spec, le.chart, mono).terms.items()
-        full = classical_mul(g, ClassicalElement._like(spec, {gen_power: one}))
-        for m, c in full.terms.items():
-            lifted = lifted_monomial(l, m)
-            for m2, c2 in word:
-                cc = c * c2
-                for mz, cz in _mono_mul(spec, lifted, m2):
-                    v = cc * cz
-                    acc[mz] = acc[mz] + v if mz in acc else v
-    return QElement._like(spec, acc), K
+    gen = ClassicalElement.generator(spec, le.chart)
+    words = {mono: classical_mul(g, gen ** (K - k)) for mono, (g, k) in le.terms.items()}
+    return module_recompose(ModuleElement._like(spec, "left", words)), K
 
 
 def _divide_by_alpha(g: ClassicalElement) -> ClassicalElement | None:

@@ -65,9 +65,12 @@ def lift(g: ClassicalElement) -> QElement:
 class ModuleElement(_SidedTerms):
     """Coordinates of an element over the l-th-power subalgebra.
 
-    terms maps residual monomials (all exponents < l, min(a,d) = 0) to
-    classical coefficients; side records whether coefficients act by
-    multiplication on the left or the right.
+    terms maps words a^i b^j c^k d^m (all exponents < l), which the
+    engine multiplies as they are written, to classical coefficients;
+    side records whether coefficients act by multiplication on the left
+    or the right.  central_reduce always yields residual monomials
+    (min(a,d) = 0); the beta-chart words of clear_denominators may hold
+    both a and d.
     """
 
     __slots__ = ()
@@ -121,7 +124,8 @@ def module_recompose(me: ModuleElement) -> QElement:
     """Multiply coefficients back on their side; inverse of central_reduce.
 
     Each coefficient term c * m lifts to the one normal monomial
-    lifted_monomial(l, m), so the products go straight into one sum.
+    lifted_monomial(l, m), so the products with each key word go
+    straight into one sum.
     """
     _check_side(me.side)
     spec = me.spec

@@ -245,7 +245,7 @@ class _Polynomial(_Terms):
     def scalar(cls, spec: RootSpec, value):
         if isinstance(value, (int, Fraction)):
             value = Cyclotomic.from_rational(spec.N, value)
-        return cls(spec, {cls._KEY(0, 0, 0, 0): value})
+        return cls._like(spec, {cls._KEY(0, 0, 0, 0): value})
 
     @classmethod
     def one(cls, spec: RootSpec):
@@ -306,12 +306,11 @@ class QMonomial(NamedTuple):
         return min(self.a, self.d) == 0 and min(self.a, self.b, self.c, self.d) >= 0
 
 
-MONO_ONE = QMonomial(0, 0, 0, 0)
-
-
 @lru_cache(maxsize=None)
 def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomial, Cyclotomic], ...]:
-    """Product of two normal monomials, returned as (monomial, scalar) pairs.
+    """Product of two words a^i b^j c^k d^m, returned as normal (monomial, scalar) pairs.
+
+    Either word may hold both a and d; it is multiplied as it is written.
 
     Route: cross x's d-block past y's a-block (d^m a^i rows), commute the
     stray a/d across the inner b,c letters, then contract the remaining

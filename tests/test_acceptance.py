@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import ACCEPTANCE_VERDICTS
+from conftest import ACCEPTANCE_VERDICTS, random_qelement
 from qsl2 import (
     ClassicalElement,
     Cyclotomic,
@@ -38,6 +38,7 @@ from qsl2 import (
     verify_freeness,
     zeta_pow,
 )
+from qsl2.basis import residual_monomials
 
 F = Fraction
 
@@ -58,31 +59,6 @@ def _verdict(number, name, budget_s):
     return finish
 
 
-def _random_element(spec, rng, nterms=3, emax=None):
-    emax = 2 * spec.l if emax is None else emax
-    terms = {}
-    for _ in range(nterms):
-        i = rng.randrange(0, emax + 1)
-        m = rng.randrange(0, emax + 1)
-        if i and m:
-            m = 0
-        mono = QMonomial(i, rng.randrange(0, emax + 1), rng.randrange(0, emax + 1), m)
-        z = zeta_pow(spec, rng.randrange(spec.N)) * F(rng.randrange(-3, 4))
-        if not z.is_zero():
-            terms[mono] = terms.get(mono, Cyclotomic.zero(spec.N)) + z
-    return QElement(spec, {m: z for m, z in terms.items() if not z.is_zero()})
-
-
-def _reduced_monomials(l):
-    for i in range(l):
-        for j in range(l):
-            for k in range(l):
-                yield QMonomial(i, j, k, 0)
-                if i == 0:
-                    for m in range(1, l):
-                        yield QMonomial(0, j, k, m)
-
-
 def test_criterion_1_rank_l_cubed():
     finish = _verdict(1, "free module of rank l^3", 120)
     ok = all(len(enumerate_basis(l)) == l**3 for l in (2, 3, 5))
@@ -99,7 +75,7 @@ def test_criterion_2_decompose_matches_oracle():
     ok = True
     for l in (2, 3):
         spec = make_root_spec(l)
-        for mono in _reduced_monomials(l):
+        for mono in residual_monomials(l):
             x = QElement.monomial(spec, mono)
             for side in ("left", "right"):
                 ok = ok and decompose(x, side).coefficients == \
@@ -114,7 +90,7 @@ def test_criterion_3_roundtrip_200_randoms():
         spec = make_root_spec(l)
         rng = random.Random(1000 + l)
         for trial in range(200):
-            x = _random_element(spec, rng, nterms=3, emax=2 * l)
+            x = random_qelement(spec, rng, nterms=3, emax=2 * l)
             side = "left" if trial % 2 == 0 else "right"
             ok = ok and recompose(decompose(x, side)) == x
     finish(ok)
@@ -218,7 +194,7 @@ def test_criterion_8_localization_roundtrip():
     be = ClassicalElement.generator(spec, "beta")
     ok = True
     for _ in range(50):
-        x = _random_element(spec, rng, nterms=3)
+        x = random_qelement(spec, rng, nterms=3)
         for chart, gen in (("alpha", al), ("beta", be)):
             cleared, k = clear_denominators(localize(x, chart))
             ok = ok and cleared == qmul(lift(gen**k), x)

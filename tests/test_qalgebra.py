@@ -98,6 +98,26 @@ def test_mono_mul_matches_recursive_contraction(data):
     assert closed == {mm: z for mm, z in recursive.items() if not z.is_zero()}
 
 
+def _letters(mono):
+    return "".join(ch * e for ch, e in zip("abcd", mono))
+
+
+@pytest.mark.parametrize("spec", [SPEC3, make_root_spec(4), make_root_spec(5, zeta_exponent=2)],
+                         ids=["l3", "l4", "l5-zeta2"])
+def test_mono_mul_straightens_unreduced_words(spec):
+    # a word a^r b^s c^k d^t with r, t > 0 is multiplied as it is written,
+    # in either factor position (the beta-chart clearing relies on this)
+    rng = random.Random(400 + spec.l)
+    l = spec.l
+    for _ in range(12):
+        word = QMonomial(rng.randint(1, l), rng.randint(0, l), rng.randint(0, l), rng.randint(1, l))
+        i, m = rng.randint(0, l), rng.randint(0, l)
+        normal = QMonomial(i, rng.randint(0, l), rng.randint(0, l), 0 if i else m)
+        for x, y in ((word, normal), (normal, word)):
+            got = QElement._like(spec, dict(_mono_mul(spec, x, y)))
+            assert got == straighten(_letters(x) + _letters(y), spec)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_product_associativity(data):
