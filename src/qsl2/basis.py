@@ -20,7 +20,7 @@ exact linear algebra and knows nothing about the relations.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from collections import namedtuple
 
 from .cyclo import Cyclotomic, RootSpec, json_int, make_root_spec, p_expansion, zeta_pow
 from .exactla import ExactMatrix, rref
@@ -56,16 +56,14 @@ def _index_hash(self):
     return hash(self.sort_key())
 
 
-class FamilyA(NamedTuple):
+class FamilyA(namedtuple("FamilyA", "m n s")):
     """Generator a^m b^n c^s with 1 <= m <= s.
 
     Indices of the two families compare and hash by family too, so
     FamilyA(1, 1, 1) and FamilyD(1, 1, 1) are distinct keys.
     """
 
-    m: int
-    n: int
-    s: int
+    __slots__ = ()
 
     def monomial(self) -> QMonomial:
         return QMonomial(self.m, self.n, self.s, 0)
@@ -79,12 +77,10 @@ class FamilyA(NamedTuple):
         return {"family": "A", "m": self.m, "n": self.n, "s": self.s}
 
 
-class FamilyD(NamedTuple):
+class FamilyD(namedtuple("FamilyD", "n s r")):
     """Generator b^n c^s d^r with s + r <= l - 1."""
 
-    n: int
-    s: int
-    r: int
+    __slots__ = ()
 
     def monomial(self) -> QMonomial:
         return QMonomial(0, self.n, self.s, self.r)
@@ -98,7 +94,7 @@ class FamilyD(NamedTuple):
         return {"family": "D", "n": self.n, "s": self.s, "r": self.r}
 
 
-BasisIndex = Union[FamilyA, FamilyD]
+BasisIndex = FamilyA | FamilyD
 
 
 def enumerate_basis(l: int) -> list[BasisIndex]:
@@ -483,11 +479,10 @@ def _candidate_classicals(bound: int) -> list[ClassicalMonomial]:
 def _pairs_by_weight(l: int, bound: int) -> dict[tuple[int, int], list]:
     """Every (basis index, candidate classical coefficient) pair, grouped by the weight of its column."""
     out: dict[tuple[int, int], list[tuple[BasisIndex, ClassicalMonomial]]] = {}
-    cands = _candidate_classicals(bound)
+    cands = [(cm, _classical_weight(l, cm)) for cm in _candidate_classicals(bound)]
     for idx in enumerate_basis(l):
         gw = _quantum_weight(idx.monomial())
-        for cm in cands:
-            cw = _classical_weight(l, cm)
+        for cm, cw in cands:
             out.setdefault((gw[0] + cw[0], gw[1] + cw[1]), []).append((idx, cm))
     return out
 
@@ -582,14 +577,13 @@ def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None =
     return Decomposition(spec, side, coeffs)
 
 
-class FreenessReport(NamedTuple):
-    l: int
-    side: str
-    degree_bound: int
-    monomials_checked: int
-    kernel_dimension: int
-    monomials_spanned: int
-    oracle_agreement: int  # spanned monomials whose oracle coordinates equal decompose's
+class FreenessReport(namedtuple("FreenessReport", (
+    "l", "side", "degree_bound", "monomials_checked", "kernel_dimension", "monomials_spanned",
+    "oracle_agreement",  # spanned monomials whose oracle coordinates equal decompose's
+))):
+    """The counts of one verify_freeness certificate."""
+
+    __slots__ = ()
 
     @property
     def all_decomposed(self) -> bool:

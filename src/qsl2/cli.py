@@ -6,11 +6,11 @@ Commands: normalize, mul, coproduct, antipode, counit, decompose,
 recompose, localize, ptable, closure, verify-basis, selftest.  Global
 flags come before the command name.  `-` as an expression argument reads
 from stdin.  Exit status: 0 success, 1 mathematical failure, 2 usage or
-parse error.
+parse error.  json is imported only where a command reads or writes it,
+so text commands start without it.
 """
 
 import argparse
-import json
 import random
 import sys
 from fractions import Fraction
@@ -143,6 +143,8 @@ def _arg_text(value: str, whole: bool = False) -> str:
 
 def _emit(args, text: str, obj) -> None:
     if args.fmt == "json":
+        import json
+
         print(json.dumps(obj, indent=2))
     else:
         print(text)
@@ -212,6 +214,8 @@ def _closure_json(report) -> dict:
 
 
 def _cmd_verify_fixtures(args) -> int:
+    import json
+
     failures = 0
     checked = 0
     lines_out = []
@@ -278,7 +282,7 @@ def run(argv=None) -> int:
     except ExprSyntaxError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
-    except (_UsageError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (_UsageError, KeyError, ValueError) as err:  # json.JSONDecodeError is a ValueError
         print("error: %s" % err, file=sys.stderr)
         return 2
     except RuntimeError as err:
@@ -317,6 +321,8 @@ def _dispatch(args) -> int:
         _emit(args, text, {"k": args.k, "coeffs": [z.to_json() for z in row]})
         return 0
     if cmd == "recompose":
+        import json
+
         data = json.loads(_arg_text(args.doc, whole=True))
         element = recompose(decomposition_from_json(data, spec))
         _emit(args, format_qelement(element), element.to_json())
@@ -543,6 +549,8 @@ def _cmd_selftest(args) -> int:
             if args.fmt == "text":
                 print("ok %s" % name)
     if args.fmt == "json":
+        import json
+
         print(json.dumps({"ok": failures == 0, "checks": results}, indent=2))
     elif failures:
         print("%d of %d checks failed" % (failures, len(_SELFTEST_CHECKS)))

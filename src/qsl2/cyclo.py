@@ -19,9 +19,9 @@ the unit's integer columns and keeps z's denominator.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
@@ -458,7 +458,7 @@ def cyclotomic_from_json(data: dict, order: int | None = None) -> Cyclotomic:
     return _normalise(found, tuple(p * (den // q) for p, q in ratios), den)
 
 
-class RootSpec(NamedTuple):
+class RootSpec(namedtuple("RootSpec", "l parity_case N zeta_exponent standard", defaults=(True,))):
     """A choice of root of unity q = zeta_N^zeta_exponent for a given l.
 
     standard=True are the two main parity cases (l odd, N=l and l even,
@@ -466,11 +466,7 @@ class RootSpec(NamedTuple):
     remark_root_spec and is rejected by the structural operations.
     """
 
-    l: int
-    parity_case: str
-    N: int
-    zeta_exponent: int
-    standard: bool = True
+    __slots__ = ()
 
 
 def make_root_spec(l: int, zeta_exponent: int | None = None) -> RootSpec:

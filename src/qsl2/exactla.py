@@ -10,15 +10,18 @@ no result.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cyclo import Cyclotomic
 
 
-class ExactMatrix(NamedTuple):
-    order: int
-    ncols: int
-    rows: tuple  # one dict {column: nonzero Cyclotomic} per row
+class ExactMatrix(namedtuple("ExactMatrix", "order ncols rows")):
+    """An ncols-column matrix over Q(zeta_order).
+
+    rows holds one dict {column: nonzero Cyclotomic} per row.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, order: int, ncols: int, rows) -> "ExactMatrix":

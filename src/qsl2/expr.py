@@ -26,9 +26,10 @@ are rationals, powers of q, or parenthesized polynomials in q with
 rational coefficients (lowest powers first).
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .cyclo import Cyclotomic, RootSpec, zeta_pow
 from .frobenius import lift
@@ -69,7 +70,7 @@ class _Parser:
         self.pos = 0
         self.spec = spec
 
-    def peek(self) -> Optional[str]:
+    def peek(self) -> str | None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
         if self.pos >= len(self.text):
@@ -230,7 +231,7 @@ def _q_power_text(spec: RootSpec, k: int) -> str:
     return "q" if rep == 1 else "q^%d" % rep
 
 
-def _rational_parts(fr: Fraction) -> tuple[int, Optional[str]]:
+def _rational_parts(fr: Fraction) -> tuple[int, str | None]:
     mag = abs(fr)
     return (1 if fr > 0 else -1), None if mag == 1 else str(mag)
 
@@ -258,7 +259,7 @@ def _poly_text(coords) -> str:
                        for j, fr in enumerate(coords) if fr)
 
 
-def coefficient_parts(spec: RootSpec, z: Cyclotomic) -> tuple[int, Optional[str]]:
+def coefficient_parts(spec: RootSpec, z: Cyclotomic) -> tuple[int, str | None]:
     """Split a nonzero coefficient into (sign, text); text None means 1."""
     fr = z.as_rational()
     if fr is not None:
@@ -272,7 +273,7 @@ def coefficient_parts(spec: RootSpec, z: Cyclotomic) -> tuple[int, Optional[str]
     return 1, "(" + _poly_text(coords) + ")"
 
 
-def _letters_text(pairs) -> Optional[str]:
+def _letters_text(pairs) -> str | None:
     parts = []
     for letter, exponent in pairs:
         if exponent == 0:
@@ -283,11 +284,11 @@ def _letters_text(pairs) -> Optional[str]:
     return "*".join(parts)
 
 
-def quantum_monomial_text(mono: QMonomial) -> Optional[str]:
+def quantum_monomial_text(mono: QMonomial) -> str | None:
     return _letters_text(zip(QUANTUM_LETTERS, mono))
 
 
-def classical_monomial_text(mono: ClassicalMonomial) -> Optional[str]:
+def classical_monomial_text(mono: ClassicalMonomial) -> str | None:
     return _letters_text(zip(CLASSICAL_LETTERS, mono))
 
 

@@ -15,7 +15,7 @@ a separate table.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cyclo import Cyclotomic, RootSpec, json_int, p_expansion, root_spec_for_order
 from .qalgebra import (
@@ -151,19 +151,18 @@ def is_central(x: QElement) -> bool:
     return True
 
 
-class ClosureReport(NamedTuple):
+class ClosureReport(namedtuple("ClosureReport", (
+    "l", "order", "standard",
+    "power",  # the exponent p whose powers are examined
+    "powers_commute", "powers_central",
+    "lth_det_coeffs",  # a^l d^l = sum_j coeff_j (bc)^j, as a tuple of Cyclotomic
+    "power_det_coeffs",  # a^p d^p = sum_j coeff_j (bc)^j
+    "determinant_closes",  # a^p d^p lies in the span of 1 and (bc)^p
+    "coproduct_closes",  # Delta(a^p) == a^p @ a^p + b^p @ c^p
+))):
     """What survives of the Frobenius picture for a given (l, order) pair."""
 
-    l: int
-    order: int
-    standard: bool
-    power: int  # the exponent p whose powers are examined
-    powers_commute: bool
-    powers_central: bool
-    lth_det_coeffs: tuple[Cyclotomic, ...]  # a^l d^l = sum_j coeff_j (bc)^j
-    power_det_coeffs: tuple[Cyclotomic, ...]  # a^p d^p = sum_j coeff_j (bc)^j
-    determinant_closes: bool  # a^p d^p lies in the span of 1 and (bc)^p
-    coproduct_closes: bool  # Delta(a^p) == a^p @ a^p + b^p @ c^p
+    __slots__ = ()
 
 
 def closure_diagnostic(l: int, N: int) -> ClosureReport:

@@ -22,9 +22,9 @@ sorting and JSON) lives once, in _Terms.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cyclo import (
     Cyclotomic,
@@ -287,13 +287,10 @@ class _Polynomial(_Terms):
         return "%s<%s>" % (name, " + ".join(bits))
 
 
-class QMonomial(NamedTuple):
+class QMonomial(namedtuple("QMonomial", "a b c d")):
     """Exponents of a normal-ordered monomial a^a b^b c^c d^d."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     def degree(self) -> int:
         return self.a + self.b + self.c + self.d
@@ -606,13 +603,10 @@ def antipode(x: QElement) -> QElement:
 # Classical (commutative) coordinate ring of SL(2)
 
 
-class ClassicalMonomial(NamedTuple):
+class ClassicalMonomial(namedtuple("ClassicalMonomial", "alpha beta gamma delta")):
     """Exponents of alpha^p beta^r gamma^s delta^t with min(p, t) = 0."""
 
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
+    __slots__ = ()
 
     def degree(self) -> int:
         return self.alpha + self.beta + self.gamma + self.delta

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,15 +11,18 @@ from conftest import SPEC2, SPEC3, SPEC5, random_qelement
 from qsl2 import (
     ClassicalElement,
     ClassicalMonomial,
+    ClosureReport,
     Cyclotomic,
     Decomposition,
     DegreeBoundError,
     FamilyA,
     FamilyD,
+    FreenessReport,
     LocalizedElement,
     ModuleElement,
     QElement,
     QMonomial,
+    RootSpec,
     central_reduce,
     chart_monomial_element,
     classical_mul,
@@ -46,6 +50,7 @@ from qsl2 import (
 import qsl2.basis
 from qsl2.basis import (
     _beta_append,
+    _classical_weight,
     _column,
     _divide_by_alpha,
     _pairs_by_weight,
@@ -521,6 +526,53 @@ def test_verify_freeness_falls_back_to_rref_when_trailing_monomials_collide(side
     solved = {w for w, pairs in _pairs_by_weight(3, 2).items() if len(pairs) > 1}
     solved |= {_quantum_weight(m) for m in residual_monomials(3)}
     assert len(calls) == len(solved) == 241
+
+
+def test_record_types_keep_their_tuple_api():
+    cases = [
+        (make_root_spec(3), ("l", "parity_case", "N", "zeta_exponent", "standard"),
+         "RootSpec(l=3, parity_case='odd', N=3, zeta_exponent=1, standard=True)"),
+        (QMonomial(1, 0, 2, 0), ("a", "b", "c", "d"), "QMonomial(a=1, b=0, c=2, d=0)"),
+        (ClassicalMonomial(0, 1, 2, 0), ("alpha", "beta", "gamma", "delta"),
+         "ClassicalMonomial(alpha=0, beta=1, gamma=2, delta=0)"),
+        (ExactMatrix(3, 2, ()), ("order", "ncols", "rows"), "ExactMatrix(order=3, ncols=2, rows=())"),
+        (FamilyA(1, 2, 1), ("m", "n", "s"), "FamilyA(m=1, n=2, s=1)"),
+        (FamilyD(0, 1, 2), ("n", "s", "r"), "FamilyD(n=0, s=1, r=2)"),
+        (verify_freeness(2, "left", 1),
+         ("l", "side", "degree_bound", "monomials_checked", "kernel_dimension", "monomials_spanned",
+          "oracle_agreement"),
+         "FreenessReport(l=2, side='left', degree_bound=1, monomials_checked=12, kernel_dimension=0, "
+         "monomials_spanned=12, oracle_agreement=12)"),
+        (ClosureReport(3, 6, False, 6, True, True, (), (), False, False),
+         ("l", "order", "standard", "power", "powers_commute", "powers_central", "lth_det_coeffs",
+          "power_det_coeffs", "determinant_closes", "coproduct_closes"),
+         "ClosureReport(l=3, order=6, standard=False, power=6, powers_commute=True, powers_central=True, "
+         "lth_det_coeffs=(), power_det_coeffs=(), determinant_closes=False, coproduct_closes=False)"),
+    ]
+    for record, fields, text in cases:
+        cls = type(record)
+        assert cls._fields == fields and repr(record) == text
+        assert record._asdict() == dict(zip(fields, record))
+        assert not hasattr(record, "__dict__")
+        changed = record._replace(**{fields[0]: 7})
+        assert type(changed) is cls and changed[0] == 7 and changed[1:] == record[1:]
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is cls and back == record
+    assert make_root_spec(3) == RootSpec(3, "odd", 3, 1)
+    assert RootSpec(3, "odd", 3, 1).standard is True
+
+
+def test_pairs_by_weight_weighs_each_candidate_once(monkeypatch):
+    want = _pairs_by_weight(4, 2)
+    calls = []
+
+    def counting_weight(l, cm):
+        calls.append(cm)
+        return _classical_weight(l, cm)
+
+    monkeypatch.setattr(qsl2.basis, "_classical_weight", counting_weight)
+    assert _pairs_by_weight(4, 2) == want
+    assert len(calls) == len(set(calls)) == 45
 
 
 def test_family_indices_with_equal_fields_are_distinct_keys():

@@ -366,6 +366,11 @@ def test_cli_verify_fixtures(capsys, tmp_path):
     code, out, _ = _cli(capsys, "--fixtures", str(bad), "--format", "json", "verify-basis")
     assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
+    malformed = tmp_path / "malformed.jsonl"
+    malformed.write_text(json.dumps(records[0]) + "\n{not json\n")
+    code, out, err = _cli(capsys, "--fixtures", str(malformed), "verify-basis")
+    assert code == 2 and out == "" and err.startswith("error:")
+
 
 def test_cli_exit_codes(capsys):
     code, _, err = _cli(capsys, "--l", "3", "normalize", "a^(2")
@@ -385,6 +390,10 @@ def test_cli_selftest(capsys):
     lines = out.strip().splitlines()
     assert code == 0
     assert len(lines) == 8 and all(line.startswith("ok ") for line in lines)
+    code, out, _ = _cli(capsys, "--format", "json", "selftest")
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True
+    assert len(doc["checks"]) == 8 and all(check["ok"] for check in doc["checks"])
 
 
 def test_selftest_checks_survive_python_optimize():
@@ -412,13 +421,13 @@ def test_console_script_stdin():
     assert proc.returncode == 0 and proc.stdout.strip() == "a*b"
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cli_import_loads_none_of_dataclasses_inspect_typing_json():
     # -S keeps site hooks out, so the modules listed are the ones qsl2.cli pulls in
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsl2.cli.__file__)))
     script = ("import sys\n"
               "sys.path.insert(0, %r)\n"
               "import qsl2.cli\n"
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n" % src)
+              "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules)))\n" % src)
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
