@@ -271,6 +271,10 @@ class LocalizedElement(_SortedTerms):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "terms", terms)
 
+    def __reduce__(self):
+        # pickle would restore the slots through the immutability guard; rebuild through __init__ instead
+        return (LocalizedElement, (self.spec, self.chart, self.terms))
+
     def __eq__(self, other):
         if type(other) is not LocalizedElement:
             return NotImplemented
@@ -478,6 +482,8 @@ def _candidate_classicals(bound: int) -> list[ClassicalMonomial]:
 
 def _pairs_by_weight(l: int, bound: int) -> dict[tuple[int, int], list]:
     """Every (basis index, candidate classical coefficient) pair, grouped by the weight of its column."""
+    if bound < 0:
+        raise ValueError("degree_bound must be >= 0, got %d" % bound)
     out: dict[tuple[int, int], list[tuple[BasisIndex, ClassicalMonomial]]] = {}
     cands = [(cm, _classical_weight(l, cm)) for cm in _candidate_classicals(bound)]
     for idx in enumerate_basis(l):

@@ -28,6 +28,7 @@ from .basis import (
 )
 from .cyclo import (
     Cyclotomic,
+    json_int,
     make_root_spec,
     p_coeff,
     p_expansion,
@@ -219,12 +220,18 @@ def _cmd_verify_fixtures(args) -> int:
     failures = 0
     checked = 0
     lines_out = []
-    with open(args.fixtures, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(args.fixtures, "r", encoding="utf-8")
+    except OSError as err:
+        raise _UsageError("cannot read fixtures %s: %s" % (args.fixtures, err.strerror)) from None
+    with handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             record = json.loads(line)
-            spec = make_root_spec(int(record["l"]), zeta_exponent=args.zeta_exp)
+            if type(record) is not dict:
+                raise _UsageError("line %d: expected a JSON object, got %s" % (lineno, type(record).__name__))
+            spec = make_root_spec(json_int(record["l"]), zeta_exponent=args.zeta_exp)
             x = qelement_from_json(record["input"], spec)
             expected = decomposition_from_json(record["expected"], spec)
             got = decompose(x, expected.side)

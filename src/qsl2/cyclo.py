@@ -120,6 +120,10 @@ class Cyclotomic:
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
 
+    def __reduce__(self):
+        # pickle would restore the slots through the guard above; rebuild the canonical form instead
+        return (_make, (self.order, self.num, self.den))
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The power-basis coefficients as Fractions."""
@@ -524,22 +528,23 @@ def zeta_pow(spec: RootSpec, k: int) -> Cyclotomic:
     return _zeta_power(spec.N, (spec.zeta_exponent * k) % spec.N)
 
 
-@lru_cache(maxsize=None)
-def p_expansion(spec: RootSpec, k: int, inverse: bool = False) -> tuple[Cyclotomic, ...]:
-    """Coefficients of prod_{j=1..k} (1 + q^(2j-1) x) in x, length k+1.
+@lru_cache(maxsize=256)
+def p_expansion(spec: RootSpec, k: int) -> tuple[Cyclotomic, ...]:
+    """Coefficients p_{k,j} of prod_{j=1..k} (1 + q^(2j-1) x) in x, length k+1.
 
-    With inverse=True the exponents are negated (the product giving d^k a^k
-    instead of a^k d^k).  This is the expansion route; it never divides and
-    is valid for every k, including k past l where the closed formula for
-    the coefficients degenerates.
+    This is the expansion route; it never divides and is valid for every
+    k, including k past l where the closed formula degenerates.  It is the
+    only builder of q-product rows; the others follow exactly:
+
+        a^k d^k = sum_j p_{k,j} (bc)^j
+        d^k a^k = sum_j q^(-2kj) p_{k,j} (bc)^j    as q^(1-2j) = q^(-2k) q^(2(k-j)+1)
+        [k j]_{q^-2} = q^(-j(2k-j)) p_{k,j}        the coproduct's Gaussian binomials
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    one = Cyclotomic.one(spec.N)
-    coeffs = [one]
-    sign = -1 if inverse else 1
+    coeffs = [Cyclotomic.one(spec.N)]
     for j in range(1, k + 1):
-        f = zeta_pow(spec, sign * (2 * j - 1))
+        f = zeta_pow(spec, 2 * j - 1)
         coeffs = ([coeffs[0]] + [coeffs[i] + coeffs[i - 1] * f for i in range(1, len(coeffs))]
                   + [coeffs[-1] * f])
     return tuple(coeffs)

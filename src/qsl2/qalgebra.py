@@ -8,12 +8,12 @@ Relations (q the chosen root of unity):
 Normal form: monomials a^i b^j c^k d^m with min(i, m) = 0, coefficients in
 Q(zeta_N).  Mixed a,d powers contract through the product rows
 
-    a^t d^t = prod_{j=1..t} (1 + q^(2j-1) bc)
-    d^t a^t = prod_{j=1..t} (1 + q^(1-2j) bc)
+    a^t d^t = prod_{j=1..t} (1 + q^(2j-1) bc) = sum_s p_{t,s} (bc)^s
+    d^t a^t = prod_{j=1..t} (1 + q^(1-2j) bc) = sum_s q^(-2ts) p_{t,s} (bc)^s
 
-which hold for every t with no division.  The module also carries the Hopf
-maps (coproduct, counit, antipode) and the commutative coordinate ring of
-classical SL(2) used for Frobenius coefficients.
+which hold for every t with no division (p = cyclo.p_expansion).  The
+module also carries the Hopf maps (coproduct, counit, antipode) and the
+commutative coordinate ring of classical SL(2) used for Frobenius coefficients.
 
 Every element type of the package is a finite sparse combination; the
 term plumbing they share (zero pruning, addition, scaling, equality,
@@ -22,6 +22,7 @@ sorting and JSON) lives once, in _Terms.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
@@ -126,6 +127,10 @@ class _Terms(_SortedTerms):
             object.__setattr__(out, name, value)
         object.__setattr__(out, "terms", _nonzero(head_terms[-1]))
         return out
+
+    def __reduce__(self):
+        # pickle would restore the slots through the immutability guard; rebuild through _like instead
+        return (self._like, self._head() + (self.terms,))
 
     @classmethod
     def zero(cls, *head):
@@ -309,27 +314,19 @@ def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomi
 
     Either word may hold both a and d; it is multiplied as it is written.
 
-    Route: cross x's d-block past y's a-block (d^m a^i rows), commute the
-    stray a/d across the inner b,c letters, then contract the remaining
-    mixed a,d pair with the a^t d^t row.
+    Route: cross x's d-block past y's a-block, commute the stray a/d
+    across the inner b,c letters, then contract the remaining mixed a,d
+    pair with the a^t d^t row.  The crossing is, with t0 = min(m1, i2),
+    d^m1 a^i2 = sum_s q^(-2s max(m1, i2)) p_{t0,s} a^(i2-t0) (bc)^s d^(m1-t0).
     """
     i1, j1, k1, m1 = x
     i2, j2, k2, m2 = y
     base: list[tuple[int, int, int, Cyclotomic]] = []
     if m1 and i2:
         t0 = min(m1, i2)
-        rows = p_expansion(spec, t0, inverse=True)
-        if i2 >= m1:
-            # d^m1 a^i2 = sum_s rows[s] q^(-2s(i2-m1)) a^(i2-m1) b^s c^s
-            gap = i2 - m1
-            for s, cs in enumerate(rows):
-                if not cs.is_zero():
-                    base.append((gap, s, 0, cs * zeta_pow(spec, -2 * s * gap)))
-        else:
-            gap = m1 - i2
-            for s, cs in enumerate(rows):
-                if not cs.is_zero():
-                    base.append((0, s, gap, cs * zeta_pow(spec, -2 * s * gap)))
+        for s, ps in enumerate(p_expansion(spec, t0)):
+            if not ps.is_zero():
+                base.append((i2 - t0, s, m1 - t0, ps * zeta_pow(spec, -2 * s * max(m1, i2))))
     else:
         base.append((i2, 0, m1, Cyclotomic.one(spec.N)))
     out: dict[QMonomial, Cyclotomic] = {}
@@ -498,19 +495,6 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     return TensorElement._like(spec, acc)
 
 
-def _gauss_row(spec: RootSpec, n: int) -> list[Cyclotomic]:
-    """The Gaussian binomials [n k] in q^-2 for k = 0..n.
-
-    Built by the Pascal rule [r k] = [r-1 k-1] + q^(-2k) [r-1 k], which
-    never divides, so the row is right at every root, zeros included.
-    """
-    row = [Cyclotomic.one(spec.N)]
-    for _ in range(n):
-        row = [row[0]] + [row[k - 1] + row[k] * zeta_pow(spec, -2 * k)
-                          for k in range(1, len(row))] + [row[-1]]
-    return row
-
-
 @lru_cache(maxsize=256)
 def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
     """Delta(a^e1 b^e2) grouped by left leg, as pairs (T, R_T).
@@ -521,13 +505,14 @@ def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
         R_T = sum_{t1+t2=T} [e1 t1][e2 t2] q^(-t1(e2-t2)) nf(a^(e1-t1) b^(e2-t2) c^t1 d^t2)
 
     is given as (monomial, scalar) pairs.  The power of q moves b^t1
-    (d^t1) right across a^(e2-t2) (c^(e2-t2)) in the left leg.
+    (d^t1) right across a^(e2-t2) (c^(e2-t2)) in the left leg, and the
+    binomials are [e t]_{q^-2} = q^(-t(2e-t)) p_{e,t} (cyclo.p_expansion).
     """
-    g1, g2 = _gauss_row(spec, e1), _gauss_row(spec, e2)
+    row1, row2 = p_expansion(spec, e1), p_expansion(spec, e2)
     groups: dict[int, dict[QMonomial, Cyclotomic]] = {}
-    for t1, b1 in enumerate(g1):
-        for t2, b2 in enumerate(g2):
-            c = b1 * b2 * zeta_pow(spec, -t1 * (e2 - t2))
+    for t1, p1 in enumerate(row1):
+        for t2, p2 in enumerate(row2):
+            c = p1 * p2 * zeta_pow(spec, -t1 * (2 * e1 - t1) - t2 * (2 * e2 - t2) - t1 * (e2 - t2))
             if c.is_zero():
                 continue
             acc = groups.setdefault(t1 + t2, {})
@@ -621,22 +606,15 @@ class ClassicalMonomial(namedtuple("ClassicalMonomial", "alpha beta gamma delta"
 CLASSICAL_ONE = ClassicalMonomial(0, 0, 0, 0)
 
 
-def _binomials(w: int) -> list[int]:
-    row = [1]
-    for _ in range(w):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
-
-
 def _add_classical_term(acc: dict, m: ClassicalMonomial, v) -> None:
     """acc += v * m, with alpha^w delta^w rewritten as (1 + beta*gamma)^w so every key is reduced."""
     if not (m.alpha and m.delta):
         _add_term(acc, m, v)
         return
     w = min(m.alpha, m.delta)
-    for i, binom in enumerate(_binomials(w)):
+    for i in range(w + 1):
         mm = ClassicalMonomial(m.alpha - w, m.beta + i, m.gamma + i, m.delta - w)
-        _add_term(acc, mm, v if binom == 1 else v * binom)
+        _add_term(acc, mm, v if i in (0, w) else v * math.comb(w, i))
 
 
 class ClassicalElement(_Polynomial):

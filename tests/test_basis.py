@@ -27,6 +27,8 @@ from qsl2 import (
     chart_monomial_element,
     classical_mul,
     clear_denominators,
+    closure_diagnostic,
+    coproduct,
     decompose,
     decomposition_from_json,
     eliminate_a_family,
@@ -422,6 +424,15 @@ def test_oracle_degree_bound_error():
     assert oracle_decompose(x, "left", 3).coefficients == decompose(x, "left").coefficients
 
 
+def test_negative_degree_bound_is_rejected():
+    x = QElement.monomial(SPEC3, QMonomial(1, 0, 0, 0))
+    with pytest.raises(ValueError, match="degree_bound must be >= 0"):
+        oracle_decompose(x, "left", -1)
+    with pytest.raises(ValueError, match="degree_bound must be >= 0"):
+        verify_freeness(3, "right", -1)
+    assert verify_freeness(2, "left", 0).kernel_dimension == 0
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_verify_freeness_l2(side):
     report = verify_freeness(2, side, 2)
@@ -560,6 +571,22 @@ def test_record_types_keep_their_tuple_api():
         assert type(back) is cls and back == record
     assert make_root_spec(3) == RootSpec(3, "odd", 3, 1)
     assert RootSpec(3, "odd", 3, 1).standard is True
+
+
+def test_elements_and_reports_survive_pickle():
+    x = random_qelement(SPEC3, random.Random(13), nterms=4)
+    g = ClassicalElement(SPEC3, {ClassicalMonomial(1, 0, 2, 0): zeta_pow(SPEC3, 1) * F(2, 3),
+                                 ClassicalMonomial(0, 1, 0, 1): Cyclotomic.one(3)})
+    elements = [x, g, coproduct(x), central_reduce(x, "right"), decompose(x, "left"),
+                localize(x, "alpha"), localize(x, "beta")]
+    scalars = [Cyclotomic.one(3), Cyclotomic.zero(5), Cyclotomic(5, [F(1, 2), 0, F(-3, 4), 7])]
+    for obj in elements + scalars:
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj) and back == obj
+        with pytest.raises(AttributeError, match="immutable"):
+            back.terms = {}
+    report = closure_diagnostic(3, 3)
+    assert pickle.loads(pickle.dumps(report)) == report
 
 
 def test_pairs_by_weight_weighs_each_candidate_once(monkeypatch):

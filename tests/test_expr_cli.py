@@ -371,6 +371,17 @@ def test_cli_verify_fixtures(capsys, tmp_path):
     code, out, err = _cli(capsys, "--fixtures", str(malformed), "verify-basis")
     assert code == 2 and out == "" and err.startswith("error:")
 
+    # a float l, a line that is JSON but no object, and a missing file are usage errors
+    float_l = dict(records[1], l=3.7)
+    for name, text, reason in (("float_l", json.dumps(float_l), "3.7"),
+                               ("array", "[1, 2]", "JSON object")):
+        path = tmp_path / (name + ".jsonl")
+        path.write_text(text + "\n")
+        code, out, err = _cli(capsys, "--fixtures", str(path), "verify-basis")
+        assert code == 2 and out == "" and err.startswith("error:") and reason in err, name
+    code, out, err = _cli(capsys, "--fixtures", str(tmp_path / "missing.jsonl"), "verify-basis")
+    assert code == 2 and out == "" and err.startswith("error:") and "missing.jsonl" in err
+
 
 def test_cli_exit_codes(capsys):
     code, _, err = _cli(capsys, "--l", "3", "normalize", "a^(2")
@@ -383,6 +394,8 @@ def test_cli_exit_codes(capsys):
     assert code == 2
     code, _, err = _cli(capsys, "--l", "3", "recompose", "{not json")
     assert code == 2
+    code, out, err = _cli(capsys, "--l", "3", "verify-basis", "--degree-bound", "-1")
+    assert code == 2 and out == "" and "degree_bound must be >= 0" in err
 
 
 def test_cli_selftest(capsys):

@@ -118,6 +118,17 @@ def test_mono_mul_straightens_unreduced_words(spec):
             assert got == straighten(_letters(x) + _letters(y), spec)
 
 
+@pytest.mark.parametrize("spec", [SPEC2, SPEC3, make_root_spec(4), make_root_spec(5, zeta_exponent=2)],
+                         ids=["l2", "l3", "l4", "l5-zeta2"])
+def test_mono_mul_crosses_d_block_past_a_block(spec):
+    # every d^m a^i up to 2l+1, so both t0 = m and t0 = i and blocks past l are crossed
+    for m in range(2 * spec.l + 2):
+        for i in range(2 * spec.l + 2):
+            got = QElement._like(spec, dict(_mono_mul.__wrapped__(spec, QMonomial(0, 0, 0, m),
+                                                                  QMonomial(i, 0, 0, 0))))
+            assert got == straighten("d" * m + "a" * i, spec), (m, i)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_product_associativity(data):
