@@ -13,9 +13,10 @@ k = l-m, p_{k,j} the product-row coefficients):
     a^m b^n c^s  = q^(-k(n+s)) alpha |> (b^n c^s d^k)  - sum_j p_{k,j} a^m b^(n+j) c^(s+j)
 
 (left forms; the right forms carry q^(-k(n+s)) resp. q^(m(n+s)) on the
-subalgebra term and the same sums).  decompose drives these to a fixed
-point; oracle_decompose solves for the same coordinates by brute-force
-exact linear algebra and knows nothing about the relations.
+subalgebra term and the same sums).  Each non-basis term on the right has
+a larger c than the left side, so decompose settles x in one sweep over c;
+oracle_decompose solves for the same coordinates by brute-force exact
+linear algebra and knows nothing about the relations.
 """
 
 from __future__ import annotations
@@ -197,25 +198,19 @@ def eliminate_a_family(m: int, n: int, s: int, spec: RootSpec, side: str = "left
 
 
 def decompose(x: QElement, side: str = "left") -> Decomposition:
-    """Coordinates of x in the basis, by driving the eliminations to a fix point."""
+    """Coordinates of x in the basis, by one sweep over the c-exponent from 0 to l - 1."""
     spec = x.spec
     _require_standard(spec, "decompose")
     _check_side(side)
     l = spec.l
     me = central_reduce(x, side)
     settled: dict[QMonomial, ClassicalElement] = {}
-    pending: dict[QMonomial, ClassicalElement] = {}
+    # every non-basis term an elimination produces has a larger c (the in-order
+    # check below), so one bucket per c, swept once from c = 0, settles x
+    pending: list[dict[QMonomial, ClassicalElement]] = [{} for _ in range(l)]
     for mono, g in me.terms.items():
-        (settled if is_basis_monomial(mono, l) is not None else pending)[mono] = g
-    budget = 4 * (2 * l ** 3 + len(pending) + 8)
-    steps = 0
-    while pending:
-        steps += 1
-        if steps > budget:
-            raise RuntimeError("elimination failed to terminate; this is a bug")
-        # popping a smallest-s key first means no key is ever reprocessed
-        mono = min(pending, key=lambda mm: (mm.c, mm))
-        g = pending.pop(mono)
+        (settled if is_basis_monomial(mono, l) is not None else pending[mono.c])[mono] = g
+    for mono, g in (term for bucket in pending for term in bucket.items()):
         if g.is_zero():
             continue
         i, j, k, m = mono
@@ -234,7 +229,7 @@ def decompose(x: QElement, side: str = "left") -> Decomposition:
             if not in_order:
                 raise RuntimeError("eliminating %s produced %s out of order; this is a bug"
                                    % (mono, mono2))
-            _add_term(settled if cls2 is not None else pending, mono2, classical_mul(g, h))
+            _add_term(settled if cls2 is not None else pending[mono2.c], mono2, classical_mul(g, h))
     # distinct basis monomials have distinct indices, and each one classifies to itself
     return Decomposition._like(spec, side, {is_basis_monomial(mono, l): g for mono, g in settled.items()})
 
@@ -260,8 +255,8 @@ class LocalizedElement(_SortedTerms):
     denominators are powers of beta, chart words are a^r b^s d^t (stored
     with c = 0), which may hold both a and d and are not straightened.
     All exponents are below l.  terms maps chart words to (numerator
-    ClassicalElement, power k); clear_denominators multiplies each word
-    as it is written.
+    ClassicalElement, power k), k = 0 or 1 (see localize);
+    clear_denominators multiplies each word as it is written.
     """
 
     __slots__ = ("spec", "chart", "terms")
@@ -332,7 +327,11 @@ def _beta_append(spec: RootSpec, terms: dict, letter: str) -> dict:
 
 
 def localize(x: QElement, chart: str) -> LocalizedElement:
-    """Rewrite x over the requested chart with per-term minimal denominator powers."""
+    """Rewrite x over the requested chart with per-term minimal denominator powers.
+
+    Each power is 0 or 1: for m, k < l, a^l d^m contracts completely and
+    b^(l+j) c^k pairs every c with a b, so one alpha (beta) clears every d (c).
+    """
     spec = x.spec
     _require_standard(spec, "localize")
     if chart not in CHARTS:
@@ -341,7 +340,7 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
     me = central_reduce(x, "left")
     acc: dict[QMonomial, ClassicalElement] = {}
     if chart == "alpha":
-        K = max((m.d for m in me.terms), default=0)
+        K = int(any(m.d for m in me.terms))
         for mono, g in me.terms.items():
             # alpha^K kills every d: a^(lK) against d^m contracts completely
             prod = _mono_mul(spec, QMonomial(l * K, 0, 0, 0), mono)
@@ -349,7 +348,7 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
             for mono2, h in sub.terms.items():
                 _add_term(acc, mono2, classical_mul(g, h))
     else:
-        K = max((m.c for m in me.terms), default=0)
+        K = int(any(m.c for m in me.terms))
         for mono, g in me.terms.items():
             i, j, k, m = mono
             # beta^K * mono: b^(lK) past a^i, then pair each c with a b:
@@ -372,18 +371,17 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
                 cm = ClassicalMonomial(A, B, 0, C)
                 coeff = ClassicalElement.monomial(spec, cm, v * zeta_pow(spec, l * (r0 * B + s0 * C)))
                 _add_term(acc, QMonomial(r0, s0, 0, t0), classical_mul(g, coeff))
-    # divide out the common denominator power per term
+    # divide the chart generator back out of each term that allows it
     out: dict[QMonomial, tuple[ClassicalElement, int]] = {}
     for mono, g in _nonzero(acc).items():
-        if chart == "alpha":
-            v, g = _valuation(g, K)
-        else:
-            # beta never meets the alpha-delta rewrite, so its valuation is the least beta exponent
-            v = min(K, min(cm.beta for cm in g.terms))
-            if v:
-                g = ClassicalElement._like(spec, {ClassicalMonomial(al, be - v, ga, de): c
-                                                  for (al, be, ga, de), c in g.terms.items()})
-        out[mono] = (g, K - v)
+        h = None
+        if K and chart == "alpha":
+            h = _divide_by_alpha(g)
+        elif K and min(cm.beta for cm in g.terms):
+            # beta never meets the alpha-delta rewrite, so beta divides g iff it divides every term
+            h = ClassicalElement._like(spec, {ClassicalMonomial(al, be - 1, ga, de): c
+                                              for (al, be, ga, de), c in g.terms.items()})
+        out[mono] = (g, K) if h is None else (h, 0)
     return LocalizedElement(spec, chart, out)
 
 
@@ -431,19 +429,6 @@ def _divide_by_alpha(g: ClassicalElement) -> ClassicalElement | None:
                 return None
     # every key has alpha = 0 or delta = 0, and the two groups of keys differ in delta
     return ClassicalElement._like(spec, out)
-
-
-def _valuation(g: ClassicalElement, cap: int) -> tuple[int, ClassicalElement]:
-    """(v, h) with g = alpha^v * h for the largest v <= cap."""
-    v = 0
-    cur = g
-    while v < cap:
-        nxt = _divide_by_alpha(cur)
-        if nxt is None:
-            break
-        cur = nxt
-        v += 1
-    return v, cur
 
 
 # ---------------------------------------------------------------------------

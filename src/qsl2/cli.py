@@ -74,6 +74,8 @@ class _UsageError(ValueError):
 # largest ptable row: p_expansion costs grow about as k^2 scalar products of
 # growing size (k = 1000 takes seconds, k = 2000 four times as long)
 PTABLE_MAX_K = 1000
+# largest l: normalize "a*d" takes 0.6 s at l = 200 and 6.7 s at l = 500
+L_MAX = 200
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,10 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bounded_l(l: int) -> int:
+    if l > L_MAX:
+        raise _UsageError("l must be <= %d (the --l limit), got %d" % (L_MAX, l))
+    return l
+
+
 def _spec(args):
     if args.l is None:
         raise _UsageError("--l is required for this command")
-    return make_root_spec(args.l, zeta_exponent=args.zeta_exp)
+    return make_root_spec(_bounded_l(args.l), zeta_exponent=args.zeta_exp)
 
 
 _STDIN_LINES: list = []
@@ -166,10 +174,10 @@ def _decomposition_text(dec) -> str:
 def _localized_text(le) -> str:
     lines = ["chart %s" % le.chart]
     for mono, (g, k) in le.sorted_terms():
-        line = "%s : %s" % (quantum_monomial_text(mono) or "1", format_classical(g))
+        coeff = format_classical(g)
         if k:
-            line += " * %s^-%d" % (le.chart, k)
-        lines.append(line)
+            coeff = "%s * %s^-%d" % (coeff if len(g.terms) == 1 else "(%s)" % coeff, le.chart, k)
+        lines.append("%s : %s" % (quantum_monomial_text(mono) or "1", coeff))
     if not le.terms:
         lines.append("0")
     return "\n".join(lines)
@@ -231,7 +239,7 @@ def _cmd_verify_fixtures(args) -> int:
             record = json.loads(line)
             if type(record) is not dict:
                 raise _UsageError("line %d: expected a JSON object, got %s" % (lineno, type(record).__name__))
-            spec = make_root_spec(json_int(record["l"]), zeta_exponent=args.zeta_exp)
+            spec = make_root_spec(_bounded_l(json_int(record["l"])), zeta_exponent=args.zeta_exp)
             x = qelement_from_json(record["input"], spec)
             expected = decomposition_from_json(record["expected"], spec)
             got = decompose(x, expected.side)
@@ -304,7 +312,7 @@ def _dispatch(args) -> int:
     if cmd == "closure":
         if args.l is None:
             raise _UsageError("--l is required for this command")
-        report = closure_diagnostic(args.l, args.order)
+        report = closure_diagnostic(_bounded_l(args.l), args.order)
         _emit(args, _closure_text(report), _closure_json(report))
         return 0
     if cmd == "verify-basis":

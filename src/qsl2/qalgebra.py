@@ -462,6 +462,11 @@ class TensorElement(_Terms):
     def _key_json(pair) -> dict:
         return {"left": pair[0]._asdict(), "right": pair[1]._asdict()}
 
+    @staticmethod
+    def _key_from_json(row: dict):
+        return tuple(QMonomial(*(json_int(row[leg][name]) for name in QMonomial._fields))
+                     for leg in ("left", "right"))
+
     def _json_head(self) -> dict:
         return {}
 

@@ -378,6 +378,34 @@ def test_beta_chart_denominators_match_stepwise_division(l):
     assert len(powers) > 1
 
 
+def _alpha_valuation_reference(g, cap):
+    """Divide by alpha one power at a time while it divides, at most cap times."""
+    v = 0
+    while v < cap:
+        h = _divide_by_alpha(g)
+        if h is None:
+            break
+        g, v = h, v + 1
+    return v, g
+
+
+@pytest.mark.parametrize("l", [5, 7])
+def test_alpha_chart_denominators_match_stepwise_division(l):
+    spec = make_root_spec(l)
+    rng = random.Random(400 + l)
+    al = ClassicalElement.generator(spec, "alpha")
+    powers = set()
+    for _ in range(6):
+        x = random_qelement(spec, rng, nterms=3)
+        # alpha^K, K the largest d-exponent of a residual monomial of x, clears every term
+        K = max((m.d for m in central_reduce(x, "left").terms), default=0)
+        for g, k in localize(x, "alpha").terms.values():
+            undivided = classical_mul(g, al ** (K - k))
+            assert _alpha_valuation_reference(undivided, K) == (K - k, g)
+            powers.add(k)
+    assert len(powers) > 1
+
+
 # --- independent oracle ---
 
 
@@ -711,3 +739,21 @@ def test_clear_denominators_matches_the_qmul_reference(spec, chart):
         cleared, k = clear_denominators(localize(x, chart))
         assert (cleared, k) == _clear_reference(localize(x, chart))
         assert cleared == qmul(lift(gen ** k), x)
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=_route_id)
+def test_chart_denominator_powers_are_zero_or_one(spec):
+    # a^l d^m contracts completely and b^(l+j) c^k pairs every c, for m, k < l
+    rng = random.Random(600 + spec.l)
+    xs = [QElement.monomial(spec, mono) for mono in residual_monomials(spec.l)]
+    xs += [random_qelement(spec, rng, nterms=4) for _ in range(10)]
+    for chart, letter in (("alpha", "d"), ("beta", "c")):
+        seen = set()
+        for x in xs:
+            le = localize(x, chart)
+            powers = {k for _, k in le.terms.values()}
+            assert powers <= {0, 1}
+            # with no residual d (alpha) or c (beta), x lies in the chart already
+            assert le.max_power() == 0 or any(getattr(m, letter) for m in central_reduce(x, "left").terms)
+            seen |= powers
+        assert seen == {0, 1}

@@ -15,6 +15,7 @@ from qsl2 import (
     Cyclotomic,
     QElement,
     QMonomial,
+    central_reduce,
     coproduct,
     decompose,
     lift,
@@ -276,6 +277,17 @@ def test_cli_localize(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["chart"] == "beta"
     assert all(t["power"] == 1 for t in doc["terms"])
+    # a numerator of several terms is parenthesized before its denominator
+    for expr, chart, want in (
+        ("d^2 + c^2", "alpha", ["chart alpha", "a : 1 * alpha^-1", "c^2 : 1",
+                                "a*b*c : -q^-1 * alpha^-1", "a*b^2*c^2 : q * alpha^-1"]),
+        ("d^2 + c^2", "beta", ["chart beta", "b : q * beta^-1", "d^2 : 1",
+                               "a*b*d : q^-1 * beta^-1", "a^2*b*d^2 : 1 * beta^-1"]),
+        ("d^2*b + a*c^2", "beta", ["chart beta", "a*b : q * beta^-1",
+                                   "b*d^2 : (alpha + q*beta) * beta^-1", "a^2*b*d : q^-1 * beta^-1"]),
+    ):
+        code, out, _ = _cli(capsys, "--l", "3", "localize", expr, "--chart", chart)
+        assert code == 0 and out.splitlines() == want
 
 
 def test_cli_ptable(capsys):
@@ -297,6 +309,22 @@ def test_cli_ptable_rejects_huge_k_before_computing(capsys, monkeypatch):
         code, out, err = _cli(capsys, "--l", "3", "ptable", "--k", str(k))
         assert code == 2 and out == ""
         assert "--k must be <= 1000" in err
+
+
+def test_cli_rejects_huge_l_before_building_the_field(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("root data built for an out-of-range l")
+
+    monkeypatch.setattr(qsl2.cli, "make_root_spec", refuse)
+    monkeypatch.setattr(qsl2.cli, "closure_diagnostic", refuse)
+    fixtures = tmp_path / "huge.jsonl"
+    fixtures.write_text(json.dumps({"l": qsl2.cli.L_MAX + 1, "input": {}, "expected": {}}) + "\n")
+    for argv in (("--l", str(qsl2.cli.L_MAX + 1), "normalize", "a"),
+                 ("--l", "100000", "verify-basis"),
+                 ("--l", "100000", "closure", "--order", "100000"),
+                 ("--fixtures", str(fixtures), "verify-basis")):
+        code, out, err = _cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "l must be <= 200" in err, argv
 
 
 def test_cli_closure_reports(capsys):
@@ -344,6 +372,20 @@ def test_cli_broken_block_extraction_is_a_failure(capsys, monkeypatch):
                         lambda spec, x, y: ((QMonomial(0, 0, 0, 0), one), (QMonomial(1, 0, 0, 0), one)))
     code, _, err = _cli(capsys, "--l", "3", "decompose", "a^4")
     assert code == 1 and err.startswith("failure:")
+
+
+@pytest.mark.parametrize("name,expr", [("eliminate_a_family", "a^2*c"), ("eliminate_d_family", "c*d^2")])
+def test_out_of_order_elimination_is_a_failure(capsys, monkeypatch, name, expr):
+    # the sweep over c settles each bucket once, so a relation may not hand back a non-basis term at the same c
+    def same_c(*args):
+        spec, side = args[3], args[4] if len(args) > 4 else "left"
+        return central_reduce(parse_qelement(expr, spec), side)
+
+    monkeypatch.setattr(qsl2.basis, name, same_c)
+    with pytest.raises(RuntimeError, match="out of order"):
+        decompose(parse_qelement(expr, SPEC3))
+    code, out, err = _cli(capsys, "--l", "3", "decompose", expr)
+    assert code == 1 and out == "" and err.startswith("failure:") and "out of order" in err
 
 
 def test_cli_verify_fixtures(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import SPEC2, SPEC3, qelements, words
+from conftest import SPEC2, SPEC3, qelements, random_qelement, words
 from qsl2 import (
     ClassicalElement,
     ClassicalMonomial,
@@ -221,6 +222,22 @@ def _reference_coproduct(x):
                 t = tensor_mul(t, images[letter])
         acc = acc + t * coeff
     return acc
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_tensor_json_roundtrip(l):
+    spec = make_root_spec(l)
+    rng = random.Random(700 + l)
+    for _ in range(4):
+        t = coproduct(random_qelement(spec, rng, nterms=3))
+        doc = json.loads(json.dumps(t.to_json()))
+        assert TensorElement.from_json(doc, spec) == t
+    row = doc["terms"][0]
+    for name, bad in (("normal monomials", dict(row, left={"a": 1, "b": 0, "c": 0, "d": 1})),
+                      ("expected an integer", dict(row, right=dict(row["right"], b=1.5))),
+                      ("malformed", dict(row, left=[0, 0, 0, 0]))):
+        with pytest.raises(ValueError, match=name):
+            TensorElement.from_json({"terms": [bad]}, spec)
 
 
 @given(st.data())
