@@ -239,9 +239,13 @@ def _cmd_verify_fixtures(args) -> int:
             record = json.loads(line)
             if type(record) is not dict:
                 raise _UsageError("line %d: expected a JSON object, got %s" % (lineno, type(record).__name__))
-            spec = make_root_spec(_bounded_l(json_int(record["l"])), zeta_exponent=args.zeta_exp)
-            x = qelement_from_json(record["input"], spec)
-            expected = decomposition_from_json(record["expected"], spec)
+            try:
+                l, given, want = record["l"], record["input"], record["expected"]
+            except KeyError as err:
+                raise _UsageError("line %d: missing field %s" % (lineno, err)) from None
+            spec = make_root_spec(_bounded_l(json_int(l)), zeta_exponent=args.zeta_exp)
+            x = qelement_from_json(given, spec)
+            expected = decomposition_from_json(want, spec)
             got = decompose(x, expected.side)
             checked += 1
             if got.coefficients == expected.coefficients:
@@ -297,7 +301,7 @@ def run(argv=None) -> int:
     except ExprSyntaxError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
-    except (_UsageError, KeyError, ValueError) as err:  # json.JSONDecodeError is a ValueError
+    except ValueError as err:  # _UsageError and json.JSONDecodeError are ValueErrors
         print("error: %s" % err, file=sys.stderr)
         return 2
     except RuntimeError as err:

@@ -8,12 +8,15 @@ tuple comparisons and zeta is a primitive N-th root of unity by
 construction.  Phi_N is monic with integer coefficients, so products reduce
 with integer rows.  No floating point is used.
 
-Most scalars the package multiplies are units +-zeta^k (the powers of q in
-the relations, the product rows and the antipode).  A table built on first
-use per order maps each unit's numerators to its products with every other
-unit, its inverse, and the columns of multiplication by it, so unit * unit
-and unit inverses are lookups, and unit * z maps z's numerators through
-the unit's integer columns and keeps z's denominator.
+Every per-order datum is read from one table, built on first use per
+order: the powers zeta^0 .. zeta^(N-1), the integer rows that reduce a
+product, the zero element, and the units +-zeta^k.  Most scalars the
+package multiplies are such units (the powers of q in the relations, the
+product rows and the antipode); the table maps each unit's numerators to
+its products with every other unit, its inverse, and the columns of
+multiplication by it, so unit * unit and unit inverses are lookups, and
+unit * z maps z's numerators through the unit's integer columns and keeps
+z's denominator.
 """
 
 from __future__ import annotations
@@ -59,23 +62,6 @@ def euler_phi(N: int) -> int:
     return len(cyclotomic_polynomial(N)) - 1
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows expressing x^k for k in [phi, 2*phi-2] in the power basis.
-
-    Phi_N is monic with integer coefficients, so every row is an integer vector.
-    """
-    poly = cyclotomic_polynomial(N)
-    deg = len(poly) - 1
-    rows = []
-    cur = [-c for c in poly[:-1]]  # x^deg
-    rows.append(tuple(cur))
-    for _ in range(deg + 1, 2 * deg - 1):
-        cur = _times_x(cur, rows[0])
-        rows.append(tuple(cur))
-    return tuple(rows)
-
-
 def _times_x(v: list[int], first: tuple[int, ...]) -> list[int]:
     # x * v in the power basis; `first` is x^phi reduced
     top = v[-1]
@@ -83,19 +69,6 @@ def _times_x(v: list[int], first: tuple[int, ...]) -> list[int]:
     if top:
         nxt = [a + top * b for a, b in zip(nxt, first)]
     return nxt
-
-
-@lru_cache(maxsize=None)
-def _zeta_power(N: int, k: int) -> "Cyclotomic":
-    """zeta_N^k for 0 <= k < N, built once per (N, k)."""
-    deg = euler_phi(N)
-    if k < deg:
-        return _make(N, tuple(1 if i == k else 0 for i in range(deg)), 1)
-    rows = _reduction_rows(N)
-    if k <= 2 * deg - 2:
-        return _make(N, rows[k - deg], 1)
-    # k < N can exceed 2*deg-2 (e.g. N=12); peel one power at a time.
-    return _make(N, tuple(_times_x(list(_zeta_power(N, k - 1).num), rows[0])), 1)
 
 
 class Cyclotomic:
@@ -132,24 +105,25 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, order: int) -> "Cyclotomic":
-        return _zero(order)
+        return (_FIELDS.get(order) or _field(order))[2]
 
     @classmethod
     def one(cls, order: int) -> "Cyclotomic":
-        return _zeta_power(order, 0)
+        return (_FIELDS.get(order) or _field(order))[0][0]
 
     @classmethod
     def from_rational(cls, order: int, value) -> "Cyclotomic":
+        rest = (_FIELDS.get(order) or _field(order))[2].num[1:]
         if not isinstance(value, int):
             value = Fraction(value)
             if value.denominator != 1:
-                return _make(order, (value.numerator,) + _zero(order).num[1:], value.denominator)
+                return _make(order, (value.numerator,) + rest, value.denominator)
             value = value.numerator
-        return _make(order, (value,) + _zero(order).num[1:], 1)
+        return _make(order, (value,) + rest, 1)
 
     @classmethod
     def zeta(cls, order: int, k: int = 1) -> "Cyclotomic":
-        return _zeta_power(order, k % order)
+        return (_FIELDS.get(order) or _field(order))[0][k % order]
 
     def _check(self, other: "Cyclotomic"):
         if self.order != other.order:
@@ -222,7 +196,8 @@ class Cyclotomic:
         order = self.order
         if order != other.order:
             raise ValueError("mixed cyclotomic orders %d and %d" % (order, other.order))
-        units = _UNIT_TABLES.get(order) or _unit_table(order)
+        field = _FIELDS.get(order) or _field(order)
+        units = field[3]
         u = units.get(other.num) if other.den == 1 else None
         v = units.get(self.num) if self.den == 1 else None
         if u is not None:
@@ -241,7 +216,7 @@ class Cyclotomic:
                         prod[i + j] += ai * bj
         if n > 1:
             low = prod[:n]
-            for top, row in zip(prod[n:], _reduction_rows(order)):
+            for top, row in zip(prod[n:], field[1]):
                 if top:
                     low = [x + top * r for x, r in zip(low, row)]
             prod = low
@@ -257,12 +232,13 @@ class Cyclotomic:
         determinant d, and w = d * v is integral (Cramer), so back
         substitution divides exactly.  Then (num/den)^-1 = den * w / d.
         Units +-zeta^k, most of the certificate's rref pivots, are looked
-        up in the unit table instead.
+        up in the per-order table instead.
         """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic element is zero")
+        field = _FIELDS.get(self.order) or _field(self.order)
         if self.den == 1:
-            unit = _unit_table(self.order).get(self.num)
+            unit = field[3].get(self.num)
             if unit is not None:
                 return unit[3]
         head, rest = self.num[0], self.num[1:]
@@ -270,7 +246,7 @@ class Cyclotomic:
             # rational, the common case of an rref pivot: (p/q)^-1 = q/p, already coprime
             return _make(self.order, (self.den if head > 0 else -self.den,) + rest, abs(head))
         n = len(self.num)
-        first = _reduction_rows(self.order)[0]
+        first = field[1][0]
         cols = [list(self.num)]
         for _ in range(n - 1):
             cols.append(_times_x(cols[-1], first))
@@ -357,41 +333,62 @@ def _normalise(order: int, num: tuple[int, ...], den: int) -> Cyclotomic:
     return _make(order, tuple(c // g for c in num), den // g)
 
 
-@lru_cache(maxsize=None)
-def _zero(order: int) -> Cyclotomic:
-    return _make(order, (0,) * euler_phi(order), 1)
+# order N -> (powers, rows, zero, units), built on first use by _field
+_FIELDS: dict[int, tuple] = {}
 
 
-# order N -> {num of a unit: (index, columns, products, inverse)}, built on first use
-_UNIT_TABLES: dict[int, dict] = {}
+def _field(N: int) -> tuple:
+    """The per-order table of Q(zeta_N): (powers, rows, zero, units).
 
+    powers[k] is zeta^k for 0 <= k < N, each one shift of the one before.
+    rows[i], the numerators of zeta^(phi+i) for i <= phi-2, reduce a
+    product of degree up to 2*phi-2; Phi_N is monic with integer
+    coefficients, so they are integer vectors.  zero is the zero element.
 
-def _unit_table(N: int) -> dict:
-    """The units +-zeta^k of Q(zeta_N), keyed by their numerators (den 1).
-
-    They form a cyclic group of order M generated by g = zeta (N even,
-    where -1 = zeta^(N/2)) or g = -zeta (N odd, M = 2N).  The entry of
-    g^e holds e, the sparse columns of multiplication by g^e (column j is
-    g^e * zeta^j as (index, value) pairs), the row of products g^e * g^f
-    indexed by f, and the inverse g^-e.  Elements with sign + are the
-    shared _zeta_power objects.
+    units maps the numerators of each unit +-zeta^k (den 1) to its entry.
+    The units form a cyclic group of order M generated by g = zeta (N
+    even, where -1 = zeta^(N/2)) or g = -zeta (N odd, M = 2N).  The entry
+    of g^e holds e, the sparse columns of multiplication by g^e (column j
+    is g^e * zeta^j as (index, value) pairs), the row of products
+    g^e * g^f indexed by f, and the inverse g^-e.  Units with sign + are
+    the powers themselves.
     """
-    table = _UNIT_TABLES.get(N)
-    if table is not None:
-        return table
-    deg = euler_phi(N)
+    poly = cyclotomic_polynomial(N)
+    deg = len(poly) - 1
+    first = tuple(-c for c in poly[:-1])  # zeta^deg
+    cur = [1] + [0] * (deg - 1)
+    powers = []
+    for _ in range(N):
+        powers.append(_make(N, tuple(cur), 1))
+        cur = _times_x(cur, first)
+    rows = tuple(powers[(deg + i) % N].num for i in range(deg - 1))
     M = N if N % 2 == 0 else 2 * N
     signs = [-1 if M != N and e % 2 else 1 for e in range(M)]
-    elems = [_zeta_power(N, e % N) if signs[e] == 1 else -_zeta_power(N, e % N) for e in range(M)]
-    table = {}
+    elems = [powers[e % N] if signs[e] == 1 else -powers[e % N] for e in range(M)]
+    units = {}
     for e, z in enumerate(elems):
         sign = signs[e]
-        cols = tuple(tuple((i, sign * x) for i, x in enumerate(_zeta_power(N, (e + j) % N).num) if x)
+        cols = tuple(tuple((i, sign * x) for i, x in enumerate(powers[(e + j) % N].num) if x)
                      for j in range(deg))
         products = tuple(elems[(e + f) % M] for f in range(M))
-        table[z.num] = (e, cols, products, elems[-e % M])
-    _UNIT_TABLES[N] = table
-    return table
+        units[z.num] = (e, cols, products, elems[-e % M])
+    field = _FIELDS[N] = (tuple(powers), rows, _make(N, (0,) * deg, 1), units)
+    return field
+
+
+def unit_power(z: Cyclotomic) -> tuple[int, int] | None:
+    """(sign, k) with z = sign * zeta^k and 0 <= k < N, or None if z is no such unit.
+
+    For even N, -1 = zeta^(N/2), so the sign is always +1.
+    """
+    if z.den != 1:
+        return None
+    N = z.order
+    unit = (_FIELDS.get(N) or _field(N))[3].get(z.num)
+    if unit is None:
+        return None
+    e = unit[0]
+    return (-1 if e % 2 and N % 2 else 1), e % N
 
 
 def _unit_times(cols: tuple, z: Cyclotomic) -> Cyclotomic:
@@ -455,6 +452,8 @@ def cyclotomic_from_json(data: dict, order: int | None = None) -> Cyclotomic:
         coeffs = data["coeffs"]
         if type(coeffs) is not list or len(coeffs) != euler_phi(found):
             raise ValueError("coefficient vector has wrong length for Q(zeta_%d)" % found)
+    except KeyError as err:
+        raise ValueError("malformed cyclotomic %r: missing field %s" % (data, err)) from None
     except TypeError as err:
         raise ValueError("malformed cyclotomic %r: %s" % (data, err)) from None
     ratios = [_json_ratio(c) for c in coeffs]
@@ -525,7 +524,8 @@ def root_spec_to_json(spec: RootSpec) -> dict:
 
 def zeta_pow(spec: RootSpec, k: int) -> Cyclotomic:
     """q^k as an exact field element."""
-    return _zeta_power(spec.N, (spec.zeta_exponent * k) % spec.N)
+    N = spec.N
+    return (_FIELDS.get(N) or _field(N))[0][(spec.zeta_exponent * k) % N]
 
 
 @lru_cache(maxsize=256)

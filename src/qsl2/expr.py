@@ -29,9 +29,8 @@ rational coefficients (lowest powers first).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .cyclo import Cyclotomic, RootSpec, zeta_pow
+from .cyclo import Cyclotomic, RootSpec, unit_power, zeta_pow
 from .frobenius import lift
 from .qalgebra import (
     ClassicalElement,
@@ -214,17 +213,6 @@ def _q_coordinates(spec: RootSpec, z: Cyclotomic) -> tuple[Fraction, ...]:
     return image.coeffs
 
 
-@lru_cache(maxsize=None)
-def _q_power_lookup(spec: RootSpec) -> dict[tuple, tuple[int, int]]:
-    """(num, den) of q^k and of -q^k, for 1 <= k < N, to (sign, k); +q^k wins a tie."""
-    out = {}
-    for sign in (-1, 1):
-        for k in range(1, spec.N):
-            z = zeta_pow(spec, k) * sign
-            out[(z.num, z.den)] = (sign, k)
-    return out
-
-
 def _q_power_text(spec: RootSpec, k: int) -> str:
     k %= spec.N
     rep = k if k <= spec.N // 2 else k - spec.N
@@ -264,9 +252,10 @@ def coefficient_parts(spec: RootSpec, z: Cyclotomic) -> tuple[int, str | None]:
     fr = z.as_rational()
     if fr is not None:
         return _rational_parts(fr)
-    hit = _q_power_lookup(spec).get((z.num, z.den))
-    if hit is not None:
-        return hit[0], _q_power_text(spec, hit[1])
+    unit = unit_power(z)
+    if unit is not None:
+        # zeta^k = q^(k*f) for q = zeta^e, e*f = 1 mod N
+        return unit[0], _q_power_text(spec, unit[1] * pow(spec.zeta_exponent, -1, spec.N))
     coords = _q_coordinates(spec, z)
     if all(fr <= 0 for fr in coords):
         return -1, "(" + _poly_text([-fr for fr in coords]) + ")"

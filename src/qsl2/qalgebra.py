@@ -233,6 +233,8 @@ class _Terms(_SortedTerms):
             head = cls._head_from_json(data, spec)
             for row in data[cls._ROWS]:
                 _add_term(terms, cls._key_from_json(row), cls._value_from_json(row, head[0]))
+        except KeyError as err:
+            raise ValueError("malformed %s JSON: missing field %s" % (cls.__name__, err)) from None
         except TypeError as err:
             raise ValueError("malformed %s JSON: %s" % (cls.__name__, err)) from None
         return cls(*head, terms)

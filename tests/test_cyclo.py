@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import qsl2.cyclo
 from qsl2 import (
     Cyclotomic,
     cyclotomic_from_json,
@@ -134,6 +135,27 @@ def test_json_reader_takes_only_the_writer_format():
     for coeffs in (["1"], ["1", "0", "0"], "10", {"0": "1"}):
         with pytest.raises(ValueError):
             cyclotomic_from_json({"order": 4, "coeffs": coeffs})
+
+
+def test_json_reader_names_a_missing_field():
+    for doc, field in (({"coeffs": ["1", "0"]}, "'order'"), ({"order": 4}, "'coeffs'")):
+        with pytest.raises(ValueError, match="missing field %s" % field):
+            cyclotomic_from_json(doc)
+
+
+def test_readers_do_not_build_the_field():
+    # the per-order table holds M^2 unit products, so only arithmetic may build it
+    fields = qsl2.cyclo._FIELDS
+    for order in (77, 85, 91, 10**9):
+        assert order not in fields
+    Cyclotomic(77, [F(1, 2)] * euler_phi(77))
+    euler_phi(85)
+    assert cyclotomic_from_json({"order": 91, "coeffs": ["1"] + ["0"] * (euler_phi(91) - 1)}) == 1
+    with pytest.raises(ValueError, match="order 1000000000"):
+        cyclotomic_from_json({"order": 10**9, "coeffs": []}, 3)
+    for order in (77, 85, 91, 10**9):
+        assert order not in fields
+    assert Cyclotomic.one(77).is_one() and 77 in fields
 
 
 def test_make_root_spec():

@@ -17,6 +17,7 @@ from qsl2 import (
     QMonomial,
     central_reduce,
     coproduct,
+    cyclotomic_polynomial,
     decompose,
     lift,
     make_root_spec,
@@ -135,6 +136,41 @@ def test_format_cyclotomic_prefers_short_q_powers():
     assert format_cyclotomic(SPEC3, Cyclotomic.zero(3)) == "0"
 
 
+def _zeta_power_reference(N, m):
+    """The numerators of x^m mod Phi_N, by long division, without the field tables."""
+    poly = cyclotomic_polynomial(N)
+    deg = len(poly) - 1
+    rem = [0] * m + [1]
+    for top in range(m, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for i, p in enumerate(poly):
+                rem[top - deg + i] -= c * p
+    return (rem + [0] * deg)[:deg]
+
+
+@pytest.mark.parametrize("l,e", [(2, 1), (3, 1), (7, 1), (4, 3), (5, 2), (8, 5)])
+def test_every_unit_prints_as_its_shortest_q_power(l, e):
+    spec = make_root_spec(l, zeta_exponent=e)
+    N = spec.N
+    # q^j = zeta^(e*j); +q^j is tried first, so it wins the tie -q^j = q^(j+N/2) at even N
+    q_powers = [(sign, j, [sign * x for x in _zeta_power_reference(N, e * j % N)])
+                for sign in (1, -1) for j in range(N)]
+    for k in range(N):
+        for sign in (1, -1):
+            vec = [sign * x for x in _zeta_power_reference(N, k)]
+            z = Cyclotomic(N, vec)
+            if not any(vec[1:]):
+                want = "1" if vec[0] == 1 else "-1"
+            else:
+                s, j = next((s, j) for s, j, v in q_powers if v == vec)
+                rep = j if j <= N // 2 else j - N
+                want = ("-" if s < 0 else "") + ("q" if rep == 1 else "q^%d" % rep)
+            text = format_cyclotomic(spec, z)
+            assert text == want, (k, sign)
+            assert parse_qelement(text, spec) == QElement.scalar(spec, z)
+
+
 @pytest.mark.parametrize("l,e,want", [
     (4, 3, ["(2 + q)", "(q + q^3)", "(1/2*q^2 - 3*q^3)", "-(1 + q)", "(-q^2 + q^3)"]),
     (5, 2, ["(2 + q)", "(1 + 2*q + q^2 + q^3)", "(1/2*q^2 - 3*q^3)", "-(1 + q)", "(q + q^3)"]),
@@ -225,6 +261,22 @@ def test_cli_recompose_rejects_malformed_json(capsys):
         code, out, err = _cli(capsys, "--l", "3", "recompose", doc)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_recompose_names_a_missing_field(capsys):
+    code, out, err = _cli(capsys, "--l", "3", "recompose",
+                          '{"side":"left","entries":[{"family":"D","n":0,"s":0}]}')
+    assert code == 2 and out == ""
+    assert err == "error: malformed Decomposition JSON: missing field 'r'\n"
+
+
+def test_cli_key_error_from_a_bug_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(qsl2.cli, "decompose", broken)
+    with pytest.raises(KeyError):
+        run(["--l", "3", "decompose", "a"])
 
 
 def _one_entry_decomposition(index: dict, coeff: dict) -> str:
@@ -423,6 +475,10 @@ def test_cli_verify_fixtures(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error:") and reason in err, name
     code, out, err = _cli(capsys, "--fixtures", str(tmp_path / "missing.jsonl"), "verify-basis")
     assert code == 2 and out == "" and err.startswith("error:") and "missing.jsonl" in err
+    no_input = tmp_path / "no_input.jsonl"
+    no_input.write_text(json.dumps(records[0]) + "\n" + '{"l": 3}' + "\n")
+    code, out, err = _cli(capsys, "--fixtures", str(no_input), "verify-basis")
+    assert code == 2 and out == "" and err == "error: line 2: missing field 'input'\n"
 
 
 def test_cli_exit_codes(capsys):

@@ -240,6 +240,20 @@ def test_tensor_json_roundtrip(l):
             TensorElement.from_json({"terms": [bad]}, spec)
 
 
+def test_json_readers_name_a_missing_field():
+    spec = SPEC3
+    row = qmul(*_gens(spec)[:2]).to_json()["terms"][0]
+    del row["b"]
+    with pytest.raises(ValueError, match="malformed QElement JSON: missing field 'b'"):
+        qelement_from_json({"terms": [row]}, spec)
+    row = coproduct(QElement.generator(spec, "a")).to_json()["terms"][0]
+    del row["right"]
+    with pytest.raises(ValueError, match="malformed TensorElement JSON: missing field 'right'"):
+        TensorElement.from_json({"terms": [row]}, spec)
+    with pytest.raises(ValueError, match="missing field 'terms'"):
+        TensorElement.from_json({}, spec)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_coproduct_matches_generator_products(data):
