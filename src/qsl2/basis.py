@@ -305,32 +305,14 @@ def chart_monomial_element(spec: RootSpec, chart: str, mono: QMonomial) -> QElem
     return QElement(spec, dict(pairs))
 
 
-def _beta_append(spec: RootSpec, terms: dict, letter: str) -> dict:
-    """Right-multiply a combination of words a^r b^s d^t by a generator."""
-    out: dict[tuple[int, int, int], Cyclotomic] = {}
-    one = Cyclotomic.one(spec.N)
-    for (r, s, t), v in terms.items():
-        if letter == "a":
-            # d^t a = q^(-2t) a d^t + (1 - q^(-2t)) d^(t-1);  b^s a = q^(-s) a b^s
-            _add_term(out, (r + 1, s, t), v * zeta_pow(spec, -2 * t - s))
-            if t:
-                f = one - zeta_pow(spec, -2 * t)
-                if not f.is_zero():
-                    _add_term(out, (r, s, t - 1), v * f)
-        elif letter == "b":
-            _add_term(out, (r, s + 1, t), v * zeta_pow(spec, -t))
-        elif letter == "d":
-            _add_term(out, (r, s, t + 1), v)
-        else:
-            raise ValueError("letter %r not in the beta chart" % letter)
-    return _nonzero(out)
-
-
 def localize(x: QElement, chart: str) -> LocalizedElement:
     """Rewrite x over the requested chart with per-term minimal denominator powers.
 
     Each power is 0 or 1: for m, k < l, a^l d^m contracts completely and
     b^(l+j) c^k pairs every c with a b, so one alpha (beta) clears every d (c).
+    The alpha chart multiplies by a^(lK) with _mono_mul; the beta chart
+    writes each (bc)^k as the words a^t d^t, with coefficients read off the
+    row p_expansion(spec, k), so its chart words are never straightened.
     """
     spec = x.spec
     _require_standard(spec, "localize")
@@ -351,25 +333,20 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
         K = int(any(m.c for m in me.terms))
         for mono, g in me.terms.items():
             i, j, k, m = mono
-            # beta^K * mono: b^(lK) past a^i, then pair each c with a b:
-            # b^(lK+j) c^k = b^(lK+j-k) (bc)^k and bc = q^-1 (ad - 1)
-            terms = {(i, l * K + j - k, 0): zeta_pow(spec, -i * l * K - k)}
-            for _ in range(k):
-                # multiply by (ad - 1)
-                with_ad = _beta_append(spec, _beta_append(spec, terms, "a"), "d")
-                for key, v in terms.items():
-                    _add_term(with_ad, key, -v)
-                terms = _nonzero(with_ad)
-            for _ in range(m):
-                terms = _beta_append(spec, terms, "d")
-            for (r, s, t), v in terms.items():
-                A, B, C = r // l, s // l, t // l
-                r0, s0, t0 = r % l, s % l, t % l
-                # a^(lA) b^(lB) d^(lC) * a^r0 b^s0 d^t0 is q^(-l(r0 B + s0 C)) a^r b^s d^t:
+            # beta^K * mono = q^(-ilK) a^i b^s (bc)^k d^m with s = lK + j - k, where
+            # (bc)^k = sum_t c_{k,t} a^t d^t (cyclo.p_expansion) and b^s a^t = q^(-st) a^t b^s,
+            # so the chart words are a^(i+t) b^s d^(m+t)
+            s = l * K + j - k
+            B, s0 = divmod(s, l)
+            for t, p in enumerate(p_expansion(spec, k)):
+                (A, r0), (C, t0) = divmod(i + t, l), divmod(m + t, l)
+                # a^(lA) b^(lB) d^(lC) * a^r0 b^s0 d^t0 is q^(-l(r0 B + s0 C)) a^(i+t) b^s d^(m+t):
                 # each a passes b^(lB) for q^(-lB) (and d^(lC) cleanly, q^(2l) = 1),
                 # each b passes d^(lC) for q^(-lC)
+                v = p * zeta_pow(spec, (k - t) * (k - t - 1) - k * k - t * t - i * l * K - s * t
+                                 + l * (r0 * B + s0 * C))
                 cm = ClassicalMonomial(A, B, 0, C)
-                coeff = ClassicalElement.monomial(spec, cm, v * zeta_pow(spec, l * (r0 * B + s0 * C)))
+                coeff = ClassicalElement.monomial(spec, cm, -v if (k - t) % 2 else v)
                 _add_term(acc, QMonomial(r0, s0, 0, t0), classical_mul(g, coeff))
     # divide the chart generator back out of each term that allows it
     out: dict[QMonomial, tuple[ClassicalElement, int]] = {}

@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients of Phi_N, lowest degree first, exact integers."""
     if N < 1:
@@ -539,6 +539,11 @@ def p_expansion(spec: RootSpec, k: int) -> tuple[Cyclotomic, ...]:
         a^k d^k = sum_j p_{k,j} (bc)^j
         d^k a^k = sum_j q^(-2kj) p_{k,j} (bc)^j    as q^(1-2j) = q^(-2k) q^(2(k-j)+1)
         [k j]_{q^-2} = q^(-j(2k-j)) p_{k,j}        the coproduct's Gaussian binomials
+        (bc)^k = sum_t (-1)^(k-t) q^((k-t)(k-t-1) - k^2 - t^2) p_{k,t} a^t d^t
+
+    The last inverts the lower-triangular system of the first, with each
+    a^t d^t a word as written; the beta chart of basis.localize reads its
+    words off it.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -12,9 +12,11 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
 Symbols are a, b, c, d (quantum letters), alpha, beta, gamma, delta
 (classical letters, unicode aliases accepted), and q (the root of unity).
-Negative exponents are only allowed on q, bare or parenthesized.  Inside
-a product, classical letters may appear before quantum letters but not
-after them; classical factors are routed through the Frobenius lift.
+Negative exponents are only allowed on q, bare or parenthesized, and an
+exponent on any other base is at most EXPONENT_MAX (a power of q reduces
+mod N).  Inside a product, classical letters may appear before quantum
+letters but not after them; classical factors are routed through the
+Frobenius lift.
 
 The parser evaluates as it reads, in one recursive-descent pass.  Each
 rule returns its value together with which letter kinds occur in it, so
@@ -45,6 +47,8 @@ CLASSICAL_LETTERS = ("alpha", "beta", "gamma", "delta")
 _UNICODE_ALIASES = {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta"}
 _SYMBOLS = set(QUANTUM_LETTERS) | set(CLASSICAL_LETTERS) | {"q"}
 _DIGITS = "0123456789"
+# largest exponent on a base other than q; a^k*d^k costs about k^2 scalar products (cyclo.p_expansion)
+EXPONENT_MAX = 1000
 
 
 class ExprSyntaxError(ValueError):
@@ -115,9 +119,11 @@ class _Parser:
         value, quantum, classical, name = self.factor()
         while self.peek() == "*":
             self.pos += 1
+            self.peek()  # skips whitespace, so an error points at the factor
+            start = self.pos
             other, q, c, _ = self.factor()
             if c and quantum:
-                raise ValueError("classical letters must precede quantum letters in a product")
+                raise ExprSyntaxError("classical letters must precede quantum letters in a product", start)
             value = value * other
             quantum, classical, name = quantum or q, classical or c, None
         return value, quantum, classical, name
@@ -127,14 +133,18 @@ class _Parser:
         if self.peek() != "^":
             return value, quantum, classical, name
         self.pos += 1
-        if self.peek() == "(":
+        paren = self.peek() == "("
+        if paren:
             self.pos += 1
-            exponent = self.take_signed_int()
+        self.peek()  # skips whitespace, so an error points at the exponent
+        start = self.pos
+        exponent = self.take_signed_int()
+        if paren:
             self.expect(")")
-        else:
-            exponent = self.take_signed_int()
         if exponent < 0 and name != "q":
             raise ExprSyntaxError("negative exponent only allowed on q", self.pos)
+        if exponent > EXPONENT_MAX and name != "q":
+            raise ExprSyntaxError("exponent %d exceeds EXPONENT_MAX = %d" % (exponent, EXPONENT_MAX), start)
         value = value ** exponent if name is None else self.symbol_power(name, exponent)
         return value, quantum, classical, None
 

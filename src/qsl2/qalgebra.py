@@ -310,7 +310,7 @@ class QMonomial(namedtuple("QMonomial", "a b c d")):
         return min(self.a, self.d) == 0 and min(self.a, self.b, self.c, self.d) >= 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomial, Cyclotomic], ...]:
     """Product of two words a^i b^j c^k d^m, returned as normal (monomial, scalar) pairs.
 

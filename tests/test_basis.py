@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -41,17 +42,18 @@ from qsl2 import (
     module_element_from_json,
     module_recompose,
     oracle_decompose,
+    p_expansion,
     power,
     qelement_from_json,
     qmul,
     recompose,
+    remark_root_spec,
     straighten,
     verify_freeness,
     zeta_pow,
 )
 import qsl2.basis
 from qsl2.basis import (
-    _beta_append,
     _classical_weight,
     _column,
     _divide_by_alpha,
@@ -276,20 +278,39 @@ def test_localize_alpha_examples():
     assert le.max_power() == 0
 
 
+@pytest.mark.parametrize("l", range(2, 10))
+def test_bc_power_is_read_off_the_p_row(l):
+    # (bc)^k = sum_t (-1)^(k-t) q^((k-t)(k-t-1) - k^2 - t^2) p_{k,t} a^t d^t, the
+    # identity the beta chart of localize reads its words off, at every primitive root
+    N = l if l % 2 else 2 * l
+    specs = [make_root_spec(l, e) for e in range(1, N) if math.gcd(e, N) == 1]
+    if l % 2:
+        specs += [remark_root_spec(l, e) for e in range(1, 2 * l) if math.gcd(e, 2 * l) == 1]
+    for spec in specs:
+        for k in range(2 * l + 2):
+            rhs = QElement(spec, {})
+            for t, p in enumerate(p_expansion(spec, k)):
+                c = p * zeta_pow(spec, (k - t) * (k - t - 1) - k * k - t * t)
+                rhs = rhs + straighten("a" * t + "d" * t, spec) * (-c if (k - t) % 2 else c)
+            assert straighten("b" * k + "c" * k, spec) == rhs, (spec, k)
+
+
 @pytest.mark.parametrize("l", range(2, 8))
 def test_beta_block_word_scalar_closed_form(l):
     # localize splits a chart word a^r b^s d^t into l-th-power blocks (A, B, C)
     # and a residual (r0, s0, t0), reading the scalar in closed form
     spec = make_root_spec(l)
+
+    def word(r, s, t):
+        return straighten("a" * r + "b" * s + "d" * t, spec)
+
     for A, B, C in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 1, 2)):
+        block = word(l * A, l * B, l * C)
         for r0 in range(l):
             for s0 in range(l):
                 for t0 in (0, l - 1):
-                    terms = {(l * A, l * B, l * C): Cyclotomic.one(spec.N)}
-                    for letter in "a" * r0 + "b" * s0 + "d" * t0:
-                        terms = _beta_append(spec, terms, letter)
-                    key = (l * A + r0, l * B + s0, l * C + t0)
-                    assert terms == {key: zeta_pow(spec, -l * (r0 * B + s0 * C))}
+                    assert qmul(block, word(r0, s0, t0)) == \
+                        word(l * A + r0, l * B + s0, l * C + t0) * zeta_pow(spec, -l * (r0 * B + s0 * C))
 
 
 def test_localize_beta_example():

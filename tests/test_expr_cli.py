@@ -30,6 +30,7 @@ import qsl2.cli
 import qsl2.frobenius
 from qsl2.cli import run
 from qsl2.expr import (
+    EXPONENT_MAX,
     ExprSyntaxError,
     format_classical,
     format_cyclotomic,
@@ -81,6 +82,23 @@ def test_parse_error_positions():
         with pytest.raises(ExprSyntaxError) as info:
             parse_qelement(text, SPEC3)
         assert info.value.position == 2 and "expected integer" in str(info.value)
+    # a classical letter after a quantum one is reported at the offending factor
+    for text, position in (("a*alpha", 2), ("b * 2*delta^2", 6), ("(a*b)*gamma", 6)):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_qelement(text, SPEC3)
+        assert info.value.position == position and "must precede" in str(info.value)
+
+
+def test_exponents_are_capped_except_on_q():
+    for text, position in (("a^1001", 2), ("b*alpha^(5000)", 9), ("(a*d)^ 1001", 7), ("2^1001", 2),
+                           ("(q^2)^1001", 6)):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_qelement(text, SPEC3)
+        assert info.value.position == position and "EXPONENT_MAX = %d" % EXPONENT_MAX in str(info.value)
+    A = QElement.generator(SPEC3, "a")
+    assert parse_qelement("a^1000", SPEC3) == A ** EXPONENT_MAX
+    assert parse_qelement("q^-99999999 + (q)^99999999", SPEC3) == QElement.scalar(
+        SPEC3, zeta_pow(SPEC3, -99999999) + zeta_pow(SPEC3, 99999999))
 
 
 def test_negative_exponents_only_on_q():
@@ -487,7 +505,9 @@ def test_cli_exit_codes(capsys):
     code, _, err = _cli(capsys, "normalize", "a")
     assert code == 2 and "--l is required" in err
     code, _, err = _cli(capsys, "--l", "3", "normalize", "b*alpha")
-    assert code == 2 and "classical" in err
+    assert code == 2 and "classical" in err and err.startswith("parse error: ") and "position 2" in err
+    code, out, err = _cli(capsys, "--l", "3", "normalize", "a^5000*d^5000")
+    assert code == 2 and out == "" and err.startswith("parse error: ") and "position 2" in err
     code, _, err = _cli(capsys, "--l", "4", "--zeta-exp", "2", "normalize", "a")
     assert code == 2
     code, _, err = _cli(capsys, "--l", "3", "recompose", "{not json")

@@ -20,8 +20,10 @@ from qsl2 import (
     classical_mul,
     coproduct,
     counit,
+    cyclotomic_polynomial,
     make_root_spec,
     p_coeff,
+    p_expansion,
     power,
     qelement_from_json,
     qmul,
@@ -128,6 +130,11 @@ def test_mono_mul_crosses_d_block_past_a_block(spec):
             got = QElement._like(spec, dict(_mono_mul.__wrapped__(spec, QMonomial(0, 0, 0, m),
                                                                   QMonomial(i, 0, 0, 0))))
             assert got == straighten("d" * m + "a" * i, spec), (m, i)
+
+
+def test_caches_are_bounded():
+    for cached in (_mono_mul, p_expansion, cyclotomic_polynomial):
+        assert cached.cache_info().maxsize is not None, cached.__name__
 
 
 @given(st.data())
