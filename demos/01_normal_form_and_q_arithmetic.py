@@ -4,7 +4,7 @@ Run with:  python demos/01_normal_form_and_q_arithmetic.py
 """
 
 from qsl2 import (
-    QElement, make_root_spec, p_coeff, p_expansion, power, qmul, straighten,
+    QElement, make_root_spec, p_coeff, p_expansion, qmul, straighten,
     zeta_pow,
 )
 from qsl2.expr import format_cyclotomic, format_qelement
@@ -40,8 +40,8 @@ for k in range(spec.l + 1):
     assert all(row[j] == p_coeff(spec, k, j) for j in range(k + 1))
     terms = ", ".join(format_cyclotomic(spec, z) for z in row)
     print("  k=%d: [%s]" % (k, terms))
-    assert qmul(power(A, k), power(D, k)) == sum(
-        (power(qmul(B, C), j) * row[j] for j in range(k + 1)),
+    assert qmul(A ** k, D ** k) == sum(
+        (qmul(B, C) ** j * row[j] for j in range(k + 1)),
         QElement.zero(spec),
     )
 print()

@@ -5,7 +5,7 @@ Run with:  python demos/02_frobenius_and_module_basis.py
 
 from qsl2 import (
     ClassicalElement, QElement, central_reduce, decompose, enumerate_basis,
-    is_central, lift, make_root_spec, module_recompose, power, qmul,
+    is_central, lift, make_root_spec, module_recompose, qmul,
     recompose, straighten, verify_freeness,
 )
 from qsl2.expr import format_classical, format_qelement, quantum_monomial_text
@@ -45,7 +45,7 @@ for ix, g in dec.sorted_terms():
 assert recompose(dec) == A
 print()
 
-x = qmul(straighten("abc", spec), A) + power(A, 4) * 2
+x = qmul(straighten("abc", spec), A) + A ** 4 * 2
 assert recompose(decompose(x, "left")) == x
 assert recompose(decompose(x, "right")) == x
 print("random-ish element decomposes and recomposes exactly on both sides.")

@@ -29,11 +29,9 @@ from .qalgebra import (
     QMonomial,
     TensorElement,
     antipode,
-    classical_element_from_json,
     classical_mul,
     coproduct,
     counit,
-    power,
     qelement_from_json,
     qmul,
     straighten,
@@ -46,7 +44,6 @@ from .frobenius import (
     closure_diagnostic,
     is_central,
     lift,
-    module_element_from_json,
     module_recompose,
 )
 from .basis import (
@@ -58,7 +55,6 @@ from .basis import (
     FreenessError,
     FreenessReport,
     LocalizedElement,
-    chart_monomial_element,
     clear_denominators,
     decompose,
     decomposition_from_json,

@@ -247,7 +247,7 @@ def recompose(dec: Decomposition) -> QElement:
 CHARTS = ("alpha", "beta")
 
 
-class LocalizedElement(_SortedTerms):
+class LocalizedElement(namedtuple("LocalizedElement", "spec chart terms"), _SortedTerms):
     """x written over a chart: sum of lift(numerator)/denominator^k times chart words.
 
     chart "alpha": denominators are powers of alpha, chart words are the
@@ -259,26 +259,7 @@ class LocalizedElement(_SortedTerms):
     clear_denominators multiplies each word as it is written.
     """
 
-    __slots__ = ("spec", "chart", "terms")
-
-    def __init__(self, spec: RootSpec, chart: str, terms: dict):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", terms)
-
-    def __reduce__(self):
-        # pickle would restore the slots through the immutability guard; rebuild through __init__ instead
-        return (LocalizedElement, (self.spec, self.chart, self.terms))
-
-    def __eq__(self, other):
-        if type(other) is not LocalizedElement:
-            return NotImplemented
-        return (self.spec, self.chart, self.terms) == (other.spec, other.chart, other.terms)
-
-    __hash__ = None  # terms is a dict
-
-    def __repr__(self):
-        return "LocalizedElement(spec=%r, chart=%r, terms=%r)" % (self.spec, self.chart, self.terms)
+    __slots__ = ()
 
     def max_power(self) -> int:
         return max((k for _, k in self.terms.values()), default=0)
@@ -294,15 +275,6 @@ class LocalizedElement(_SortedTerms):
     def _value_json(value) -> dict:
         g, k = value
         return {"numerator": g.to_json(), "power": k}
-
-
-def chart_monomial_element(spec: RootSpec, chart: str, mono: QMonomial) -> QElement:
-    """The ring element a chart monomial denotes."""
-    if chart == "alpha":
-        return QElement.monomial(spec, mono)
-    # the word a^r b^s d^t, straightened
-    pairs = _mono_mul(spec, QMonomial(mono.a, mono.b, 0, 0), QMonomial(0, 0, 0, mono.d))
-    return QElement(spec, dict(pairs))
 
 
 def localize(x: QElement, chart: str) -> LocalizedElement:

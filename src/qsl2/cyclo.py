@@ -12,11 +12,11 @@ Every per-order datum is read from one table, built on first use per
 order: the powers zeta^0 .. zeta^(N-1), the integer rows that reduce a
 product, the zero element, and the units +-zeta^k.  Most scalars the
 package multiplies are such units (the powers of q in the relations, the
-product rows and the antipode); the table maps each unit's numerators to
-its products with every other unit, its inverse, and the columns of
-multiplication by it, so unit * unit and unit inverses are lookups, and
-unit * z maps z's numerators through the unit's integer columns and keeps
-z's denominator.
+product rows and the antipode); the table lists them as the powers of one
+generator and maps each unit's numerators to its exponent and the columns
+of multiplication by it, so unit * unit and unit inverses are lookups by
+exponent, and unit * z maps z's numerators through the unit's integer
+columns and keeps z's denominator.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class Cyclotomic:
         v = units.get(self.num) if self.den == 1 else None
         if u is not None:
             if v is not None:
-                return v[2][u[0]]
+                return field[4][u[0] + v[0]]
             return _unit_times(u[1], self)
         if v is not None:
             return _unit_times(v[1], other)
@@ -240,7 +240,7 @@ class Cyclotomic:
         if self.den == 1:
             unit = field[3].get(self.num)
             if unit is not None:
-                return unit[3]
+                return field[4][-unit[0]]
         head, rest = self.num[0], self.num[1:]
         if not any(rest):
             # rational, the common case of an rref pivot: (p/q)^-1 = q/p, already coprime
@@ -333,25 +333,26 @@ def _normalise(order: int, num: tuple[int, ...], den: int) -> Cyclotomic:
     return _make(order, tuple(c // g for c in num), den // g)
 
 
-# order N -> (powers, rows, zero, units), built on first use by _field
+# order N -> (powers, rows, zero, units, elems), built on first use by _field
 _FIELDS: dict[int, tuple] = {}
 
 
 def _field(N: int) -> tuple:
-    """The per-order table of Q(zeta_N): (powers, rows, zero, units).
+    """The per-order table of Q(zeta_N): (powers, rows, zero, units, elems).
 
     powers[k] is zeta^k for 0 <= k < N, each one shift of the one before.
     rows[i], the numerators of zeta^(phi+i) for i <= phi-2, reduce a
     product of degree up to 2*phi-2; Phi_N is monic with integer
     coefficients, so they are integer vectors.  zero is the zero element.
 
-    units maps the numerators of each unit +-zeta^k (den 1) to its entry.
-    The units form a cyclic group of order M generated by g = zeta (N
-    even, where -1 = zeta^(N/2)) or g = -zeta (N odd, M = 2N).  The entry
-    of g^e holds e, the sparse columns of multiplication by g^e (column j
-    is g^e * zeta^j as (index, value) pairs), the row of products
-    g^e * g^f indexed by f, and the inverse g^-e.  Units with sign + are
-    the powers themselves.
+    The units +-zeta^k form a cyclic group of order M generated by g = zeta
+    (N even, where -1 = zeta^(N/2)) or g = -zeta (N odd, M = 2N); elems
+    lists g^0 .. g^(M-1) twice, so g^e * g^f = elems[e + f] needs no
+    reduction mod M, and g^-e = elems[-e].
+    units maps the numerators of each unit (den 1) to its entry (e, cols):
+    cols are the sparse columns of multiplication by g^e (column j is
+    g^e * zeta^j as (index, value) pairs).  Units with sign + are the
+    powers themselves.
     """
     poly = cyclotomic_polynomial(N)
     deg = len(poly) - 1
@@ -370,9 +371,8 @@ def _field(N: int) -> tuple:
         sign = signs[e]
         cols = tuple(tuple((i, sign * x) for i, x in enumerate(powers[(e + j) % N].num) if x)
                      for j in range(deg))
-        products = tuple(elems[(e + f) % M] for f in range(M))
-        units[z.num] = (e, cols, products, elems[-e % M])
-    field = _FIELDS[N] = (tuple(powers), rows, _make(N, (0,) * deg, 1), units)
+        units[z.num] = (e, cols)
+    field = _FIELDS[N] = (tuple(powers), rows, _make(N, (0,) * deg, 1), units, tuple(elems) * 2)
     return field
 
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from .cyclo import Cyclotomic, RootSpec, unit_power, zeta_pow
 from .frobenius import lift
 from .qalgebra import (
+    EXPONENT_MAX,
     ClassicalElement,
     ClassicalMonomial,
     QElement,
@@ -47,8 +48,6 @@ CLASSICAL_LETTERS = ("alpha", "beta", "gamma", "delta")
 _UNICODE_ALIASES = {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta"}
 _SYMBOLS = set(QUANTUM_LETTERS) | set(CLASSICAL_LETTERS) | {"q"}
 _DIGITS = "0123456789"
-# largest exponent on a base other than q; a^k*d^k costs about k^2 scalar products (cyclo.p_expansion)
-EXPONENT_MAX = 1000
 
 
 class ExprSyntaxError(ValueError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclo import Cyclotomic, RootSpec, json_int, p_expansion, root_spec_for_order
+from .cyclo import Cyclotomic, RootSpec, p_expansion, root_spec_for_order
 from .qalgebra import (
     CLASSICAL_ONE,
     ClassicalElement,
@@ -27,22 +27,15 @@ from .qalgebra import (
     TensorElement,
     _SidedTerms,
     coproduct,
-    power,
     qmul,
 )
-from .qalgebra import _add_term, _mono_mul  # term merge; engine route for single-monomial products
-
-SIDES = ("left", "right")
+from .qalgebra import SIDES, _check_side  # basis and cli read the sides from here too
+from .qalgebra import _add_term, _json_exponent, _mono_mul  # term merge; capped JSON key; single-monomial products
 
 
 def _require_standard(spec: RootSpec, what: str):
     if not spec.standard:
         raise ValueError("%s requires a standard root case (got l=%d, N=%d)" % (what, spec.l, spec.N))
-
-
-def _check_side(side: str):
-    if side not in SIDES:
-        raise ValueError("side must be 'left' or 'right', got %r" % (side,))
 
 
 def lifted_monomial(l: int, m: ClassicalMonomial) -> QMonomial:
@@ -81,10 +74,7 @@ class ModuleElement(_SidedTerms):
 
     @staticmethod
     def _key_from_json(row: dict) -> QMonomial:
-        return QMonomial(*(json_int(row["monomial"][name]) for name in QMonomial._fields))
-
-
-module_element_from_json = ModuleElement.from_json
+        return QMonomial(*(_json_exponent(row["monomial"][name]) for name in QMonomial._fields))
 
 
 def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
@@ -127,7 +117,6 @@ def module_recompose(me: ModuleElement) -> QElement:
     lifted_monomial(l, m), so the products with each key word go
     straight into one sum.
     """
-    _check_side(me.side)
     spec = me.spec
     _require_standard(spec, "module_recompose")
     l = spec.l
@@ -172,7 +161,7 @@ def closure_diagnostic(l: int, N: int) -> ClosureReport:
         raise ValueError("unsupported pair l=%d, N=%d" % (l, N))
     p = l if spec.standard else 2 * l
 
-    gens = [power(QElement.generator(spec, ch), p) for ch in "abcd"]
+    gens = [QElement.generator(spec, ch) ** p for ch in "abcd"]
     powers_commute = all(
         qmul(gens[i], gens[j]) == qmul(gens[j], gens[i])
         for i in range(4) for j in range(i + 1, 4)
@@ -188,7 +177,7 @@ def closure_diagnostic(l: int, N: int) -> ClosureReport:
         (QMonomial(p, 0, 0, 0), QMonomial(p, 0, 0, 0)): one,
         (QMonomial(0, p, 0, 0), QMonomial(0, 0, p, 0)): one,
     })
-    coproduct_closes = coproduct(power(QElement.generator(spec, "a"), p)) == expected
+    coproduct_closes = coproduct(QElement.generator(spec, "a") ** p) == expected
 
     return ClosureReport(
         l=l,

@@ -39,6 +39,9 @@ from .cyclo import (
 )
 
 _SCALARS = (int, Fraction, Cyclotomic)
+# largest exponent the parser (on a base other than q) and the JSON readers accept;
+# a^k*d^k costs about k^2 scalar products (cyclo.p_expansion), alpha^k*delta^k k + 1 terms
+EXPONENT_MAX = 1000
 
 
 def _add_term(acc: dict, key, value) -> None:
@@ -48,6 +51,14 @@ def _add_term(acc: dict, key, value) -> None:
 
 def _nonzero(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if not v.is_zero()}
+
+
+def _json_exponent(value) -> int:
+    """A monomial exponent of a JSON document: an integer of at most EXPONENT_MAX, else ValueError."""
+    e = json_int(value)
+    if e > EXPONENT_MAX:
+        raise ValueError("exponent %d exceeds EXPONENT_MAX = %d" % (e, EXPONENT_MAX))
+    return e
 
 
 class _SortedTerms:
@@ -219,7 +230,7 @@ class _Terms(_SortedTerms):
 
     @classmethod
     def _key_from_json(cls, row: dict):
-        return cls._KEY(*(json_int(row[name]) for name in cls._KEY._fields))
+        return cls._KEY(*(_json_exponent(row[name]) for name in cls._KEY._fields))
 
     @staticmethod
     def _value_from_json(row: dict, spec: RootSpec):
@@ -227,7 +238,10 @@ class _Terms(_SortedTerms):
 
     @classmethod
     def from_json(cls, data: dict, spec: RootSpec | None = None):
-        """Inverse of to_json; repeated keys are summed and a malformed document raises ValueError."""
+        """Inverse of to_json; repeated keys are summed and a malformed document raises ValueError.
+
+        So does a monomial exponent above EXPONENT_MAX, before any term is expanded.
+        """
         terms: dict = {}
         try:
             head = cls._head_from_json(data, spec)
@@ -371,9 +385,6 @@ class QElement(_Polynomial):
     def _mul(self, other):
         return qmul(self, other)
 
-    def coefficient(self, mono: QMonomial) -> Cyclotomic:
-        return self.terms.get(mono, Cyclotomic.zero(self.spec.N))
-
     def max_exponent(self) -> int:
         return max((max(m) for m in self.terms), default=0)
 
@@ -393,11 +404,6 @@ def qmul(x: QElement, y: QElement) -> QElement:
                 v = cxy * cz
                 acc[mz] = acc[mz] + v if mz in acc else v
     return QElement._like(spec, acc)
-
-
-def power(x: QElement, n: int) -> QElement:
-    """n-fold product; power(x, 0) is the unit."""
-    return x ** n
 
 
 def straighten(word, spec: RootSpec) -> QElement:
@@ -426,21 +432,6 @@ def random_qelement(spec: RootSpec, rng, nterms: int = 3, emax: int | None = Non
     return QElement(spec, terms)
 
 
-def _reduce_mixed_recursive(spec: RootSpec, mono: QMonomial) -> dict[QMonomial, Cyclotomic]:
-    """One ad-contraction at a time; slow dual route for testing _mono_mul."""
-    i, j, k, m = mono
-    if min(i, m) == 0:
-        return {mono: Cyclotomic.one(spec.N)}
-    # a^i b^j c^k d^m = q^(j+k) a^(i-1) b^j c^k (1 + q bc) d^(m-1)
-    f = zeta_pow(spec, j + k)
-    out: dict[QMonomial, Cyclotomic] = {}
-    for sub, extra in ((QMonomial(i - 1, j, k, m - 1), f),
-                       (QMonomial(i - 1, j + 1, k + 1, m - 1), f * zeta_pow(spec, 1))):
-        for mm, vv in _reduce_mixed_recursive(spec, sub).items():
-            _add_term(out, mm, vv * extra)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hopf structure
 
@@ -466,7 +457,7 @@ class TensorElement(_Terms):
 
     @staticmethod
     def _key_from_json(row: dict):
-        return tuple(QMonomial(*(json_int(row[leg][name]) for name in QMonomial._fields))
+        return tuple(QMonomial(*(_json_exponent(row[leg][name]) for name in QMonomial._fields))
                      for leg in ("left", "right"))
 
     def _json_head(self) -> dict:
@@ -474,15 +465,6 @@ class TensorElement(_Terms):
 
     def _mul(self, other):
         return tensor_mul(self, other)
-
-    @classmethod
-    def of(cls, left: QElement, right: QElement) -> "TensorElement":
-        left._check(right)
-        terms = {}
-        for m1, c1 in left.terms.items():
-            for m2, c2 in right.terms.items():
-                terms[(m1, m2)] = c1 * c2
-        return cls(left.spec, terms)
 
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -650,9 +632,6 @@ class ClassicalElement(_Polynomial):
         return classical_mul(self, other)
 
 
-classical_element_from_json = ClassicalElement.from_json
-
-
 def classical_mul(x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
     """Commutative product with determinant reduction."""
     x._check(y)
@@ -669,6 +648,14 @@ def classical_mul(x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
 # Coordinates over the l-th-power subalgebra
 
 
+SIDES = ("left", "right")
+
+
+def _check_side(side: str):
+    if side not in SIDES:
+        raise ValueError("side must be 'left' or 'right', got %r" % (side,))
+
+
 class _SidedTerms(_Terms):
     """Classical coefficients keyed by basis data, acting on one side."""
 
@@ -678,6 +665,7 @@ class _SidedTerms(_Terms):
     def __init__(self, spec: RootSpec, side: str, terms: dict | None = None):
         object.__setattr__(self, "side", side)
         super().__init__(spec, terms)
+        _check_side(side)
 
     def _json_head(self) -> dict:
         return {"side": self.side}

@@ -24,8 +24,8 @@ from qsl2 import (
     QElement,
     QMonomial,
     RootSpec,
+    TensorElement,
     central_reduce,
-    chart_monomial_element,
     classical_mul,
     clear_denominators,
     closure_diagnostic,
@@ -39,11 +39,9 @@ from qsl2 import (
     lift,
     localize,
     make_root_spec,
-    module_element_from_json,
     module_recompose,
     oracle_decompose,
     p_expansion,
-    power,
     qelement_from_json,
     qmul,
     recompose,
@@ -63,6 +61,7 @@ from qsl2.basis import (
     residual_monomials,
 )
 from qsl2.exactla import ExactMatrix, nullspace
+from qsl2.qalgebra import EXPONENT_MAX
 
 F = Fraction
 
@@ -239,10 +238,18 @@ def test_sided_json_reads_root_data_from_coefficients():
     assert back == dec and back.spec == spec and recompose(back) == x
     assert json.dumps(back.to_json()) == json.dumps(dec.to_json())
     me = central_reduce(x, "left")
-    assert module_element_from_json(me.to_json()) == me
-    for read in (decomposition_from_json, module_element_from_json):
+    assert ModuleElement.from_json(me.to_json()) == me
+    for read in (decomposition_from_json, ModuleElement.from_json):
         with pytest.raises(ValueError, match="no root data"):
             read({"side": "left", "entries": [], "terms": []})
+    # the side is checked like every other field of the head
+    for bad in ("up", ["x"], None):
+        for read in (decomposition_from_json, ModuleElement.from_json):
+            with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+                read({"side": bad, "entries": [], "terms": []}, spec)
+    for cls in (Decomposition, ModuleElement):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'sideways'"):
+            cls(spec, "sideways", {})
 
 
 def test_json_readers_reject_non_integer_exponents():
@@ -256,7 +263,32 @@ def test_json_readers_reject_non_integer_exponents():
     doc = me.to_json()
     doc["terms"][0]["monomial"]["b"] = 1.0
     with pytest.raises(ValueError, match="expected an integer"):
-        module_element_from_json(doc, spec)
+        ModuleElement.from_json(doc, spec)
+
+
+def test_json_readers_cap_exponents():
+    spec = SPEC3
+    over = EXPONENT_MAX + 1
+    x = straighten("abc", spec)
+    doc = x.to_json()
+    doc["terms"][0]["b"] = EXPONENT_MAX
+    assert QMonomial(1, EXPONENT_MAX, 1, 0) in qelement_from_json(doc).terms
+    doc["terms"][0]["b"] = over
+    with pytest.raises(ValueError, match="exponent %d exceeds EXPONENT_MAX" % over):
+        qelement_from_json(doc)
+    doc = coproduct(x).to_json()
+    doc["terms"][0]["right"]["c"] = over
+    with pytest.raises(ValueError, match="EXPONENT_MAX"):
+        TensorElement.from_json(doc, spec)
+    doc = central_reduce(x, "left").to_json()
+    doc["terms"][0]["monomial"]["d"] = over
+    with pytest.raises(ValueError, match="EXPONENT_MAX"):
+        ModuleElement.from_json(doc, spec)
+    # alpha^k delta^k would expand into k + 1 terms before anything else is checked
+    doc = decompose(x, "left").to_json()
+    doc["entries"][0]["coeff"]["terms"][0].update(alpha=100000, delta=100000)
+    with pytest.raises(ValueError, match="EXPONENT_MAX"):
+        decomposition_from_json(doc, spec)
 
 
 # --- localization charts ---
@@ -608,6 +640,10 @@ def test_record_types_keep_their_tuple_api():
           "power_det_coeffs", "determinant_closes", "coproduct_closes"),
          "ClosureReport(l=3, order=6, standard=False, power=6, powers_commute=True, powers_central=True, "
          "lth_det_coeffs=(), power_det_coeffs=(), determinant_closes=False, coproduct_closes=False)"),
+        (localize(QElement.generator(SPEC3, "b"), "beta"), ("spec", "chart", "terms"),
+         "LocalizedElement(spec=RootSpec(l=3, parity_case='odd', N=3, zeta_exponent=1, standard=True), "
+         "chart='beta', terms={QMonomial(a=0, b=1, c=0, d=0): "
+         "(ClassicalElement<(Cyclotomic(3, [Fraction(1, 1), Fraction(0, 1)]))*1>, 0)})"),
     ]
     for record, fields, text in cases:
         cls = type(record)
@@ -719,7 +755,9 @@ def _clear_reference(le):
     acc = QElement.zero(spec)
     for mono, (g, k) in le.terms.items():
         full = _classical_mul_reference(g, gen ** (K - k))
-        acc = acc + qmul(lift(full), chart_monomial_element(spec, le.chart, mono))
+        # the chart word a^r b^s c^t d^u (c = 0 on the beta chart, d = 0 on the alpha chart), letter by letter
+        r, s, t, u = mono
+        acc = acc + qmul(lift(full), straighten("a" * r + "b" * s + "c" * t + "d" * u, spec))
     return acc, K
 
 

@@ -21,7 +21,6 @@ from qsl2 import (
     decompose,
     lift,
     make_root_spec,
-    power,
     qmul,
     zeta_pow,
 )
@@ -52,7 +51,7 @@ def test_parse_scalar_prefactor():
 
 
 def test_parse_classical_symbols():
-    assert parse_qelement("alpha", SPEC3) == power(QElement.generator(SPEC3, "a"), 3)
+    assert parse_qelement("alpha", SPEC3) == QElement.generator(SPEC3, "a") ** 3
     assert parse_qelement("β + γ", SPEC3) == parse_qelement("beta + gamma", SPEC3)
 
 
@@ -275,7 +274,12 @@ def test_cli_recompose_rejects_malformed_json(capsys):
     over_zero = {"terms": [{"alpha": 0, "beta": 0, "gamma": 0, "delta": 0,
                             "coeff": {"order": 3, "coeffs": ["1/0", "0"]}}]}
     bad_coeff = {"side": "left", "entries": [{"family": "D", "n": 0, "s": 0, "r": 1, "coeff": over_zero}]}
-    for doc in ('{"side":"left","entries":5}', "[1]", json.dumps(bad_coeff)):
+    # alpha^k delta^k expands into k + 1 terms, so an uncapped reader would practically never finish
+    huge = {"terms": [{"alpha": 100000, "beta": 0, "gamma": 0, "delta": 100000,
+                       "coeff": {"order": 3, "coeffs": ["1", "0"]}}]}
+    over_cap = {"side": "left", "entries": [{"family": "D", "n": 0, "s": 0, "r": 1, "coeff": huge}]}
+    for doc in ('{"side":"left","entries":5}', "[1]", json.dumps(bad_coeff), '{"side":"up","entries":[]}',
+                json.dumps(over_cap)):
         code, out, err = _cli(capsys, "--l", "3", "recompose", doc)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err

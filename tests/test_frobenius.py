@@ -10,6 +10,7 @@ from qsl2 import (
     ClassicalElement,
     ClassicalMonomial,
     Cyclotomic,
+    ModuleElement,
     QElement,
     QMonomial,
     central_reduce,
@@ -18,9 +19,7 @@ from qsl2 import (
     is_central,
     lift,
     make_root_spec,
-    module_element_from_json,
     module_recompose,
-    power,
     qmul,
     remark_root_spec,
     straighten,
@@ -40,7 +39,7 @@ def test_lift_of_generators(spec):
     l = spec.l
     al, be, ga, de = _classical_gens(spec)
     for g, letter in ((al, "a"), (be, "b"), (ga, "c"), (de, "d")):
-        assert lift(g) == power(QElement.generator(spec, letter), l)
+        assert lift(g) == QElement.generator(spec, letter) ** l
 
 
 @pytest.mark.parametrize("spec", [SPEC2, SPEC3])
@@ -69,7 +68,7 @@ def test_centrality_by_parity():
             assert is_central(lift(g)) == central
     # even case: l-th powers of single letters anticommute with the odd letters
     A, B = QElement.generator(SPEC2, "a"), QElement.generator(SPEC2, "b")
-    assert qmul(power(A, 2), B) == qmul(B, power(A, 2)) * (-1)
+    assert qmul(A ** 2, B) == qmul(B, A ** 2) * (-1)
 
 
 def test_restricted_coproduct_is_classical():
@@ -144,7 +143,7 @@ def test_module_element_json_roundtrip():
     me = central_reduce(x, "right")
     doc = me.to_json()
     assert doc["side"] == "right"
-    back = module_element_from_json(doc, SPEC2)
+    back = ModuleElement.from_json(doc, SPEC2)
     assert back == me
     assert module_recompose(back) == x
 
@@ -190,8 +189,8 @@ def test_closure_diagnostic_nonstandard():
     # at order 2l the 2l-th powers still commute, but the l-th powers do not
     assert rep.powers_commute and rep.powers_central
     spec = remark_root_spec(3)
-    A3 = power(QElement.generator(spec, "a"), 3)
-    B3 = power(QElement.generator(spec, "b"), 3)
+    A3 = QElement.generator(spec, "a") ** 3
+    B3 = QElement.generator(spec, "b") ** 3
     assert qmul(A3, B3) == qmul(B3, A3) * (-1)
 
 
