@@ -165,6 +165,13 @@ class Decomposition(_SidedTerms):
 decomposition_from_json = Decomposition.from_json
 
 
+# the subalgebra generators of the elimination heads; the checked index
+# ranges make every tail and head key below normal, so the steps build
+# through the trusted _like
+_ALPHA = ClassicalMonomial(1, 0, 0, 0)
+_DELTA = ClassicalMonomial(0, 0, 0, 1)
+
+
 def eliminate_d_family(n: int, s: int, r: int, spec: RootSpec, side: str = "left") -> ModuleElement:
     """One elimination step for b^n c^s d^r; recomposing the result gives it back."""
     _require_standard(spec, "eliminate_d_family")
@@ -174,11 +181,11 @@ def eliminate_d_family(n: int, s: int, r: int, spec: RootSpec, side: str = "left
         raise ValueError("indices out of range: n=%d s=%d r=%d for l=%d" % (n, s, r, l))
     k = l - r
     row = p_expansion(spec, k)
-    tail = QElement(spec, {QMonomial(0, n + j, s + j, r): -row[j] for j in range(1, k + 1)})
+    tail = QElement._like(spec, {QMonomial(0, n + j, s + j, r): -row[j] for j in range(1, k + 1)})
     head = QMonomial(k, n, s, 0)
     fac = zeta_pow(spec, r * (n + s)) if side == "left" else zeta_pow(spec, -k * (n + s))
-    return central_reduce(tail, side) + ModuleElement(
-        spec, side, {head: ClassicalElement.generator(spec, "delta") * fac})
+    return central_reduce(tail, side) + ModuleElement._like(
+        spec, side, {head: ClassicalElement._like(spec, {_DELTA: fac})})
 
 
 def eliminate_a_family(m: int, n: int, s: int, spec: RootSpec, side: str = "left") -> ModuleElement:
@@ -190,11 +197,11 @@ def eliminate_a_family(m: int, n: int, s: int, spec: RootSpec, side: str = "left
         raise ValueError("indices out of range: m=%d n=%d s=%d for l=%d" % (m, n, s, l))
     k = l - m
     row = p_expansion(spec, k)
-    tail = QElement(spec, {QMonomial(m, n + j, s + j, 0): -row[j] for j in range(1, k + 1)})
+    tail = QElement._like(spec, {QMonomial(m, n + j, s + j, 0): -row[j] for j in range(1, k + 1)})
     head = QMonomial(0, n, s, k)
     fac = zeta_pow(spec, -k * (n + s)) if side == "left" else zeta_pow(spec, m * (n + s))
-    return central_reduce(tail, side) + ModuleElement(
-        spec, side, {head: ClassicalElement.generator(spec, "alpha") * fac})
+    return central_reduce(tail, side) + ModuleElement._like(
+        spec, side, {head: ClassicalElement._like(spec, {_ALPHA: fac})})
 
 
 def decompose(x: QElement, side: str = "left") -> Decomposition:
@@ -317,8 +324,10 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
                 # each b passes d^(lC) for q^(-lC)
                 v = p * zeta_pow(spec, (k - t) * (k - t - 1) - k * k - t * t - i * l * K - s * t
                                  + l * (r0 * B + s0 * C))
-                cm = ClassicalMonomial(A, B, 0, C)
-                coeff = ClassicalElement.monomial(spec, cm, -v if (k - t) % 2 else v)
+                if (k - t) % 2:
+                    v = -v
+                # i*m = 0 (a residual monomial) and t <= k < l, so A*C = 0 and the key is reduced
+                coeff = ClassicalElement._like(spec, {ClassicalMonomial(A, B, 0, C): v})
                 _add_term(acc, QMonomial(r0, s0, 0, t0), classical_mul(g, coeff))
     # divide the chart generator back out of each term that allows it
     out: dict[QMonomial, tuple[ClassicalElement, int]] = {}
@@ -347,7 +356,9 @@ def clear_denominators(le: LocalizedElement) -> tuple[QElement, int]:
     _require_standard(spec, "clear_denominators")
     K = le.max_power()
     gen = ClassicalElement.generator(spec, le.chart)
-    words = {mono: classical_mul(g, gen ** (K - k)) for mono, (g, k) in le.terms.items()}
+    # a numerator already over denom^K passes through unchanged
+    words = {mono: g if k == K else classical_mul(g, gen ** (K - k))
+             for mono, (g, k) in le.terms.items()}
     return module_recompose(ModuleElement._like(spec, "left", words)), K
 
 

@@ -185,11 +185,14 @@ class _Parser:
         spec = self.spec
         if name == "q":
             return QElement.scalar(spec, zeta_pow(spec, exponent))
+        # exponent >= 0 here, and a power of one letter is a normal monomial
+        one = Cyclotomic.one(spec.N)
         if name in QUANTUM_LETTERS:
             i = QUANTUM_LETTERS.index(name)
-            return QElement.monomial(spec, QMonomial(*(exponent * (j == i) for j in range(4))))
+            return QElement._like(spec, {QMonomial(*(exponent * (j == i) for j in range(4))): one})
         i = CLASSICAL_LETTERS.index(name)
-        return lift(ClassicalElement.monomial(spec, ClassicalMonomial(*(exponent * (j == i) for j in range(4)))))
+        mono = ClassicalMonomial(*(exponent * (j == i) for j in range(4)))
+        return lift(ClassicalElement._like(spec, {mono: one}))
 
 
 def parse_qelement(text: str, spec: RootSpec) -> QElement:

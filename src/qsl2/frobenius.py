@@ -68,6 +68,14 @@ class ModuleElement(_SidedTerms):
 
     __slots__ = ()
 
+    def _key(self, mono):
+        if not isinstance(mono, QMonomial):
+            mono = QMonomial(*mono)
+        if min(mono) < 0 or max(mono) >= self.spec.l:
+            raise ValueError("module word %s needs every exponent in 0..%d"
+                             % (mono, self.spec.l - 1))
+        return mono
+
     @staticmethod
     def _key_json(mono) -> dict:
         return {"monomial": mono._asdict()}

@@ -115,8 +115,8 @@ class _Terms(_SortedTerms):
     _HEAD = ("spec",)
 
     def __init__(self, spec: RootSpec, terms: dict | None = None):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", self._clean(terms or {}))
+        _set_spec(self, spec)
+        _set_terms(self, self._clean(terms or {}))
 
     def _key(self, key):
         return key
@@ -131,12 +131,11 @@ class _Terms(_SortedTerms):
         return out
 
     @classmethod
-    def _like(cls, *head_terms):
-        """cls(*head, terms) for keys that are already normal: only zeros are pruned."""
-        out = object.__new__(cls)
-        for name, value in zip(cls._HEAD, head_terms):
-            object.__setattr__(out, name, value)
-        object.__setattr__(out, "terms", _nonzero(head_terms[-1]))
+    def _like(cls, spec: RootSpec, terms: dict):
+        """cls(spec, terms) for keys that are already normal: only zeros are pruned."""
+        out = _new(cls)
+        _set_spec(out, spec)
+        _set_terms(out, _nonzero(terms))
         return out
 
     def __reduce__(self):
@@ -254,6 +253,12 @@ class _Terms(_SortedTerms):
         return cls(*head, terms)
 
 
+# the slot setters, so the trusted constructor _like skips the immutability guard
+_new = object.__new__
+_set_spec = _Terms.__dict__["spec"].__set__
+_set_terms = _Terms.__dict__["terms"].__set__
+
+
 class _Polynomial(_Terms):
     """A combination of monomials in four letters, the field names of _KEY.
 
@@ -281,7 +286,9 @@ class _Polynomial(_Terms):
         letters = cls._KEY._fields
         if letter not in letters:
             raise ValueError("unknown generator %r" % (letter,))
-        return cls.monomial(spec, cls._KEY(*(int(name == letter) for name in letters)))
+        # a single letter is a normal monomial on either side
+        mono = cls._KEY(*(int(name == letter) for name in letters))
+        return cls._like(spec, {mono: Cyclotomic.one(spec.N)})
 
     def _coerce(self, other):
         if isinstance(other, _SCALARS):
@@ -291,8 +298,10 @@ class _Polynomial(_Terms):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        acc = self.one(self.spec)
-        for _ in range(n):
+        if n == 0:
+            return self.one(self.spec)
+        acc = self
+        for _ in range(n - 1):
             acc = acc * self
         return acc
 
@@ -663,9 +672,15 @@ class _SidedTerms(_Terms):
     _HEAD = ("spec", "side")
 
     def __init__(self, spec: RootSpec, side: str, terms: dict | None = None):
-        object.__setattr__(self, "side", side)
+        _set_side(self, side)
         super().__init__(spec, terms)
         _check_side(side)
+
+    @classmethod
+    def _like(cls, spec: RootSpec, side: str, terms: dict):
+        out = super()._like(spec, terms)
+        _set_side(out, side)
+        return out
 
     def _json_head(self) -> dict:
         return {"side": self.side}
@@ -681,3 +696,6 @@ class _SidedTerms(_Terms):
     @staticmethod
     def _value_from_json(row: dict, spec: RootSpec):
         return ClassicalElement.from_json(row["coeff"], spec)
+
+
+_set_side = _SidedTerms.__dict__["side"].__set__

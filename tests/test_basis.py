@@ -376,6 +376,32 @@ def test_localize_clearing_contract(data):
         assert (mono.d == 0) if chart == "alpha" else (mono.c == 0)
 
 
+@pytest.mark.parametrize("l", [4, 5])
+def test_session_path_never_calls_the_key_hooks(l, monkeypatch):
+    # decompose, recompose, localize and clear_denominators build every
+    # result through the trusted _like, so no key is validated on the way
+    spec = make_root_spec(l)
+    rng = random.Random(l)
+    xs = [random_qelement(spec, rng, nterms=4) for _ in range(6)]
+    calls = []
+    for cls in (QElement, ClassicalElement, ModuleElement, Decomposition):
+        key = cls._key
+
+        def counted(self, k, key=key, name=cls.__name__):
+            calls.append(name)
+            return key(self, k)
+
+        monkeypatch.setattr(cls, "_key", counted)
+    for x in xs:
+        for side in ("left", "right"):
+            assert recompose(decompose(x, side)) == x
+        for chart in ("alpha", "beta"):
+            clear_denominators(localize(x, chart))
+    assert calls == []
+    QElement.monomial(spec, QMonomial(1, 0, 0, 0))
+    assert calls == ["QElement"]
+
+
 def test_localize_denominators_are_minimal():
     spec = SPEC3
     al = ClassicalElement.generator(spec, "alpha")

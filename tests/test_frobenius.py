@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -146,6 +147,22 @@ def test_module_element_json_roundtrip():
     back = ModuleElement.from_json(doc, SPEC2)
     assert back == me
     assert module_recompose(back) == x
+
+
+@pytest.mark.parametrize("a", [-2, 3, 7])
+def test_module_element_rejects_words_with_exponents_outside_0_to_l_minus_1(a):
+    me = central_reduce(straighten("ab", SPEC3), "left")
+    g = me.terms[QMonomial(1, 1, 0, 0)]
+    doc = me.to_json()
+    assert doc["terms"][0]["monomial"] == {"a": 1, "b": 1, "c": 0, "d": 0}
+    doc["terms"][0]["monomial"]["a"] = a
+    message = "module word QMonomial(a=%d, b=1, c=0, d=0) needs every exponent in 0..2" % a
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModuleElement.from_json(doc, SPEC3)
+    with pytest.raises(ValueError, match="module word"):
+        ModuleElement(SPEC3, "left", {QMonomial(a, 1, 0, 0): g})
+    # a chart word may hold both a and d, as long as each exponent is below l
+    assert QMonomial(2, 1, 0, 2) in ModuleElement(SPEC3, "left", {(2, 1, 0, 2): g}).terms
 
 
 def test_frobenius_ops_reject_nonstandard_spec():

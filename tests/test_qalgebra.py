@@ -163,12 +163,16 @@ def test_product_associativity(data):
 
 def test_power():
     A, B, C, D = _gens(SPEC3)
-    x = qmul(A, D) + B
-    assert x ** 0 == QElement.one(SPEC3)
-    assert x ** 3 == qmul(x, qmul(x, x))
-    assert x ** 2 == qmul(x, x)
-    with pytest.raises(ValueError):
-        x ** -1
+    g = ClassicalElement(SPEC3, {ClassicalMonomial(1, 0, 2, 0): zeta_pow(SPEC3, 1),
+                                 ClassicalMonomial(0, 1, 0, 3): Cyclotomic.from_rational(3, F(-2, 3))})
+    for x in (qmul(A, D) + B, random_qelement(SPEC3, random.Random(5), nterms=3), g):
+        acc = type(x).one(SPEC3)
+        for n in range(5):
+            assert x ** n == acc  # the n-fold product
+            acc = acc * x
+        assert x ** 1 is x  # n - 1 products, none by one
+        with pytest.raises(ValueError):
+            x ** -1
 
 
 @pytest.mark.parametrize("l", [2, 3, 5])
