@@ -14,9 +14,10 @@ k = l-m, p_{k,j} the product-row coefficients):
 
 (left forms; the right forms carry q^(-k(n+s)) resp. q^(m(n+s)) on the
 subalgebra term and the same sums).  Each non-basis term on the right has
-a larger c than the left side, so decompose settles x in one sweep over c;
-oracle_decompose solves for the same coordinates by brute-force exact
-linear algebra and knows nothing about the relations.
+the a and d exponents of the left side and a larger c, so decompose
+settles x in one sweep over c; oracle_decompose solves for the same
+coordinates by brute-force exact linear algebra and knows nothing about
+the relations.
 """
 
 from __future__ import annotations
@@ -227,13 +228,8 @@ def decompose(x: QElement, side: str = "left") -> Decomposition:
             rel = eliminate_d_family(j, k, m, spec, side)
         for mono2, h in rel.terms.items():
             cls2 = is_basis_monomial(mono2, l)
-            if i > 0:
-                # family A: s strictly increases and the c-exponent never wraps
-                in_order = (mono2.a == i and k < mono2.c < l) if mono2.a else cls2 is not None
-            else:
-                # family D: s strictly increases until it wraps, then the term is valid
-                in_order = mono2.d == m if (mono2.a == 0 and mono2.c > k) else cls2 is not None
-            if not in_order:
+            # a relation term is a basis monomial, or keeps the a and d of mono and has a larger c
+            if cls2 is None and not (mono2.a == i and mono2.d == m and mono2.c > k):
                 raise RuntimeError("eliminating %s produced %s out of order; this is a bug"
                                    % (mono, mono2))
             _add_term(settled if cls2 is not None else pending[mono2.c], mono2, classical_mul(g, h))
@@ -492,7 +488,7 @@ def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[BasisIndex, Class
         for col, row in zip(pivots[:rank], red.rows):
             if j in row:
                 idx, cm = pairs[col]
-                _add_term(coords, idx, ClassicalElement.monomial(spec, cm, row[j]))
+                _add_term(coords, idx, ClassicalElement._like(spec, {cm: row[j]}))
         solutions.append(coords)
     return ncols - rank, solutions
 
@@ -579,8 +575,7 @@ def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,
                 continue
             spanned += 1
             # a weight with a kernel has no unique coordinates to agree with
-            if not kernel and Decomposition(spec, side, coords).coefficients == \
-                    decompose(QElement.monomial(spec, mono), side).coefficients:
+            if not kernel and coords == decompose(QElement._like(spec, {mono: one}), side).terms:
                 agree += 1
     return FreenessReport(l=l, side=side, degree_bound=degree_bound,
                           monomials_checked=len(monomials), kernel_dimension=kernel_dim,

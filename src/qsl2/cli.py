@@ -28,11 +28,11 @@ from .basis import (
 )
 from .cyclo import (
     Cyclotomic,
+    RootSpec,
     json_int,
     make_root_spec,
     p_coeff,
     p_expansion,
-    root_spec_for_order,
     zeta_pow,
 )
 from .expr import (
@@ -189,7 +189,7 @@ def _det_line(spec, p: int, coeffs) -> str:
 
 
 def _closure_text(report) -> str:
-    spec = root_spec_for_order(report.l, report.order)
+    spec = RootSpec(report.l, report.order)
     yes = lambda flag: "yes" if flag else "no"
     lines = [
         "closure diagnostic: l=%d, root order %d (%s case)"

@@ -461,61 +461,47 @@ def cyclotomic_from_json(data: dict, order: int | None = None) -> Cyclotomic:
     return _normalise(found, tuple(p * (den // q) for p, q in ratios), den)
 
 
-class RootSpec(namedtuple("RootSpec", "l parity_case N zeta_exponent standard", defaults=(True,))):
-    """A choice of root of unity q = zeta_N^zeta_exponent for a given l.
+class RootSpec(namedtuple("RootSpec", "l N zeta_exponent")):
+    """The root of unity q = zeta_N^zeta_exponent at parameter l >= 2.
 
-    standard=True are the two main parity cases (l odd, N=l and l even,
-    N=2l).  The diagnostic case l odd, N=2l is reachable only through
-    remark_root_spec and is rejected by the structural operations.
+    The order N is l (l odd) or 2l.  The standard cases are q^l = 1 for
+    odd l and q^(2l) = 1 for even l; N = 2l at odd l is the remark case,
+    which the structural operations reject.  standard is read off (l, N)
+    and cannot be set.  The constructor raises ValueError for any other
+    pair or for a zeta_exponent not coprime to N, and stores the exponent
+    mod N, so q is always a primitive N-th root of unity.
     """
 
     __slots__ = ()
 
+    def __new__(cls, l: int, N: int, zeta_exponent: int = 1):
+        if l < 2:
+            raise ValueError("l must be at least 2")
+        if N != 2 * l and not (N == l and l % 2):
+            raise ValueError("unsupported pair l=%d, N=%d" % (l, N))
+        if math.gcd(zeta_exponent, N) != 1:
+            raise ValueError("zeta_exponent %d is not coprime to N=%d" % (zeta_exponent, N))
+        return tuple.__new__(cls, (l, N, zeta_exponent % N))
+
+    @property
+    def standard(self) -> bool:
+        return self.N == self.l or self.l % 2 == 0
+
 
 def make_root_spec(l: int, zeta_exponent: int | None = None) -> RootSpec:
-    if l < 2:
-        raise ValueError("l must be at least 2")
-    parity = "odd" if l % 2 else "even"
-    N = l if l % 2 else 2 * l
-    if zeta_exponent is None:
-        zeta_exponent = 1
-    if math.gcd(zeta_exponent, N) != 1:
-        raise ValueError("zeta_exponent %d is not coprime to N=%d" % (zeta_exponent, N))
-    return RootSpec(l=l, parity_case=parity, N=N, zeta_exponent=zeta_exponent % N)
+    """The standard case: q of order l for odd l, 2l for even l."""
+    return RootSpec(l, l if l % 2 else 2 * l, 1 if zeta_exponent is None else zeta_exponent)
 
 
 def remark_root_spec(l: int, zeta_exponent: int | None = None) -> RootSpec:
     """The nonstandard case: l odd but q of order 2l (q^l = -1)."""
     if l < 3 or l % 2 == 0:
         raise ValueError("this case needs odd l >= 3")
-    N = 2 * l
-    if zeta_exponent is None:
-        zeta_exponent = 1
-    if math.gcd(zeta_exponent, N) != 1:
-        raise ValueError("zeta_exponent %d is not coprime to N=%d" % (zeta_exponent, N))
-    return RootSpec(l=l, parity_case="odd", N=N, zeta_exponent=zeta_exponent % N, standard=False)
-
-
-def root_spec_for_order(l: int, N: int, zeta_exponent: int | None = None) -> RootSpec | None:
-    """The root data for q of order N at parameter l, or None if no case fits.
-
-    N = l (l odd) and N = 2l (l even) are the standard cases; N = 2l with
-    l odd is the remark case.
-    """
-    if N == (l if l % 2 else 2 * l):
-        return make_root_spec(l, zeta_exponent)
-    if l % 2 and N == 2 * l:
-        return remark_root_spec(l, zeta_exponent)
-    return None
+    return RootSpec(l, 2 * l, 1 if zeta_exponent is None else zeta_exponent)
 
 
 def root_spec_from_json(data: dict) -> RootSpec:
-    l = json_int(data["l"])
-    N = json_int(data["N"])
-    spec = root_spec_for_order(l, N, json_int(data.get("zeta_exponent", 1)))
-    if spec is None:
-        raise ValueError("inconsistent root data l=%d N=%d" % (l, N))
-    return spec
+    return RootSpec(json_int(data["l"]), json_int(data["N"]), json_int(data.get("zeta_exponent", 1)))
 
 
 def root_spec_to_json(spec: RootSpec) -> dict:

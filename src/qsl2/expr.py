@@ -31,11 +31,13 @@ rational coefficients (lowest powers first).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .cyclo import Cyclotomic, RootSpec, unit_power, zeta_pow
 from .frobenius import lift
 from .qalgebra import (
     EXPONENT_MAX,
+    POWER_PRODUCTS_MAX,
     ClassicalElement,
     ClassicalMonomial,
     QElement,
@@ -144,8 +146,14 @@ class _Parser:
             raise ExprSyntaxError("negative exponent only allowed on q", self.pos)
         if exponent > EXPONENT_MAX and name != "q":
             raise ExprSyntaxError("exponent %d exceeds EXPONENT_MAX = %d" % (exponent, EXPONENT_MAX), start)
-        value = value ** exponent if name is None else self.symbol_power(name, exponent)
-        return value, quantum, classical, None
+        if name is not None:
+            return self.symbol_power(name, exponent), quantum, classical, None
+        t = len(value.terms)
+        products = t * (comb(exponent + t - 1, t) - 1)
+        if products > POWER_PRODUCTS_MAX:
+            raise ExprSyntaxError("a %d-term sum to the %d takes about %d term products, over "
+                                  "POWER_PRODUCTS_MAX = %d" % (t, exponent, products, POWER_PRODUCTS_MAX), start)
+        return value ** exponent, quantum, classical, None
 
     def base(self) -> tuple:
         ch = self.peek()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclo import Cyclotomic, RootSpec, p_expansion, root_spec_for_order
+from .cyclo import Cyclotomic, RootSpec, p_expansion
 from .qalgebra import (
     CLASSICAL_ONE,
     ClassicalElement,
@@ -164,9 +164,7 @@ class ClosureReport(namedtuple("ClosureReport", (
 
 def closure_diagnostic(l: int, N: int) -> ClosureReport:
     """Probe which parts of the l-th-power construction close for q of order N."""
-    spec = root_spec_for_order(l, N)
-    if spec is None:
-        raise ValueError("unsupported pair l=%d, N=%d" % (l, N))
+    spec = RootSpec(l, N)
     p = l if spec.standard else 2 * l
 
     gens = [QElement.generator(spec, ch) ** p for ch in "abcd"]

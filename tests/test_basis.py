@@ -397,6 +397,9 @@ def test_session_path_never_calls_the_key_hooks(l, monkeypatch):
             assert recompose(decompose(x, side)) == x
         for chart in ("alpha", "beta"):
             clear_denominators(localize(x, chart))
+    # so does the certificate: its oracle coordinates are keyed by basis indices
+    for side in ("left", "right"):
+        assert verify_freeness(4, side).oracle_agreement == 112
     assert calls == []
     QElement.monomial(spec, QMonomial(1, 0, 0, 0))
     assert calls == ["QElement"]
@@ -648,8 +651,7 @@ def test_verify_freeness_falls_back_to_rref_when_trailing_monomials_collide(side
 
 def test_record_types_keep_their_tuple_api():
     cases = [
-        (make_root_spec(3), ("l", "parity_case", "N", "zeta_exponent", "standard"),
-         "RootSpec(l=3, parity_case='odd', N=3, zeta_exponent=1, standard=True)"),
+        (make_root_spec(3), ("l", "N", "zeta_exponent"), "RootSpec(l=3, N=3, zeta_exponent=1)"),
         (QMonomial(1, 0, 2, 0), ("a", "b", "c", "d"), "QMonomial(a=1, b=0, c=2, d=0)"),
         (ClassicalMonomial(0, 1, 2, 0), ("alpha", "beta", "gamma", "delta"),
          "ClassicalMonomial(alpha=0, beta=1, gamma=2, delta=0)"),
@@ -667,7 +669,7 @@ def test_record_types_keep_their_tuple_api():
          "ClosureReport(l=3, order=6, standard=False, power=6, powers_commute=True, powers_central=True, "
          "lth_det_coeffs=(), power_det_coeffs=(), determinant_closes=False, coproduct_closes=False)"),
         (localize(QElement.generator(SPEC3, "b"), "beta"), ("spec", "chart", "terms"),
-         "LocalizedElement(spec=RootSpec(l=3, parity_case='odd', N=3, zeta_exponent=1, standard=True), "
+         "LocalizedElement(spec=RootSpec(l=3, N=3, zeta_exponent=1), "
          "chart='beta', terms={QMonomial(a=0, b=1, c=0, d=0): "
          "(ClassicalElement<(Cyclotomic(3, [Fraction(1, 1), Fraction(0, 1)]))*1>, 0)})"),
     ]
@@ -680,8 +682,8 @@ def test_record_types_keep_their_tuple_api():
         assert type(changed) is cls and changed[0] == 7 and changed[1:] == record[1:]
         back = pickle.loads(pickle.dumps(record))
         assert type(back) is cls and back == record
-    assert make_root_spec(3) == RootSpec(3, "odd", 3, 1)
-    assert RootSpec(3, "odd", 3, 1).standard is True
+    assert make_root_spec(3) == RootSpec(3, 3, 1)
+    assert RootSpec(3, 3, 1).standard is True
 
 
 def test_elements_and_reports_survive_pickle():

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 import qsl2.cyclo
 from qsl2 import (
     Cyclotomic,
+    RootSpec,
     cyclotomic_from_json,
     cyclotomic_polynomial,
     euler_phi,
@@ -159,19 +161,27 @@ def test_readers_do_not_build_the_field():
 
 
 def test_make_root_spec():
-    assert (make_root_spec(3).N, make_root_spec(3).parity_case) == (3, "odd")
-    assert (make_root_spec(2).N, make_root_spec(2).parity_case) == (4, "even")
+    assert make_root_spec(3) == RootSpec(3, 3, 1)
+    assert make_root_spec(2) == RootSpec(2, 4, 1)
     assert make_root_spec(5).N == 5
     assert make_root_spec(4).N == 8
     assert make_root_spec(5, zeta_exponent=2).zeta_exponent == 2
-    for bad in (lambda: make_root_spec(1), lambda: make_root_spec(4, zeta_exponent=2)):
+    assert RootSpec(3, 3, 4).zeta_exponent == 1
+    # standard is read off (l, N) and cannot be set
+    assert [RootSpec(*ln).standard for ln in ((3, 3), (4, 8), (3, 6))] == [True, True, False]
+    for bad in (lambda: make_root_spec(1), lambda: make_root_spec(4, zeta_exponent=2),
+                lambda: RootSpec(3, 7), lambda: RootSpec(4, 4), lambda: RootSpec(3, 3, 3),
+                lambda: RootSpec(1, 2), lambda: root_spec_from_json({"l": 3, "N": 7})):
         with pytest.raises(ValueError):
             bad()
+    with pytest.raises(ValueError, match="unsupported pair l=3, N=7"):
+        RootSpec(3, 7)
 
 
 def test_remark_root_spec():
     spec = remark_root_spec(3)
     assert (spec.l, spec.N, spec.standard) == (3, 6, False)
+    assert spec == RootSpec(3, 6) and pickle.loads(pickle.dumps(spec)) == spec
     with pytest.raises(ValueError):
         remark_root_spec(2)
 

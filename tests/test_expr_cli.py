@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from qsl2 import (
     decompose,
     lift,
     make_root_spec,
+    module_recompose,
     qmul,
     zeta_pow,
 )
@@ -30,6 +32,7 @@ import qsl2.frobenius
 from qsl2.cli import run
 from qsl2.expr import (
     EXPONENT_MAX,
+    POWER_PRODUCTS_MAX,
     ExprSyntaxError,
     format_classical,
     format_cyclotomic,
@@ -98,6 +101,24 @@ def test_exponents_are_capped_except_on_q():
     assert parse_qelement("a^1000", SPEC3) == A ** EXPONENT_MAX
     assert parse_qelement("q^-99999999 + (q)^99999999", SPEC3) == QElement.scalar(
         SPEC3, zeta_pow(SPEC3, -99999999) + zeta_pow(SPEC3, 99999999))
+
+
+def test_powers_of_sums_are_bounded_before_they_expand(capsys):
+    # t terms to the n take about t*(C(n+t-1, t) - 1) term products
+    for text, position, products in (("(a+b+c+d)^1000", 10, 4 * (math.comb(1003, 4) - 1)),
+                                      ("(1+a)^400", 6, 160398), ("2*(a + b)^ 300", 11, 90298)):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_qelement(text, SPEC3)
+        assert info.value.position == position
+        assert "about %d term products, over POWER_PRODUCTS_MAX = %d" % (products, POWER_PRODUCTS_MAX) \
+            in str(info.value)
+    A, B = QElement.generator(SPEC3, "a"), QElement.generator(SPEC3, "b")
+    assert parse_qelement("(1+a)^200", SPEC3) == (A + 1) ** 200
+    assert parse_qelement("(a*b)^1000", SPEC3) == (A * B) ** 1000
+    assert len(parse_qelement("(a+b+c+d)^20", SPEC3).terms) == 1268
+    assert parse_qelement("(a-a)^1000 + (a+b)^0", SPEC3) == QElement.one(SPEC3)
+    code, out, err = _cli(capsys, "--l", "3", "normalize", "(a+b+c+d)^1000")
+    assert code == 2 and out == "" and err.startswith("parse error: ") and "POWER_PRODUCTS_MAX" in err
 
 
 def test_negative_exponents_only_on_q():
@@ -410,6 +431,8 @@ def test_cli_closure_reports(capsys):
     assert code == 0 and "a^3 d^3 = 1 + b^3 c^3" in out and "coproduct closes" in out
     code, out, _ = _cli(capsys, "--l", "2", "closure", "--order", "4")
     assert code == 0 and "a^2 d^2 = 1 + b^2 c^2" in out
+    code, out, err = _cli(capsys, "--l", "3", "closure", "--order", "7")
+    assert (code, out, err) == (2, "", "error: unsupported pair l=3, N=7\n")
 
 
 def test_cli_verify_basis(capsys):
@@ -448,14 +471,25 @@ def test_cli_broken_block_extraction_is_a_failure(capsys, monkeypatch):
     assert code == 1 and err.startswith("failure:")
 
 
-@pytest.mark.parametrize("name,expr", [("eliminate_a_family", "a^2*c"), ("eliminate_d_family", "c*d^2")])
-def test_out_of_order_elimination_is_a_failure(capsys, monkeypatch, name, expr):
-    # the sweep over c settles each bucket once, so a relation may not hand back a non-basis term at the same c
-    def same_c(*args):
-        spec, side = args[3], args[4] if len(args) > 4 else "left"
-        return central_reduce(parse_qelement(expr, spec), side)
+@pytest.mark.parametrize("name,expr,relation", [
+    pytest.param("eliminate_a_family", "a^2*c", "a^2*c", id="eliminate_a_family-a^2*c"),
+    pytest.param("eliminate_d_family", "c*d^2", "c*d^2", id="eliminate_d_family-c*d^2"),
+    pytest.param("eliminate_d_family", "c*d^2", "c^2*d", id="eliminate_d_family-c*d^2-to-c^2*d"),
+])
+def test_out_of_order_elimination_is_a_failure(capsys, monkeypatch, name, expr, relation):
+    # the sweep over c settles each bucket once, so a relation may not hand back a non-basis
+    # term at the same c, nor one at a larger c with other a and d exponents; only the
+    # relation for expr itself is replaced, so a term let through is then settled for real
+    real = getattr(qsl2.basis, name)
 
-    monkeypatch.setattr(qsl2.basis, name, same_c)
+    def wrong_for_expr(*args):
+        spec, side = args[3], args[4] if len(args) > 4 else "left"
+        rel = real(*args)
+        if module_recompose(rel) != parse_qelement(expr, spec):
+            return rel
+        return central_reduce(parse_qelement(relation, spec), side)
+
+    monkeypatch.setattr(qsl2.basis, name, wrong_for_expr)
     with pytest.raises(RuntimeError, match="out of order"):
         decompose(parse_qelement(expr, SPEC3))
     code, out, err = _cli(capsys, "--l", "3", "decompose", expr)

@@ -14,11 +14,14 @@ from qsl2 import (
     ModuleElement,
     QElement,
     QMonomial,
+    RootSpec,
     central_reduce,
     closure_diagnostic,
     coproduct,
+    decompose,
     is_central,
     lift,
+    localize,
     make_root_spec,
     module_recompose,
     qmul,
@@ -172,6 +175,13 @@ def test_frobenius_ops_reject_nonstandard_spec():
         lift(g)
     with pytest.raises(ValueError):
         central_reduce(QElement.one(spec), "left")
+    # standard is read off (l, N), so no spec of order 2l at odd l reaches the structural operations
+    for spec in (RootSpec(3, 6), RootSpec(5, 10, 3)):
+        x = straighten("c" + "d" * 5, spec)
+        for op in (lambda: decompose(x, "left"), lambda: decompose(x, "right"), lambda: localize(x, "alpha"),
+                   lambda: localize(x, "beta"), lambda: central_reduce(x, "right")):
+            with pytest.raises(ValueError, match="requires a standard root case"):
+                op()
 
 
 def test_closure_diagnostic_standard_odd():
