@@ -6,8 +6,8 @@ Generators (all exponents below l):
     family D:  b^n c^s d^r  with 0 <= r,  s + r <= l - 1
 
 which counts l^2(l-1)/2 + l^2(l+1)/2 = l^3 monomials.  Any other reduced
-monomial is rewritten by one of two elimination relations (k = l-r resp.
-k = l-m, p_{k,j} the product-row coefficients):
+monomial is rewritten by one elimination relation, in its d-word and
+a-word forms (k = l-r resp. k = l-m, p_{k,j} the product-row coefficients):
 
     b^n c^s d^r  = q^(r(n+s))  delta |> (a^k b^n c^s)  - sum_j p_{k,j} b^(n+j) c^(s+j) d^r
     a^m b^n c^s  = q^(-k(n+s)) alpha |> (b^n c^s d^k)  - sum_j p_{k,j} a^m b^(n+j) c^(s+j)
@@ -46,73 +46,64 @@ from .qalgebra import (
 from .qalgebra import _add_term, _mono_mul, _nonzero
 
 
-def _index_eq(self, other):
-    return type(other) is type(self) and tuple.__eq__(self, other)
+class _BasisIndex:
+    """Equality, hashing, order (family D first), JSON and CLI text of both index families.
 
-
-def _index_ne(self, other):
-    return not _index_eq(self, other)
-
-
-def _index_hash(self):
-    return hash(self.sort_key())
-
-
-class FamilyA(namedtuple("FamilyA", "m n s")):
-    """Generator a^m b^n c^s with 1 <= m <= s.
-
-    Indices of the two families compare and hash by family too, so
-    FamilyA(1, 1, 1) and FamilyD(1, 1, 1) are distinct keys.
+    Indices compare and hash by family too: FamilyA(1, 1, 1) != FamilyD(1, 1, 1).
     """
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.sort_key())
+
+    def sort_key(self):
+        return (self._RANK,) + self
+
+    def to_json(self) -> dict:
+        return {"family": self._FAMILY, **dict(zip(self._fields, self))}
+
+    def tag(self) -> str:
+        """The family and its indices as the CLI prints them, e.g. A(m=1,n=0,s=2)."""
+        return "%s(%s)" % (self._FAMILY, ",".join("%s=%d" % kv for kv in zip(self._fields, self)))
+
+
+class FamilyA(_BasisIndex, namedtuple("FamilyA", "m n s")):
+    """Generator a^m b^n c^s with 1 <= m <= s."""
+
+    __slots__ = ()
+    _FAMILY, _RANK = "A", 1
+
     def monomial(self) -> QMonomial:
         return QMonomial(self.m, self.n, self.s, 0)
 
-    def sort_key(self):
-        return (1, self.m, self.n, self.s)
 
-    __eq__, __ne__, __hash__ = _index_eq, _index_ne, _index_hash
-
-    def to_json(self) -> dict:
-        return {"family": "A", "m": self.m, "n": self.n, "s": self.s}
-
-
-class FamilyD(namedtuple("FamilyD", "n s r")):
+class FamilyD(_BasisIndex, namedtuple("FamilyD", "n s r")):
     """Generator b^n c^s d^r with s + r <= l - 1."""
 
     __slots__ = ()
+    _FAMILY, _RANK = "D", 0
 
     def monomial(self) -> QMonomial:
         return QMonomial(0, self.n, self.s, self.r)
 
-    def sort_key(self):
-        return (0, self.n, self.s, self.r)
-
-    __eq__, __ne__, __hash__ = _index_eq, _index_ne, _index_hash
-
-    def to_json(self) -> dict:
-        return {"family": "D", "n": self.n, "s": self.s, "r": self.r}
-
 
 BasisIndex = FamilyA | FamilyD
+_FAMILIES = {"A": FamilyA, "D": FamilyD}
 
 
 def enumerate_basis(l: int) -> list[BasisIndex]:
     """All l^3 generators, family D first, in lexicographic index order."""
     if l < 2:
         raise ValueError("l must be at least 2")
-    out: list[BasisIndex] = []
-    for n in range(l):
-        for s in range(l):
-            for r in range(l - s):
-                out.append(FamilyD(n, s, r))
-    for m in range(1, l):
-        for n in range(l):
-            for s in range(m, l):
-                out.append(FamilyA(m, n, s))
-    return out
+    found = (is_basis_monomial(mono, l) for mono in residual_monomials(l))
+    return sorted((idx for idx in found if idx is not None), key=_BasisIndex.sort_key)
 
 
 def residual_monomials(l: int) -> list[QMonomial]:
@@ -127,12 +118,8 @@ def is_basis_monomial(mono: QMonomial, l: int) -> BasisIndex | None:
     if min(mono) < 0 or max(mono) >= l or (mono.a and mono.d):
         raise ValueError("monomial %s is not reduced for l=%d" % (mono, l))
     if mono.a:
-        if mono.c >= mono.a:
-            return FamilyA(mono.a, mono.b, mono.c)
-        return None
-    if mono.c + mono.d <= l - 1:
-        return FamilyD(mono.b, mono.c, mono.d)
-    return None
+        return FamilyA(mono.a, mono.b, mono.c) if mono.c >= mono.a else None
+    return FamilyD(mono.b, mono.c, mono.d) if mono.c + mono.d <= l - 1 else None
 
 
 class Decomposition(_SidedTerms):
@@ -156,11 +143,10 @@ class Decomposition(_SidedTerms):
 
     @staticmethod
     def _key_from_json(row: dict) -> BasisIndex:
-        if row["family"] == "D":
-            return FamilyD(json_int(row["n"]), json_int(row["s"]), json_int(row["r"]))
-        if row["family"] == "A":
-            return FamilyA(json_int(row["m"]), json_int(row["n"]), json_int(row["s"]))
-        raise ValueError("unknown family %r" % (row["family"],))
+        cls = _FAMILIES.get(row["family"]) if isinstance(row["family"], str) else None
+        if cls is None:
+            raise ValueError("unknown family %r" % (row["family"],))
+        return cls(*[json_int(row[name]) for name in cls._fields])
 
 
 decomposition_from_json = Decomposition.from_json
@@ -180,13 +166,7 @@ def eliminate_d_family(n: int, s: int, r: int, spec: RootSpec, side: str = "left
     l = spec.l
     if not (0 <= n < l and 0 <= s < l and 1 <= r < l):
         raise ValueError("indices out of range: n=%d s=%d r=%d for l=%d" % (n, s, r, l))
-    k = l - r
-    row = p_expansion(spec, k)
-    tail = QElement._like(spec, {QMonomial(0, n + j, s + j, r): -row[j] for j in range(1, k + 1)})
-    head = QMonomial(k, n, s, 0)
-    fac = zeta_pow(spec, r * (n + s)) if side == "left" else zeta_pow(spec, -k * (n + s))
-    return central_reduce(tail, side) + ModuleElement._like(
-        spec, side, {head: ClassicalElement._like(spec, {_DELTA: fac})})
+    return _eliminate(0, n, s, r, spec, side)
 
 
 def eliminate_a_family(m: int, n: int, s: int, spec: RootSpec, side: str = "left") -> ModuleElement:
@@ -196,13 +176,21 @@ def eliminate_a_family(m: int, n: int, s: int, spec: RootSpec, side: str = "left
     l = spec.l
     if not (1 <= m < l and 0 <= n < l and 0 <= s < l):
         raise ValueError("indices out of range: m=%d n=%d s=%d for l=%d" % (m, n, s, l))
-    k = l - m
+    return _eliminate(m, n, s, 0, spec, side)
+
+
+def _eliminate(i: int, n: int, s: int, r: int, spec: RootSpec, side: str) -> ModuleElement:
+    """The elimination relation for a^i b^n c^s d^r, exactly one of i, r nonzero.
+
+    k = l - (i or r); the head phase is q^(e(n+s)), e = i or r for a left d-word or a right a-word, else -k.
+    """
+    k = spec.l - (i or r)
     row = p_expansion(spec, k)
-    tail = QElement._like(spec, {QMonomial(m, n + j, s + j, 0): -row[j] for j in range(1, k + 1)})
-    head = QMonomial(0, n, s, k)
-    fac = zeta_pow(spec, -k * (n + s)) if side == "left" else zeta_pow(spec, m * (n + s))
+    tail = QElement._like(spec, {QMonomial(i, n + j, s + j, r): -row[j] for j in range(1, k + 1)})
+    head, gen = (QMonomial(0, n, s, k), _ALPHA) if i else (QMonomial(k, n, s, 0), _DELTA)
+    e = (i or r) if (side == "left") == (r > 0) else -k
     return central_reduce(tail, side) + ModuleElement._like(
-        spec, side, {head: ClassicalElement._like(spec, {_ALPHA: fac})})
+        spec, side, {head: ClassicalElement._like(spec, {gen: zeta_pow(spec, e * (n + s))})})
 
 
 def decompose(x: QElement, side: str = "left") -> Decomposition:
@@ -535,6 +523,11 @@ class FreenessReport(namedtuple("FreenessReport", (
     @property
     def all_decomposed(self) -> bool:
         return self.monomials_spanned == self.monomials_checked
+
+    @property
+    def certified(self) -> bool:
+        """The verdict: no kernel, every monomial spanned, and decompose agrees on all of them."""
+        return self.kernel_dimension == 0 and self.monomials_spanned == self.oracle_agreement == self.monomials_checked
 
 
 def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,

@@ -483,6 +483,11 @@ class RootSpec(namedtuple("RootSpec", "l N zeta_exponent")):
             raise ValueError("zeta_exponent %d is not coprime to N=%d" % (zeta_exponent, N))
         return tuple.__new__(cls, (l, N, zeta_exponent % N))
 
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, so it validates too
+        return cls(*fields)
+
     @property
     def standard(self) -> bool:
         return self.N == self.l or self.l % 2 == 0

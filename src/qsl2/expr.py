@@ -22,6 +22,8 @@ The parser evaluates as it reads, in one recursive-descent pass.  Each
 rule returns its value together with which letter kinds occur in it, so
 the ordering rule is checked where a product is formed, and a power of a
 single symbol is built directly as its monomial or root-of-unity scalar.
+Every other product, each * and each step of a power, is charged against
+POWER_PRODUCTS_MAX for the whole expression before it is formed.
 
 The printer emits text that re-parses to an equal element: coefficients
 are rationals, powers of q, or parenthesized polynomials in q with
@@ -31,7 +33,6 @@ rational coefficients (lowest powers first).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .cyclo import Cyclotomic, RootSpec, unit_power, zeta_pow
 from .frobenius import lift
@@ -73,6 +74,20 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.spec = spec
+        self.products = 0  # the term products charged so far, see product
+
+    def product(self, x: QElement, y: QElement, position: int) -> QElement:
+        """x * y, once its term pairs fit the budget of the whole parse.
+
+        A pair costs 1 + min(a-sum, d-sum), for the a^t d^t its product contracts.
+        """
+        for a, _, _, d in x.terms:
+            for a2, _, _, d2 in y.terms:
+                self.products += 1 + min(a + a2, d + d2)
+        if self.products > POWER_PRODUCTS_MAX:
+            raise ExprSyntaxError("this product brings the expression to %d term products, over "
+                                  "POWER_PRODUCTS_MAX = %d" % (self.products, POWER_PRODUCTS_MAX), position)
+        return x * y
 
     def peek(self) -> str | None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -125,7 +140,7 @@ class _Parser:
             other, q, c, _ = self.factor()
             if c and quantum:
                 raise ExprSyntaxError("classical letters must precede quantum letters in a product", start)
-            value = value * other
+            value = self.product(value, other, start)
             quantum, classical, name = quantum or q, classical or c, None
         return value, quantum, classical, name
 
@@ -148,12 +163,10 @@ class _Parser:
             raise ExprSyntaxError("exponent %d exceeds EXPONENT_MAX = %d" % (exponent, EXPONENT_MAX), start)
         if name is not None:
             return self.symbol_power(name, exponent), quantum, classical, None
-        t = len(value.terms)
-        products = t * (comb(exponent + t - 1, t) - 1)
-        if products > POWER_PRODUCTS_MAX:
-            raise ExprSyntaxError("a %d-term sum to the %d takes about %d term products, over "
-                                  "POWER_PRODUCTS_MAX = %d" % (t, exponent, products, POWER_PRODUCTS_MAX), start)
-        return value ** exponent, quantum, classical, None
+        acc = value if exponent else QElement.one(self.spec)
+        for _ in range(exponent - 1):
+            acc = self.product(acc, value, start)
+        return acc, quantum, classical, None
 
     def base(self) -> tuple:
         ch = self.peek()

@@ -42,11 +42,11 @@ _SCALARS = (int, Fraction, Cyclotomic)
 # largest exponent the parser (on a base other than q) and the JSON readers accept;
 # a^k*d^k costs about k^2 scalar products (cyclo.p_expansion), alpha^k*delta^k k + 1 terms
 EXPONENT_MAX = 1000
-# largest number of term products the parser spends on a power of a sum: t terms
-# to the n take t*(C(n+t-1, t) - 1) if the letters commuted, as the k-th of the
-# n - 1 products then has C(k+t-1, t-1) terms; on one core of an Intel Xeon at l = 3,
-# (a+b+c+d)^20 (35,416) parses in 0.3 s, (1+a)^200 (40,198) in 0.4 s and (1+a)^400
-# (160,398) in 1.3 s
+# largest number of term products the parser spends on one expression: before each
+# product it forms (every * and every step of a power) it charges each pair of terms
+# 1 + min(a-sum, d-sum), the a^t d^t the pair contracts; on one core of an Intel Xeon
+# at l = 3, (a+b+c+d)^20 (27,796 charged) parses in 0.2 s and (1+a)^200 (40,198) in
+# 0.3 s, while (a+d)^150, (1+a)^200*(1+d)^200 and (a+b+c+d)^1000 stop in under 0.5 s
 POWER_PRODUCTS_MAX = 50_000
 
 
@@ -323,20 +323,26 @@ class _Polynomial(_Terms):
         return "%s<%s>" % (name, " + ".join(bits))
 
 
-class QMonomial(namedtuple("QMonomial", "a b c d")):
-    """Exponents of a normal-ordered monomial a^a b^b c^c d^d."""
+class _Monomial:
+    """Exponents of a monomial in four letters, the first and last being a, d or alpha, delta."""
 
     __slots__ = ()
 
     def degree(self) -> int:
-        return self.a + self.b + self.c + self.d
+        return sum(self)
 
     def sort_key(self):
-        # graded, then lexicographic with a > b > c > d
-        return (self.degree(), -self.a, -self.b, -self.c, -self.d)
+        # graded, then lexicographic with the letters in field order
+        return (sum(self), -self[0], -self[1], -self[2], -self[3])
 
     def is_reduced(self) -> bool:
-        return min(self.a, self.d) == 0 and min(self.a, self.b, self.c, self.d) >= 0
+        return min(self[0], self[3]) == 0 and min(self) >= 0
+
+
+class QMonomial(_Monomial, namedtuple("QMonomial", "a b c d")):
+    """Exponents of a normal-ordered monomial a^a b^b c^c d^d."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=2**16)
@@ -592,19 +598,10 @@ def antipode(x: QElement) -> QElement:
 # Classical (commutative) coordinate ring of SL(2)
 
 
-class ClassicalMonomial(namedtuple("ClassicalMonomial", "alpha beta gamma delta")):
+class ClassicalMonomial(_Monomial, namedtuple("ClassicalMonomial", "alpha beta gamma delta")):
     """Exponents of alpha^p beta^r gamma^s delta^t with min(p, t) = 0."""
 
     __slots__ = ()
-
-    def degree(self) -> int:
-        return self.alpha + self.beta + self.gamma + self.delta
-
-    def sort_key(self):
-        return (self.degree(), -self.alpha, -self.beta, -self.gamma, -self.delta)
-
-    def is_reduced(self) -> bool:
-        return min(self.alpha, self.delta) == 0 and min(self) >= 0
 
 
 CLASSICAL_ONE = ClassicalMonomial(0, 0, 0, 0)

@@ -80,6 +80,14 @@ def test_enumerate_basis_counts(l, count):
     assert len(monos) == count
 
 
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_enumerate_basis_is_the_nested_loops(l):
+    want = [FamilyD(n, s, r) for n in range(l) for s in range(l) for r in range(l - s)]
+    want += [FamilyA(m, n, s) for m in range(1, l) for n in range(l) for s in range(m, l)]
+    got = enumerate_basis(l)
+    assert got == want and [type(ix) for ix in got] == [type(ix) for ix in want]
+
+
 def test_family_index_ranges():
     for ix in enumerate_basis(3):
         if isinstance(ix, FamilyD):
@@ -103,13 +111,31 @@ def test_is_basis_monomial():
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_single_step_eliminations_recompose(side):
-    spec = SPEC3
-    for (n, s, r) in ((0, 2, 1), (1, 1, 2), (2, 0, 2)):
-        me = eliminate_d_family(n, s, r, spec, side)
-        assert module_recompose(me) == QElement.monomial(spec, QMonomial(0, n, s, r))
-    for (m, n, s) in ((2, 0, 1), (1, 2, 0), (2, 2, 1)):
-        me = eliminate_a_family(m, n, s, spec, side)
-        assert module_recompose(me) == QElement.monomial(spec, QMonomial(m, n, s, 0))
+    # every non-basis residual monomial, and the head phase of the module docstring's relations
+    for spec in (SPEC2, SPEC3, make_root_spec(4), SPEC5, make_root_spec(6),
+                 make_root_spec(5, zeta_exponent=2), make_root_spec(4, 3)):
+        l = spec.l
+        alpha = ClassicalElement.generator(spec, "alpha")
+        delta = ClassicalElement.generator(spec, "delta")
+        eliminated = 0
+        for mono in residual_monomials(l):
+            if is_basis_monomial(mono, l) is not None:
+                continue
+            m, n, s, r = mono
+            if m:
+                k = l - m
+                me = eliminate_a_family(m, n, s, spec, side)
+                head = QMonomial(0, n, s, k)
+                want = alpha * zeta_pow(spec, (-k if side == "left" else m) * (n + s))
+            else:
+                k = l - r
+                me = eliminate_d_family(n, s, r, spec, side)
+                head = QMonomial(k, n, s, 0)
+                want = delta * zeta_pow(spec, (r if side == "left" else -k) * (n + s))
+            assert me.terms[head] == want
+            assert module_recompose(me) == QElement.monomial(spec, mono)
+            eliminated += 1
+        assert eliminated == l**3 - l**2
 
 
 def test_eliminate_d_family_example():
@@ -651,7 +677,7 @@ def test_verify_freeness_falls_back_to_rref_when_trailing_monomials_collide(side
 
 def test_record_types_keep_their_tuple_api():
     cases = [
-        (make_root_spec(3), ("l", "N", "zeta_exponent"), "RootSpec(l=3, N=3, zeta_exponent=1)"),
+        (make_root_spec(7, 3), ("l", "N", "zeta_exponent"), "RootSpec(l=7, N=7, zeta_exponent=3)"),
         (QMonomial(1, 0, 2, 0), ("a", "b", "c", "d"), "QMonomial(a=1, b=0, c=2, d=0)"),
         (ClassicalMonomial(0, 1, 2, 0), ("alpha", "beta", "gamma", "delta"),
          "ClassicalMonomial(alpha=0, beta=1, gamma=2, delta=0)"),
@@ -684,6 +710,21 @@ def test_record_types_keep_their_tuple_api():
         assert type(back) is cls and back == record
     assert make_root_spec(3) == RootSpec(3, 3, 1)
     assert RootSpec(3, 3, 1).standard is True
+    # _replace goes through the validating constructor
+    spec4 = make_root_spec(4)
+    for bad in ({"N": 4}, {"l": 3}, {"zeta_exponent": 2}, {"l": 1, "N": 2}):
+        with pytest.raises(ValueError):
+            spec4._replace(**bad)
+    assert spec4._replace(zeta_exponent=11) == RootSpec(4, 8, 3)
+    assert spec4._replace(l=8, N=16).standard is True
+    assert RootSpec._make((3, 6, 1)) == remark_root_spec(3)
+
+
+def test_freeness_report_certifies_only_the_full_verdict():
+    report = verify_freeness(2, "left", 1)
+    assert report.certified
+    for bad in ({"kernel_dimension": 1}, {"monomials_spanned": 11}, {"oracle_agreement": 11}):
+        assert not report._replace(**bad).certified
 
 
 def test_elements_and_reports_survive_pickle():

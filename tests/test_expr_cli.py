@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -104,13 +103,14 @@ def test_exponents_are_capped_except_on_q():
 
 
 def test_powers_of_sums_are_bounded_before_they_expand(capsys):
-    # t terms to the n take about t*(C(n+t-1, t) - 1) term products
-    for text, position, products in (("(a+b+c+d)^1000", 10, 4 * (math.comb(1003, 4) - 1)),
-                                      ("(1+a)^400", 6, 160398), ("2*(a + b)^ 300", 11, 90298)):
+    # each product charges its term pairs 1 + min(a-sum, d-sum) against the budget of the
+    # whole parse, and the error names the charge at the product that crossed it
+    for text, position, products in (("(a+b+c+d)^1000", 10, 56004),
+                                      ("(1+a)^400", 6, 50398), ("2*(a + b)^ 300", 11, 50230)):
         with pytest.raises(ExprSyntaxError) as info:
             parse_qelement(text, SPEC3)
         assert info.value.position == position
-        assert "about %d term products, over POWER_PRODUCTS_MAX = %d" % (products, POWER_PRODUCTS_MAX) \
+        assert "to %d term products, over POWER_PRODUCTS_MAX = %d" % (products, POWER_PRODUCTS_MAX) \
             in str(info.value)
     A, B = QElement.generator(SPEC3, "a"), QElement.generator(SPEC3, "b")
     assert parse_qelement("(1+a)^200", SPEC3) == (A + 1) ** 200
@@ -119,6 +119,19 @@ def test_powers_of_sums_are_bounded_before_they_expand(capsys):
     assert parse_qelement("(a-a)^1000 + (a+b)^0", SPEC3) == QElement.one(SPEC3)
     code, out, err = _cli(capsys, "--l", "3", "normalize", "(a+b+c+d)^1000")
     assert code == 2 and out == "" and err.startswith("parse error: ") and "POWER_PRODUCTS_MAX" in err
+
+
+def test_parse_budget_counts_every_product_of_the_whole_expression():
+    # q-commutation makes (a+d)^k far larger than its commutative count, and two powers
+    # that each fit share one budget, whether they are multiplied or added
+    for text, position in (("(a+d)^150", 6), ("(a+b+c+d)^20*(a+b+c+d)^20", 23),
+                           ("(1+a)^200*(1+d)^200", 16), ("(1+a)^200 + (1+d)^200", 18),
+                           ("(a*d)^1000", 6), ("(1+a)^150*(1+d)^150", 10)):
+        with pytest.raises(ExprSyntaxError, match="over POWER_PRODUCTS_MAX") as info:
+            parse_qelement(text, SPEC3)
+        assert info.value.position == position
+    D = QElement.generator(SPEC3, "d")
+    assert parse_qelement("(1+d)^200", SPEC3) == (D + 1) ** 200
 
 
 def test_negative_exponents_only_on_q():
