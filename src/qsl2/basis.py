@@ -428,7 +428,8 @@ def _column(spec: RootSpec, side: str, idx: BasisIndex,
 
     lift(cm) = a^(lp) b^(lr) c^(ls) d^(lt) is a normal monomial with scalar
     1, so the column is one product of two normal monomials.  Each column
-    is built once, so the product skips the _mono_mul cache.
+    is built once, so the product skips the _mono_mul cache (the rule in
+    qalgebra._mono_mul).
     """
     g = lifted_monomial(spec.l, cm)
     x, y = (g, idx.monomial()) if side == "left" else (idx.monomial(), g)

@@ -433,8 +433,7 @@ def _check_product_rows():
 
 def _check_hopf():
     rng = random.Random(13)
-    for l in (2, 3):
-        spec = make_root_spec(l)
+    for spec in (make_root_spec(2), make_root_spec(3), make_root_spec(4, zeta_exponent=3)):
         words = ["a", "b", "c", "d"] + [
             "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 4)))
             for _ in range(10)
@@ -452,7 +451,7 @@ def _check_hopf():
                     right[key] = right.get(key, Cyclotomic.zero(spec.N)) + v * w
             _expect({k: v for k, v in left.items() if not v.is_zero()} ==
                     {k: v for k, v in right.items() if not v.is_zero()},
-                    "coassociativity on %r at l=%d" % (word, l))
+                    "coassociativity on %r at l=%d" % (word, spec.l))
             eps_left = QElement.zero(spec)
             eps_right = QElement.zero(spec)
             conv_left = QElement.zero(spec)
@@ -463,10 +462,10 @@ def _check_hopf():
                 eps_right = eps_right + QElement.monomial(spec, m1, v * counit(QElement.monomial(spec, m2)))
                 conv_left = conv_left + qmul(antipode(e1), QElement.monomial(spec, m2))
                 conv_right = conv_right + qmul(QElement.monomial(spec, m1, v), antipode(QElement.monomial(spec, m2)))
-            _expect(eps_left == x and eps_right == x, "counit axiom on %r at l=%d" % (word, l))
+            _expect(eps_left == x and eps_right == x, "counit axiom on %r at l=%d" % (word, spec.l))
             unit_eps = QElement.scalar(spec, counit(x))
             _expect(conv_left == unit_eps and conv_right == unit_eps,
-                    "antipode axiom on %r at l=%d" % (word, l))
+                    "antipode axiom on %r at l=%d" % (word, spec.l))
 
 
 def _check_frobenius():

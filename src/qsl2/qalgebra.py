@@ -350,6 +350,10 @@ def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomi
     """Product of two words a^i b^j c^k d^m, returned as normal (monomial, scalar) pairs.
 
     Either word may hold both a and d; it is multiplied as it is written.
+    A caller that forms a product only once calls _mono_mul.__wrapped__,
+    so the cache keeps only products that are used again: the freeness
+    certificate's columns (basis._column) and the right-leg products of
+    _coproduct_monomial skip it.
 
     Route: cross x's d-block past y's a-block, commute the stray a/d
     across the inner b,c letters, then contract the remaining mixed a,d
@@ -532,41 +536,56 @@ def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
                  for T, acc in groups.items())
 
 
+@lru_cache(maxsize=256)
+def _coproduct_monomial(spec: RootSpec, mono: QMonomial) -> tuple:
+    """Delta(a^i b^j c^k d^m) as normal ((left, right), scalar) terms.
+
+    Delta is multiplicative, so this is the product of the two halves
+    Delta(a^i b^j) and Delta(c^k d^m) (see _coproduct_half): for each pair
+    of left legs the right legs are multiplied first and then crossed with
+    the normal form of the left-leg product.  A right leg's a - d exponent
+    difference fixes its T (or U), so no right-leg product R_T * R_U repeats
+    within one build, and those products skip the _mono_mul cache.
+    """
+    i, j, k, m = mono
+    right_mul = _mono_mul.__wrapped__
+    acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
+    cd = _coproduct_half(spec, k, m)
+    for T, right_ab in _coproduct_half(spec, i, j):
+        left_ab = QMonomial(i + j - T, T, 0, 0)
+        for U, right_cd in cd:
+            right: dict[QMonomial, Cyclotomic] = {}
+            for r1, v1 in right_ab:
+                for r2, v2 in right_cd:
+                    v12 = v1 * v2
+                    for r, v in right_mul(spec, r1, r2):
+                        v = v12 * v
+                        right[r] = right[r] + v if r in right else v
+            for left, u in _mono_mul(spec, left_ab, QMonomial(0, 0, k + m - U, U)):
+                unit = u.is_one()
+                for r, v in right.items():
+                    key = (left, r)
+                    if not unit:
+                        v = u * v
+                    acc[key] = acc[key] + v if key in acc else v
+    return tuple((key, v) for key, v in acc.items() if not v.is_zero())
+
+
 def coproduct(x: QElement) -> TensorElement:
     """The algebra map with Delta(a)=a@a+b@c, Delta(b)=a@b+b@d, Delta(c)=c@a+d@c, Delta(d)=c@b+d@d.
 
     Each generator's image is X + Y with (X, Y) = (a@a, b@c), (a@b, b@d),
     (c@a, d@c) or (c@b, d@d), and in every case YX = q^-2 XY.  So the
     q-binomial theorem gives Delta(x^n) = sum_k [n k]_{q^-2} X^(n-k) Y^k.
-    Since Delta is multiplicative, Delta(a^i b^j c^k d^m) is the product of
-    the two halves Delta(a^i b^j) and Delta(c^k d^m) (see _coproduct_half):
-    for each pair of left legs the right legs are multiplied first and
-    then crossed with the normal form of the left-leg product.
+    Delta is linear: Delta(x) = sum coeff * Delta(mono) over the terms of
+    x, with Delta(mono) read from the bounded cache _coproduct_monomial.
     """
     spec = x.spec
     acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
     for mono, coeff in x.terms.items():
-        i, j, k, m = mono
-        ab = _coproduct_half(spec, i, j)
-        cd = _coproduct_half(spec, k, m)
-        for T, right_ab in ab:
-            right_ab = [(r, v * coeff) for r, v in right_ab]
-            left_ab = QMonomial(i + j - T, T, 0, 0)
-            for U, right_cd in cd:
-                right: dict[QMonomial, Cyclotomic] = {}
-                for r1, v1 in right_ab:
-                    for r2, v2 in right_cd:
-                        v12 = v1 * v2
-                        for r, v in _mono_mul(spec, r1, r2):
-                            v = v12 * v
-                            right[r] = right[r] + v if r in right else v
-                for left, u in _mono_mul(spec, left_ab, QMonomial(0, 0, k + m - U, U)):
-                    unit = u.is_one()
-                    for r, v in right.items():
-                        key = (left, r)
-                        if not unit:
-                            v = u * v
-                        acc[key] = acc[key] + v if key in acc else v
+        for key, v in _coproduct_monomial(spec, mono):
+            v = coeff * v
+            acc[key] = acc[key] + v if key in acc else v
     return TensorElement._like(spec, acc)
 
 

@@ -248,6 +248,21 @@ def test_p_expansion_matches_the_two_add_construction(spec):
         assert _two_add_row(spec, k, True) == _d_a_row(spec, k)
 
 
+@pytest.mark.parametrize("l, zeta_exp", [(3, 1), (4, 3), (5, 2), (6, 1), (7, 3)])
+def test_p_expansion_matches_the_first_factor_recurrence(l, zeta_exp):
+    # peeling the first factor (1 + q x) off the product and rescaling the
+    # rest gives p_{k+1,j} = q^(2j) p_{k,j} + q^(2j-1) p_{k,j-1}; the rows
+    # the coproduct's Gaussian binomials are read from are checked row by row
+    spec = make_root_spec(l, zeta_exponent=zeta_exp)
+    zero = Cyclotomic.zero(spec.N)
+    row = [Cyclotomic.one(spec.N)]
+    for k in range(3 * l):
+        row = [zeta_pow(spec, 2 * j) * (row[j] if j <= k else zero)
+               + zeta_pow(spec, 2 * j - 1) * (row[j - 1] if j else zero)
+               for j in range(k + 2)]
+        assert list(p_expansion(spec, k + 1)) == row, k + 1
+
+
 @pytest.mark.parametrize("l", [2, 3, 5])
 def test_p_coeff_closed_form(l):
     for spec in (make_root_spec(l), make_root_spec(l, zeta_exponent=l - 1 if l > 2 else 3)):

@@ -30,7 +30,7 @@ from qsl2 import (
     tensor_mul,
     zeta_pow,
 )
-from qsl2.qalgebra import _add_term, _mono_mul
+from qsl2.qalgebra import _add_term, _coproduct_half, _coproduct_monomial, _mono_mul
 
 F = Fraction
 
@@ -146,8 +146,9 @@ def test_mono_mul_crosses_d_block_past_a_block(spec):
 
 
 def test_caches_are_bounded():
-    for cached in (_mono_mul, p_expansion, cyclotomic_polynomial):
+    for cached in (_mono_mul, p_expansion, cyclotomic_polynomial, _coproduct_half, _coproduct_monomial):
         assert cached.cache_info().maxsize is not None, cached.__name__
+    assert _coproduct_monomial.cache_info().maxsize == 256
 
 
 @given(st.data())
@@ -223,7 +224,8 @@ def test_coproduct_on_generators():
 
 
 COPRODUCT_SPECS = tuple(make_root_spec(l) for l in range(2, 8)) + (
-    make_root_spec(5, zeta_exponent=2), remark_root_spec(3), remark_root_spec(5))
+    make_root_spec(5, zeta_exponent=2), remark_root_spec(3), remark_root_spec(5),
+    make_root_spec(4, zeta_exponent=3), make_root_spec(6, zeta_exponent=5))
 
 
 def _reference_coproduct(x):
@@ -284,6 +286,32 @@ def test_coproduct_matches_generator_products(data):
     spec = data.draw(st.sampled_from(COPRODUCT_SPECS))
     x = data.draw(qelements(spec, emax=2 * spec.l + 1, max_terms=2))
     assert coproduct(x) == _reference_coproduct(x)
+
+
+def test_coproduct_is_linear_over_the_monomial_cache():
+    # Delta(mono) is cached without its coefficient, per (spec, monomial):
+    # the same monomials at l = 3 with q = zeta, q = zeta^2 and the order-6
+    # remark root share no entry
+    specs = (SPEC3, make_root_spec(3, zeta_exponent=2), remark_root_spec(3), make_root_spec(4, zeta_exponent=3))
+    _coproduct_monomial.cache_clear()
+    for warm in (False, True):
+        for spec in specs:
+            q = zeta_pow(spec, 1)
+            x = QElement(spec, {QMonomial(2, 1, 1, 0): q, QMonomial(0, 2, 1, 3): q * q - 2,
+                                QMonomial(1, 0, 2, 0): Cyclotomic.one(spec.N)})
+            want = _reference_coproduct(x)
+            assert coproduct(x) == want, (spec, warm)
+            for c in (F(3, 2), -q * q, 1 + q):
+                assert coproduct(x * c) == want * c, (spec, c, warm)
+
+
+def test_repeated_coproduct_makes_no_monomial_product():
+    spec = make_root_spec(4, zeta_exponent=3)
+    x = random_qelement(spec, random.Random(901), nterms=4, emax=spec.l)
+    first = coproduct(x)
+    before = _mono_mul.cache_info()
+    assert coproduct(x) == first
+    assert _mono_mul.cache_info() == before
 
 
 def _gaussian_binomial(spec, n, k):
