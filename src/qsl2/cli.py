@@ -14,6 +14,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 
 from .basis import (
     CHARTS,
@@ -56,6 +57,8 @@ from .frobenius import (
 from .qalgebra import (
     ClassicalElement,
     QElement,
+    QMonomial,
+    TensorElement,
     antipode,
     coproduct,
     counit,
@@ -63,6 +66,7 @@ from .qalgebra import (
     qmul,
     random_qelement,
     straighten,
+    tensor_mul,
 )
 
 
@@ -433,7 +437,11 @@ def _check_product_rows():
 
 def _check_hopf():
     rng = random.Random(13)
+    letter = {ch: QMonomial(*(int(ch == x) for x in "abcd")) for ch in "abcd"}
     for spec in (make_root_spec(2), make_root_spec(3), make_root_spec(4, zeta_exponent=3)):
+        # Delta of each letter as defined: the reference route, with no cache and no mirror
+        images = {ch: TensorElement(spec, {(letter[u], letter[v]): Cyclotomic.one(spec.N) for u, v in pairs})
+                  for ch, pairs in zip("abcd", (("aa", "bc"), ("ab", "bd"), ("ca", "dc"), ("cb", "dd")))}
         words = ["a", "b", "c", "d"] + [
             "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 4)))
             for _ in range(10)
@@ -441,6 +449,7 @@ def _check_hopf():
         for word in words:
             x = straighten(word, spec)
             t = coproduct(x)
+            _expect(t == reduce(tensor_mul, map(images.get, word)), "Delta by letters on %r at l=%d" % (word, spec.l))
             left, right = {}, {}
             for (m1, m2), v in t.terms.items():
                 for (n1, n2), w in coproduct(QElement.monomial(spec, m1)).terms.items():

@@ -545,7 +545,8 @@ def _coproduct_monomial(spec: RootSpec, mono: QMonomial) -> tuple:
     of left legs the right legs are multiplied first and then crossed with
     the normal form of the left-leg product.  A right leg's a - d exponent
     difference fixes its T (or U), so no right-leg product R_T * R_U repeats
-    within one build, and those products skip the _mono_mul cache.
+    within one build, and those products skip the _mono_mul cache.  Each
+    entry also serves the mono's mirror, which coproduct reads by relabelling.
     """
     i, j, k, m = mono
     right_mul = _mono_mul.__wrapped__
@@ -577,13 +578,21 @@ def coproduct(x: QElement) -> TensorElement:
     Each generator's image is X + Y with (X, Y) = (a@a, b@c), (a@b, b@d),
     (c@a, d@c) or (c@b, d@d), and in every case YX = q^-2 XY.  So the
     q-binomial theorem gives Delta(x^n) = sum_k [n k]_{q^-2} X^(n-k) Y^k.
-    Delta is linear: Delta(x) = sum coeff * Delta(mono) over the terms of
-    x, with Delta(mono) read from the bounded cache _coproduct_monomial.
+    Delta is linear over the bounded cache _coproduct_monomial, read at the
+    lesser of mono and its mirror phi(a^i b^j c^k d^m) = a^m b^k c^j d^i.
+    phi (a<->d, b<->c) is an anti-automorphism, as it permutes the defining
+    relations; so Delta o phi and (phi@phi) o Delta are anti-algebra maps that agree
+    on a, b, c, d, and Delta(phi(mono)) is Delta(mono) with both legs mirrored.
     """
     spec = x.spec
+    make = QMonomial._make
     acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
     for mono, coeff in x.terms.items():
-        for key, v in _coproduct_monomial(spec, mono):
+        phi = make(mono[::-1])
+        flip = phi < mono
+        for key, v in _coproduct_monomial(spec, phi if flip else mono):
+            if flip:
+                key = (make(key[0][::-1]), make(key[1][::-1]))
             v = coeff * v
             acc[key] = acc[key] + v if key in acc else v
     return TensorElement._like(spec, acc)
@@ -604,12 +613,8 @@ def antipode(x: QElement) -> QElement:
     acc: dict[QMonomial, Cyclotomic] = {}
     for mono, coeff in x.terms.items():
         i, j, k, m = mono
-        sign = -1 if (j + k) % 2 else 1
-        scal = coeff * zeta_pow(spec, k - j) * sign
-        # reversed word: a^m b^j c^k d^i, then contract the new mixed pair
-        flipped = _mono_mul(spec, QMonomial(m, j, k, 0), QMonomial(0, 0, 0, i))
-        for mm, vv in flipped:
-            _add_term(acc, mm, scal * vv)
+        # the reversed word a^m b^j c^k d^i is normal, since i*m = 0
+        _add_term(acc, QMonomial(m, j, k, i), coeff * zeta_pow(spec, k - j) * (-1) ** (j + k))
     return QElement._like(spec, acc)
 
 

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import hypothesis.strategies as st
 import pytest
@@ -289,7 +289,7 @@ def test_coproduct_matches_generator_products(data):
 
 
 def test_coproduct_is_linear_over_the_monomial_cache():
-    # Delta(mono) is cached without its coefficient, per (spec, monomial):
+    # Delta(mono) is cached without its coefficient, per spec and mirror pair:
     # the same monomials at l = 3 with q = zeta, q = zeta^2 and the order-6
     # remark root share no entry
     specs = (SPEC3, make_root_spec(3, zeta_exponent=2), remark_root_spec(3), make_root_spec(4, zeta_exponent=3))
@@ -312,6 +312,41 @@ def test_repeated_coproduct_makes_no_monomial_product():
     before = _mono_mul.cache_info()
     assert coproduct(x) == first
     assert _mono_mul.cache_info() == before
+
+
+def _mirror(mono):
+    """phi(a^i b^j c^k d^m) = a^m b^k c^j d^i, for the anti-automorphism a<->d, b<->c."""
+    return QMonomial(*mono[::-1])
+
+
+# The mirror test caps the degree so the tensor_mul reference stays near 2 s.
+MIRROR_DEGREE_MAX = 8
+
+
+@pytest.mark.parametrize("spec", COPRODUCT_SPECS)
+def test_coproduct_commutes_with_the_mirror(spec):
+    # Delta(phi(m)) = (phi (x) phi)(Delta(m)), with Delta(m) taken by the uncached reference
+    for mono in product(range(spec.l + 2), repeat=4):
+        if min(mono[0], mono[3]) or sum(mono) > MIRROR_DEGREE_MAX:
+            continue
+        want = {(_mirror(m1), _mirror(m2)): v
+                for (m1, m2), v in _reference_coproduct(QElement.monomial(spec, QMonomial(*mono))).terms.items()}
+        assert coproduct(QElement.monomial(spec, _mirror(mono))).terms == want, mono
+
+
+def test_mirror_pair_shares_one_coproduct_entry():
+    spec = make_root_spec(4, zeta_exponent=3)
+    for first in (QMonomial(2, 0, 1, 0), QMonomial(0, 1, 0, 2), QMonomial(0, 3, 1, 2)):
+        _coproduct_monomial.cache_clear()
+        for mono in (first, _mirror(first)):
+            assert coproduct(QElement.monomial(spec, mono)) == _reference_coproduct(QElement.monomial(spec, mono))
+        info = _coproduct_monomial.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1), first
+    # b^j c^j is its own mirror: one miss, then a hit on the same entry
+    _coproduct_monomial.cache_clear()
+    for _ in range(2):
+        coproduct(QElement.monomial(spec, QMonomial(0, 2, 2, 0)))
+    assert _coproduct_monomial.cache_info()[:2] == (1, 1)
 
 
 def _gaussian_binomial(spec, n, k):
