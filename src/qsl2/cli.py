@@ -77,7 +77,10 @@ class _UsageError(ValueError):
 # largest ptable row: p_expansion costs grow about as k^2 scalar products of
 # growing size (k = 1000 takes seconds, k = 2000 four times as long)
 PTABLE_MAX_K = 1000
-# largest l: normalize "a*d" takes 0.6 s at l = 200 and 6.7 s at l = 500
+# largest l: the field table is cheap (normalize "a*d" parses and prints in
+# 0.006 s at l = 200 and 0.04 s at l = 500 on a 2-core machine), so the cap
+# bounds the work that grows with l itself: ptable --k 200 takes 10.5 s at
+# l = 200, and verify-basis solves for l^3 basis elements
 L_MAX = 200
 
 
@@ -380,7 +383,8 @@ def _expect(ok: bool, what: str) -> None:
 
 def _check_cyclotomic():
     rng = random.Random(11)
-    for order in (3, 4, 5, 12):
+    # order 15 (phi = 8) inverts through a norm of seven conjugates
+    for order in (3, 4, 5, 12, 15):
         zeta = Cyclotomic.zeta(order)
         elements = []
         for _ in range(6):

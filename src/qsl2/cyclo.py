@@ -9,14 +9,18 @@ construction.  Phi_N is monic with integer coefficients, so products reduce
 with integer rows.  No floating point is used.
 
 Every per-order datum is read from one table, built on first use per
-order: the powers zeta^0 .. zeta^(N-1), the integer rows that reduce a
-product, the zero element, and the units +-zeta^k.  Most scalars the
-package multiplies are such units (the powers of q in the relations, the
-product rows and the antipode); the table lists them as the powers of one
-generator and maps each unit's numerators to its exponent and the columns
-of multiplication by it, so unit * unit and unit inverses are lookups by
-exponent, and unit * z maps z's numerators through the unit's integer
-columns and keeps z's denominator.
+order: the powers zeta^0 .. zeta^(N-1), their numerators as sparse integer
+rows, the zero element, and the units +-zeta^k.  Every product reads the
+rows.  A product of degree up to 2*phi-2 reduces its top coefficients
+through the rows of zeta^phi .. zeta^(2*phi-2).  Most scalars the package
+multiplies are units (the powers of q in the relations, the product rows
+and the antipode); the table lists them as the powers of one generator and
+maps each unit's numerators to its exponent and its columns, the rows of
+zeta^k .. zeta^(k+phi-1) (negated for -zeta^k), so unit * unit and unit
+inverses are lookups by exponent, and unit * z maps z's numerators through
+those rows and keeps z's denominator.  The automorphisms zeta -> zeta^k
+(`conjugate`) read the same rows; they give the printer its q-coordinates
+and the inverse of a general element as a quotient by its norm.
 """
 
 from __future__ import annotations
@@ -60,15 +64,6 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 def euler_phi(N: int) -> int:
     return len(cyclotomic_polynomial(N)) - 1
-
-
-def _times_x(v: list[int], first: tuple[int, ...]) -> list[int]:
-    # x * v in the power basis; `first` is x^phi reduced
-    top = v[-1]
-    nxt = [0] + v[:-1]
-    if top:
-        nxt = [a + top * b for a, b in zip(nxt, first)]
-    return nxt
 
 
 class Cyclotomic:
@@ -159,13 +154,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            return _normalise(self.order, tuple(a - b for a, b in zip(self.num, other.num)), da)
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
-        return _normalise(self.order, tuple(a * fa - b * fb for a, b in zip(self.num, other.num)), da * fa)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -203,9 +192,9 @@ class Cyclotomic:
         if u is not None:
             if v is not None:
                 return field[4][u[0] + v[0]]
-            return _unit_times(u[1], self)
+            return _map_columns(u[1], self)
         if v is not None:
-            return _unit_times(v[1], other)
+            return _map_columns(v[1], other)
         a, b = self.num, other.num
         n = len(a)
         prod = [0] * (2 * n - 1)
@@ -214,29 +203,27 @@ class Cyclotomic:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        if n > 1:
-            low = prod[:n]
-            for top, row in zip(prod[n:], field[1]):
-                if top:
-                    low = [x + top * r for x, r in zip(low, row)]
-            prod = low
-        return _normalise(order, tuple(prod), self.den * other.den)
+        for top, row in zip(prod[n:], field[1][n:2 * n - 1]):
+            if top:
+                for i, x in row:
+                    prod[i] += top * x
+        return _normalise(order, tuple(prod[:n]), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse: solve num * v = 1 mod Phi_N over the integers.
+        """Multiplicative inverse through the norm: z^-1 = P / (z * P).
 
-        Column j of the system is num * zeta^j.  Fraction-free (Bareiss)
-        elimination keeps every entry an integer; its last pivot is the
-        determinant d, and w = d * v is integral (Cramer), so back
-        substitution divides exactly.  Then (num/den)^-1 = den * w / d.
+        P is the product of the conjugates sigma_k(z) for 1 < k < N coprime
+        to N, so z * P is the norm of z from Q(zeta_N) to Q, a nonzero
+        rational (Washington, Introduction to Cyclotomic Fields, 1982).
         Units +-zeta^k, most of the certificate's rref pivots, are looked
-        up in the per-order table instead.
+        up in the per-order table instead, and a rational inverts directly.
         """
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic element is zero")
-        field = _FIELDS.get(self.order) or _field(self.order)
+        order = self.order
+        field = _FIELDS.get(order) or _field(order)
         if self.den == 1:
             unit = field[3].get(self.num)
             if unit is not None:
@@ -244,33 +231,13 @@ class Cyclotomic:
         head, rest = self.num[0], self.num[1:]
         if not any(rest):
             # rational, the common case of an rref pivot: (p/q)^-1 = q/p, already coprime
-            return _make(self.order, (self.den if head > 0 else -self.den,) + rest, abs(head))
-        n = len(self.num)
-        first = field[1][0]
-        cols = [list(self.num)]
-        for _ in range(n - 1):
-            cols.append(_times_x(cols[-1], first))
-        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
-        prev = 1
-        for k in range(n):
-            hit = next((i for i in range(k, n) if rows[i][k]), None)
-            if hit is None:
-                raise ArithmeticError("element not invertible; Phi_N should be irreducible")
-            rows[k], rows[hit] = rows[hit], rows[k]
-            pk = rows[k]
-            piv = pk[k]
-            for ri in rows[k + 1:]:
-                f = ri[k]
-                ri[k:] = [(piv * a - f * b) // prev for a, b in zip(ri[k:], pk[k:])]
-            prev = piv
-        det = prev
-        w = [0] * n
-        for i in range(n - 1, -1, -1):
-            ri = rows[i]
-            w[i] = (det * ri[n] - sum(ri[j] * w[j] for j in range(i + 1, n))) // ri[i]
-        if det < 0:
-            det, w = -det, [-x for x in w]
-        return _normalise(self.order, tuple(self.den * x for x in w), det)
+            return _make(order, (self.den if head > 0 else -self.den,) + rest, abs(head))
+        others = [conjugate(self, k) for k in range(2, order) if math.gcd(k, order) == 1]
+        product = math.prod(others[1:], start=others[0])
+        norm = (self * product).as_rational()
+        if norm is None:
+            raise ArithmeticError("element not invertible; Phi_N should be irreducible")
+        return product / norm
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -333,26 +300,30 @@ def _normalise(order: int, num: tuple[int, ...], den: int) -> Cyclotomic:
     return _make(order, tuple(c // g for c in num), den // g)
 
 
-# order N -> (powers, rows, zero, units, elems), built on first use by _field
+# order N -> (powers, rows, zero, units, elems), built on first use by _field;
+# past _FIELDS_MAX orders the oldest is dropped
 _FIELDS: dict[int, tuple] = {}
+_FIELDS_MAX = 256
 
 
 def _field(N: int) -> tuple:
     """The per-order table of Q(zeta_N): (powers, rows, zero, units, elems).
 
     powers[k] is zeta^k for 0 <= k < N, each one shift of the one before.
-    rows[i], the numerators of zeta^(phi+i) for i <= phi-2, reduce a
-    product of degree up to 2*phi-2; Phi_N is monic with integer
-    coefficients, so they are integer vectors.  zero is the zero element.
+    rows[k] is zeta^(k mod N) as the sparse (index, numerator) pairs of
+    its power-basis vector, for 0 <= k < 2N: the rows are listed twice, so
+    zeta^(k+j) needs no reduction mod N.  Phi_N is monic with integer
+    coefficients, so the numerators are integers, and rows[phi:2*phi-1]
+    reduce a product of degree up to 2*phi-2.  zero is the zero element.
 
     The units +-zeta^k form a cyclic group of order M generated by g = zeta
     (N even, where -1 = zeta^(N/2)) or g = -zeta (N odd, M = 2N); elems
     lists g^0 .. g^(M-1) twice, so g^e * g^f = elems[e + f] needs no
     reduction mod M, and g^-e = elems[-e].
     units maps the numerators of each unit (den 1) to its entry (e, cols):
-    cols are the sparse columns of multiplication by g^e (column j is
-    g^e * zeta^j as (index, value) pairs).  Units with sign + are the
-    powers themselves.
+    cols, the columns of multiplication by g^e = +-zeta^k, are the slice
+    rows[k:k+phi] for +zeta^k and the same slice of one shared negation of
+    rows for -zeta^k.
     """
     poly = cyclotomic_polynomial(N)
     deg = len(poly) - 1
@@ -361,17 +332,20 @@ def _field(N: int) -> tuple:
     powers = []
     for _ in range(N):
         powers.append(_make(N, tuple(cur), 1))
-        cur = _times_x(cur, first)
-    rows = tuple(powers[(deg + i) % N].num for i in range(deg - 1))
-    M = N if N % 2 == 0 else 2 * N
-    signs = [-1 if M != N and e % 2 else 1 for e in range(M)]
-    elems = [powers[e % N] if signs[e] == 1 else -powers[e % N] for e in range(M)]
-    units = {}
-    for e, z in enumerate(elems):
-        sign = signs[e]
-        cols = tuple(tuple((i, sign * x) for i, x in enumerate(powers[(e + j) % N].num) if x)
-                     for j in range(deg))
-        units[z.num] = (e, cols)
+        top, cur = cur[-1], [0] + cur[:-1]
+        if top:
+            cur = [a + top * b for a, b in zip(cur, first)]
+    rows = tuple(tuple((i, x) for i, x in enumerate(z.num) if x) for z in powers) * 2
+    if N % 2 == 0:
+        elems = powers
+        units = {z.num: (k, rows[k:k + deg]) for k, z in enumerate(powers)}
+    else:
+        negated = tuple(tuple((i, -x) for i, x in row) for row in rows[:N]) * 2
+        elems = [powers[e % N] if e % 2 == 0 else -powers[e % N] for e in range(2 * N)]
+        units = {z.num: (e, (negated if e % 2 else rows)[e % N:e % N + deg])
+                 for e, z in enumerate(elems)}
+    if len(_FIELDS) >= _FIELDS_MAX:
+        del _FIELDS[next(iter(_FIELDS))]
     field = _FIELDS[N] = (tuple(powers), rows, _make(N, (0,) * deg, 1), units, tuple(elems) * 2)
     return field
 
@@ -391,11 +365,12 @@ def unit_power(z: Cyclotomic) -> tuple[int, int] | None:
     return (-1 if e % 2 and N % 2 else 1), e % N
 
 
-def _unit_times(cols: tuple, z: Cyclotomic) -> Cyclotomic:
-    """z times the unit whose multiplication columns are `cols`.
+def _map_columns(cols, z: Cyclotomic) -> Cyclotomic:
+    """z's numerators mapped through the integer matrix with sparse columns `cols`.
 
-    A unit acts on the numerators by a matrix in GL(phi, Z), which keeps
-    their gcd with den, so the result is canonical without a gcd.
+    The matrix is a unit's multiplication or an automorphism sigma_k, both
+    in GL(phi, Z), which keeps the numerators' gcd with den, so the result
+    is canonical without a gcd.
     """
     out = [0] * len(cols)
     for c, col in zip(z.num, cols):
@@ -403,6 +378,18 @@ def _unit_times(cols: tuple, z: Cyclotomic) -> Cyclotomic:
             for i, x in col:
                 out[i] += c * x
     return _make(z.order, tuple(out), z.den)
+
+
+def conjugate(z: Cyclotomic, k: int) -> Cyclotomic:
+    """sigma_k(z) for the automorphism sigma_k: zeta -> zeta^k of Q(zeta_N), k coprime to N.
+
+    Column i of sigma_k is the row of zeta^(ik mod N).
+    """
+    N = z.order
+    if math.gcd(k, N) != 1:
+        raise ValueError("exponent %d is not coprime to N=%d" % (k, N))
+    rows = (_FIELDS.get(N) or _field(N))[1]
+    return _map_columns([rows[i * k % N] for i in range(len(z.num))], z)
 
 
 def _ratio_str(num: int, den: int) -> str:

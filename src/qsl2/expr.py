@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, RootSpec, unit_power, zeta_pow
+from .cyclo import Cyclotomic, RootSpec, conjugate, unit_power, zeta_pow
 from .frobenius import lift
 from .qalgebra import (
     EXPONENT_MAX,
@@ -238,12 +238,7 @@ def _q_coordinates(spec: RootSpec, z: Cyclotomic) -> tuple[Fraction, ...]:
     e*f = 1 mod N, sends q^j to zeta^j, so the q-coordinates of z are the
     zeta-coordinates of sigma(z).
     """
-    f = pow(spec.zeta_exponent, -1, spec.N)
-    image = Cyclotomic.zero(spec.N)
-    for i, c in enumerate(z.coeffs):
-        if c:
-            image = image + Cyclotomic.zeta(spec.N, f * i) * c
-    return image.coeffs
+    return conjugate(z, pow(spec.zeta_exponent, -1, spec.N)).coeffs
 
 
 def _q_power_text(spec: RootSpec, k: int) -> str:

@@ -22,6 +22,7 @@ from qsl2 import (
     root_spec_to_json,
     zeta_pow,
 )
+from qsl2.cyclo import conjugate, unit_power
 
 F = Fraction
 
@@ -84,10 +85,13 @@ def test_field_axioms(data):
 
 
 @given(st.data())
-@settings(max_examples=40)
+@settings(max_examples=60, deadline=None)
 def test_inverse(data):
-    order = data.draw(st.sampled_from((3, 4, 5, 12)))
-    x = data.draw(_elements(order).filter(lambda z: not z.is_zero()))
+    # 15, 16, 20 and 21 are composite orders with phi >= 8, where the norm has 7 or 11 conjugates
+    order = data.draw(st.sampled_from((3, 4, 5, 12, 15, 16, 20, 21)))
+    x = data.draw(st.one_of(_elements(order), _vectors(order).map(lambda v: Cyclotomic(order, v)))
+                  .filter(lambda z: not z.is_zero()))
+    assert x.inv().coeffs == tuple(_ref_inv(order, list(x.coeffs)))
     assert x * x.inv() == Cyclotomic.one(order)
     assert (x.inv()).inv() == x
 
@@ -146,7 +150,7 @@ def test_json_reader_names_a_missing_field():
 
 
 def test_readers_do_not_build_the_field():
-    # the per-order table holds M^2 unit products, so only arithmetic may build it
+    # the per-order table costs O(N * phi) to build, so only arithmetic may build it
     fields = qsl2.cyclo._FIELDS
     for order in (77, 85, 91, 10**9):
         assert order not in fields
@@ -476,6 +480,53 @@ def test_unit_inverses_and_shared_products(N):
                     if sign * sign2 > 0 or N % 2 == 0:
                         # +zeta^m, and for even N every unit, is the shared power
                         assert w is Cyclotomic.zeta(N, j + k + (0 if sign * sign2 > 0 else N // 2))
+
+
+@pytest.mark.parametrize("N", _UNIT_ORDERS)
+def test_unit_columns_are_the_shared_rows(N):
+    # column j of +-zeta^k is the row of zeta^(k+j), or the one shared negation of it
+    Cyclotomic.one(N)
+    powers, rows, _, units, _ = qsl2.cyclo._FIELDS[N]
+    assert len(rows) == 2 * N
+    for k in range(N):
+        assert rows[k] is rows[k + N]
+        assert rows[k] == tuple((i, x) for i, x in enumerate(powers[k].num) if x)
+    for k in range(N):
+        for sign in (1, -1):
+            u = _unit(N, k, sign)
+            s, m = unit_power(u)
+            cols = units[u.num][1]
+            assert len(cols) == euler_phi(N)
+            for j, col in enumerate(cols):
+                if s > 0:
+                    assert col is rows[m + j]
+                else:
+                    assert col == tuple((i, -x) for i, x in rows[m + j])
+                    assert col is units[(-powers[(m + j) % N]).num][1][0]
+
+
+_CONJUGATE_ORDERS = (3, 4, 5, 8, 12, 14, 15, 21)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_conjugate_is_a_field_automorphism(data):
+    N = data.draw(st.sampled_from(_CONJUGATE_ORDERS))
+    coprime = st.sampled_from([k for k in range(1, N) if math.gcd(k, N) == 1])
+    k, m = data.draw(coprime), data.draw(coprime)
+    x, y = Cyclotomic(N, data.draw(_vectors(N))), Cyclotomic(N, data.draw(_vectors(N)))
+    _assert_canonical(conjugate(x, k), N)
+    assert conjugate(x * y, k) == conjugate(x, k) * conjugate(y, k)
+    assert conjugate(x + y, k) == conjugate(x, k) + conjugate(y, k)
+    assert conjugate(Cyclotomic.zeta(N), k) == Cyclotomic.zeta(N, k)
+    assert conjugate(conjugate(x, m), k) == conjugate(x, k * m % N)
+    assert conjugate(x, 1) == x and conjugate(x, k + N) == conjugate(x, k)
+
+
+def test_conjugate_needs_an_exponent_coprime_to_the_order():
+    for N, k in ((12, 2), (15, 5), (15, 0)):
+        with pytest.raises(ValueError, match="not coprime"):
+            conjugate(Cyclotomic.zeta(N), k)
 
 
 def test_products_of_q_powers_are_the_shared_zeta_pow():

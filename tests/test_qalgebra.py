@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import SPEC2, SPEC3, qelements, random_qelement, words
+import qsl2.cyclo
 from qsl2 import (
     ClassicalElement,
     ClassicalMonomial,
@@ -145,10 +146,18 @@ def test_mono_mul_crosses_d_block_past_a_block(spec):
             assert got == straighten("d" * m + "a" * i, spec), (m, i)
 
 
-def test_caches_are_bounded():
+def test_caches_are_bounded(monkeypatch):
     for cached in (_mono_mul, p_expansion, cyclotomic_polynomial, _coproduct_half, _coproduct_monomial):
         assert cached.cache_info().maxsize is not None, cached.__name__
     assert _coproduct_monomial.cache_info().maxsize == 256
+    # the per-order field tables: past the bound the oldest order is dropped
+    assert qsl2.cyclo._FIELDS_MAX == 256
+    monkeypatch.setattr(qsl2.cyclo, "_FIELDS", {})
+    monkeypatch.setattr(qsl2.cyclo, "_FIELDS_MAX", 3)
+    for order in (5, 7, 9, 11, 13, 7, 5):
+        assert Cyclotomic.zeta(order, 2) * Cyclotomic.zeta(order, -2) == 1
+        assert len(qsl2.cyclo._FIELDS) <= 3
+    assert list(qsl2.cyclo._FIELDS) == [13, 7, 5]
 
 
 @given(st.data())
