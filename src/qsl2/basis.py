@@ -273,7 +273,8 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
 
     Each power is 0 or 1: for m, k < l, a^l d^m contracts completely and
     b^(l+j) c^k pairs every c with a b, so one alpha (beta) clears every d (c).
-    The alpha chart multiplies by a^(lK) with _mono_mul; the beta chart
+    The alpha chart multiplies by a^(lK) with _mono_mul, uncached since few
+    of these products recur (the rule in qalgebra._mono_mul); the beta chart
     writes each (bc)^k as the words a^t d^t, with coefficients read off the
     row p_expansion(spec, k), so its chart words are never straightened.
     """
@@ -288,7 +289,7 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
         K = int(any(m.d for m in me.terms))
         for mono, g in me.terms.items():
             # alpha^K kills every d: a^(lK) against d^m contracts completely
-            prod = _mono_mul(spec, QMonomial(l * K, 0, 0, 0), mono)
+            prod = _mono_mul.__wrapped__(spec, QMonomial(l * K, 0, 0, 0), mono)
             sub = central_reduce(QElement._like(spec, dict(prod)), "left")
             for mono2, h in sub.terms.items():
                 _add_term(acc, mono2, classical_mul(g, h))

@@ -536,19 +536,21 @@ def p_expansion(spec: RootSpec, k: int) -> tuple[Cyclotomic, ...]:
 def p_coeff(spec: RootSpec, k: int, j: int) -> Cyclotomic:
     """Closed formula q^(j^2) * prod_{r=j+1..k}(q^2r - 1) / prod_{s=1..k-j}(q^2s - 1).
 
-    The numerator is evaluated first so the exact zeros at k=l survive; for
-    j=0 the two products are identical and cancel before any evaluation.
+    A numerator factor that vanishes (q^2r = 1, as at k = l) gives the exact
+    zero before any product is formed; for j=0 the two products are
+    identical and cancel before any evaluation.
     """
     if not (0 <= j <= k <= spec.l):
         raise ValueError("need 0 <= j <= k <= l, got j=%d k=%d l=%d" % (j, k, spec.l))
     one = Cyclotomic.one(spec.N)
     if j == 0:
         return one
-    num = zeta_pow(spec, j * j)
-    for r in range(j + 1, k + 1):
-        num = num * (zeta_pow(spec, 2 * r) - one)
-    if num.is_zero():
+    factors = [zeta_pow(spec, 2 * r) - one for r in range(j + 1, k + 1)]
+    if any(f.is_zero() for f in factors):
         return Cyclotomic.zero(spec.N)
+    num = zeta_pow(spec, j * j)
+    for f in factors:
+        num = num * f
     den = one
     for s in range(1, k - j + 1):
         den = den * (zeta_pow(spec, 2 * s) - one)

@@ -123,17 +123,20 @@ def module_recompose(me: ModuleElement) -> QElement:
 
     Each coefficient term c * m lifts to the one normal monomial
     lifted_monomial(l, m), so the products with each key word go
-    straight into one sum.
+    straight into one sum.  Few of these lifted-block products recur
+    across calls, so they skip the _mono_mul cache (the rule in
+    qalgebra._mono_mul).
     """
     spec = me.spec
     _require_standard(spec, "module_recompose")
     l = spec.l
     left = me.side == "left"
+    mul = _mono_mul.__wrapped__
     acc: dict[QMonomial, Cyclotomic] = {}
     for mono, g in me.terms.items():
         for m, c in g.terms.items():
             lifted = lifted_monomial(l, m)
-            for mz, cz in _mono_mul(spec, lifted, mono) if left else _mono_mul(spec, mono, lifted):
+            for mz, cz in mul(spec, lifted, mono) if left else mul(spec, mono, lifted):
                 v = c * cz
                 acc[mz] = acc[mz] + v if mz in acc else v
     return QElement._like(spec, acc)

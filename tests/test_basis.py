@@ -61,7 +61,7 @@ from qsl2.basis import (
     residual_monomials,
 )
 from qsl2.exactla import ExactMatrix, nullspace
-from qsl2.qalgebra import EXPONENT_MAX
+from qsl2.qalgebra import EXPONENT_MAX, _mono_mul
 
 F = Fraction
 
@@ -867,6 +867,50 @@ def test_clear_denominators_matches_the_qmul_reference(spec, chart):
         cleared, k = clear_denominators(localize(x, chart))
         assert (cleared, k) == _clear_reference(localize(x, chart))
         assert cleared == qmul(lift(gen ** k), x)
+
+
+@pytest.mark.parametrize("l", [5, 7])
+def test_recompose_and_charts_skip_the_mono_mul_cache(l, monkeypatch):
+    # recompose, clear_denominators and the alpha chart of localize form their lifted-block
+    # products uncached (the rule in qalgebra._mono_mul); localize's own central_reduce
+    # calls stay on the cache, so their traffic is counted and set apart
+    spec = make_root_spec(l)
+    real_reduce = qsl2.basis.central_reduce
+    reduce_traffic = [0, 0]
+
+    def counted_reduce(x, side="left"):
+        before = _mono_mul.cache_info()
+        out = real_reduce(x, side)
+        after = _mono_mul.cache_info()
+        reduce_traffic[0] += after.hits - before.hits
+        reduce_traffic[1] += after.misses - before.misses
+        return out
+
+    monkeypatch.setattr(qsl2.basis, "central_reduce", counted_reduce)
+    rng = random.Random(700 + l)
+    for _ in range(3):
+        x = random_qelement(spec, rng, nterms=4, emax=3 * l)
+        for side in ("left", "right"):
+            dec = decompose(x, side)
+            before = _mono_mul.cache_info()
+            assert recompose(dec) == x
+            assert _mono_mul.cache_info() == before, side
+        for chart in ("alpha", "beta"):
+            reduce_traffic[:] = [0, 0]
+            before = _mono_mul.cache_info()
+            le = localize(x, chart)
+            after = _mono_mul.cache_info()
+            assert [after.hits - before.hits, after.misses - before.misses] == reduce_traffic, chart
+            cleared, k = clear_denominators(le)
+            assert _mono_mul.cache_info() == after, chart
+            assert cleared == qmul(lift(ClassicalElement.generator(spec, chart) ** k), x)
+    # the products that recur stay cached
+    for again in (lambda: central_reduce(x, "right"), lambda: qmul(x, x)):
+        again()
+        before = _mono_mul.cache_info()
+        again()
+        after = _mono_mul.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
 
 @pytest.mark.parametrize("spec", ROUTE_SPECS, ids=_route_id)

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -277,6 +278,17 @@ def test_p_coeff_closed_form(l):
         assert p_coeff(spec, l, 0).is_one()
         for j in range(1, l):
             assert p_coeff(spec, l, j).is_zero()
+
+
+def test_p_coeff_returns_the_zeros_at_k_equal_l_before_any_product():
+    # at k = l the factor q^(2l) - 1 vanishes, so p_coeff(l, j) is 0 for 0 < j < l at once
+    spec = make_root_spec(101)
+    Cyclotomic.one(spec.N)  # the field table is built outside the timed part
+    start = time.perf_counter()
+    row = [p_coeff(spec, 101, j) for j in range(102)]
+    assert time.perf_counter() - start <= 0.3
+    assert row[0].is_one() and row[101].is_one()
+    assert all(v.is_zero() for v in row[1:101])
 
 
 def test_p_coeff_domain():

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -601,6 +602,21 @@ def test_console_script_stdin():
         input="a\nb\n", capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "a*b"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_console_script_ends_quietly_when_stdout_closes():
+    # like `qsl2 selftest | head -1`: the reader takes one line and closes the pipe, and
+    # the next line written ends the process on SIGPIPE, with no traceback
+    proc = subprocess.Popen([sys.executable, "-m", "qsl2.cli", "selftest"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == -signal.SIGPIPE
+    assert first == "ok cyclotomic arithmetic\n" and err == ""
 
 
 def test_cli_import_loads_none_of_dataclasses_inspect_typing_json():
