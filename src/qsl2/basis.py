@@ -29,9 +29,10 @@ from .exactla import ExactMatrix, rref
 from .frobenius import (
     ModuleElement,
     _check_side,
+    _lifted_product,
     _require_standard,
+    _SidedTerms,
     central_reduce,
-    lifted_monomial,
     module_recompose,
 )
 from .qalgebra import (
@@ -39,11 +40,10 @@ from .qalgebra import (
     ClassicalMonomial,
     QElement,
     QMonomial,
-    _SidedTerms,
     _SortedTerms,
     classical_mul,
 )
-from .qalgebra import _add_term, _mono_mul, _nonzero
+from .qalgebra import _add_term, _nonzero
 
 
 class _BasisIndex:
@@ -108,9 +108,7 @@ def enumerate_basis(l: int) -> list[BasisIndex]:
 
 def residual_monomials(l: int) -> list[QMonomial]:
     """Every reduced monomial with all exponents below l (2l^3 - l^2 of them)."""
-    return [QMonomial(i, j, k, m)
-            for i in range(l) for j in range(l) for k in range(l) for m in range(l)
-            if not (i and m)]
+    return QMonomial.reduced_up_to(l - 1)
 
 
 def is_basis_monomial(mono: QMonomial, l: int) -> BasisIndex | None:
@@ -273,10 +271,10 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
 
     Each power is 0 or 1: for m, k < l, a^l d^m contracts completely and
     b^(l+j) c^k pairs every c with a b, so one alpha (beta) clears every d (c).
-    The alpha chart multiplies by a^(lK) with _mono_mul, uncached since few
-    of these products recur (the rule in qalgebra._mono_mul); the beta chart
-    writes each (bc)^k as the words a^t d^t, with coefficients read off the
-    row p_expansion(spec, k), so its chart words are never straightened.
+    The alpha chart multiplies by lift(alpha^K) = a^(lK) (_lifted_product);
+    the beta chart writes each (bc)^k as the words a^t d^t, with coefficients
+    read off the row p_expansion(spec, k), so its chart words are never
+    straightened.
     """
     spec = x.spec
     _require_standard(spec, "localize")
@@ -287,9 +285,10 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
     acc: dict[QMonomial, ClassicalElement] = {}
     if chart == "alpha":
         K = int(any(m.d for m in me.terms))
+        alpha_k = ClassicalMonomial(K, 0, 0, 0)
         for mono, g in me.terms.items():
             # alpha^K kills every d: a^(lK) against d^m contracts completely
-            prod = _mono_mul.__wrapped__(spec, QMonomial(l * K, 0, 0, 0), mono)
+            prod = _lifted_product(spec, alpha_k, mono, "left")
             sub = central_reduce(QElement._like(spec, dict(prod)), "left")
             for mono2, h in sub.terms.items():
                 _add_term(acc, mono2, classical_mul(g, h))
@@ -397,25 +396,12 @@ def _classical_weight(l: int, cm: ClassicalMonomial) -> tuple[int, int]:
             l * (cm.alpha - cm.beta + cm.gamma - cm.delta))
 
 
-def _candidate_classicals(bound: int) -> list[ClassicalMonomial]:
-    out = []
-    for p in range(bound + 1):
-        for r in range(bound + 1):
-            for s in range(bound + 1):
-                out.append(ClassicalMonomial(p, r, s, 0))
-    for t in range(1, bound + 1):
-        for r in range(bound + 1):
-            for s in range(bound + 1):
-                out.append(ClassicalMonomial(0, r, s, t))
-    return out
-
-
 def _pairs_by_weight(l: int, bound: int) -> dict[tuple[int, int], list]:
     """Every (basis index, candidate classical coefficient) pair, grouped by the weight of its column."""
     if bound < 0:
         raise ValueError("degree_bound must be >= 0, got %d" % bound)
     out: dict[tuple[int, int], list[tuple[BasisIndex, ClassicalMonomial]]] = {}
-    cands = [(cm, _classical_weight(l, cm)) for cm in _candidate_classicals(bound)]
+    cands = [(cm, _classical_weight(l, cm)) for cm in ClassicalMonomial.reduced_up_to(bound)]
     for idx in enumerate_basis(l):
         gw = _quantum_weight(idx.monomial())
         for cm, cw in cands:
@@ -425,16 +411,8 @@ def _pairs_by_weight(l: int, bound: int) -> dict[tuple[int, int], list]:
 
 def _column(spec: RootSpec, side: str, idx: BasisIndex,
             cm: ClassicalMonomial) -> dict[QMonomial, Cyclotomic]:
-    """The terms of the candidate column lift(cm) * G (left) or G * lift(cm) (right).
-
-    lift(cm) = a^(lp) b^(lr) c^(ls) d^(lt) is a normal monomial with scalar
-    1, so the column is one product of two normal monomials.  Each column
-    is built once, so the product skips the _mono_mul cache (the rule in
-    qalgebra._mono_mul).
-    """
-    g = lifted_monomial(spec.l, cm)
-    x, y = (g, idx.monomial()) if side == "left" else (idx.monomial(), g)
-    return dict(_mono_mul.__wrapped__(spec, x, y))
+    """The terms of the candidate column lift(cm) * G (left) or G * lift(cm) (right)."""
+    return dict(_lifted_product(spec, cm, idx.monomial(), side))
 
 
 def _trailing_monomial(l: int, idx: BasisIndex, cm: ClassicalMonomial) -> QMonomial:

@@ -142,20 +142,17 @@ def _spec(args):
     return make_root_spec(_bounded_l(args.l), zeta_exponent=args.zeta_exp)
 
 
-_STDIN_LINES: list = []
-
-
-def _arg_text(value: str, whole: bool = False) -> str:
+def _arg_text(args, value: str, whole: bool = False) -> str:
+    """value, or for `-` the whole of stdin or its next non-blank line; the queue is per run."""
     if value != "-":
         return value
     if whole:
         return sys.stdin.read()
-    if not _STDIN_LINES:
-        _STDIN_LINES.extend(line for line in sys.stdin.read().splitlines() if line.strip())
-        _STDIN_LINES.reverse()
-    if not _STDIN_LINES:
+    if args.stdin_lines is None:
+        args.stdin_lines = [line for line in sys.stdin.read().splitlines() if line.strip()][::-1]
+    if not args.stdin_lines:
         raise _UsageError("empty stdin")
-    return _STDIN_LINES.pop()
+    return args.stdin_lines.pop()
 
 
 def _emit(args, text: str, obj) -> None:
@@ -295,6 +292,7 @@ def _cmd_verify_basis(args) -> int:
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.stdin_lines = None
     try:
         return _dispatch(args)
     except ExprSyntaxError as err:
@@ -341,16 +339,16 @@ def _dispatch(args) -> int:
     if cmd == "recompose":
         import json
 
-        data = json.loads(_arg_text(args.doc, whole=True))
+        data = json.loads(_arg_text(args, args.doc, whole=True))
         element = recompose(decomposition_from_json(data, spec))
         _emit(args, format_qelement(element), element.to_json())
         return 0
 
-    x = parse_qelement(_arg_text(args.expr), spec)
+    x = parse_qelement(_arg_text(args, args.expr), spec)
     if cmd == "normalize":
         _emit(args, format_qelement(x), x.to_json())
     elif cmd == "mul":
-        y = parse_qelement(_arg_text(args.expr2), spec)
+        y = parse_qelement(_arg_text(args, args.expr2), spec)
         z = qmul(x, y)
         _emit(args, format_qelement(z), z.to_json())
     elif cmd == "coproduct":

@@ -7,30 +7,73 @@ alpha*delta - beta*gamma = 1, and for odd l are central.  For even l
 they are not central (a^l picks up q^l = -1 past b and c), which is why
 the left and right module structures differ by signs.
 
-central_reduce writes an element as a combination of lifted classical
-coefficients times residual monomials with all exponents below l; the
-sign bookkeeping is done by the multiplication engine itself, never by
-a separate table.
+This module owns that module action: the two sides, the sided
+coefficient container, the lifted products lift(m)*w and w*lift(m), and
+central_reduce, which writes an element as a combination of lifted
+classical coefficients times residual monomials with all exponents
+below l.  The sign bookkeeping is done by the multiplication engine
+itself, never by a separate table.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclo import Cyclotomic, RootSpec, p_expansion
+from .cyclo import Cyclotomic, RootSpec, p_expansion, root_spec_from_json
 from .qalgebra import (
-    CLASSICAL_ONE,
     ClassicalElement,
     ClassicalMonomial,
     QElement,
     QMonomial,
     TensorElement,
-    _SidedTerms,
+    _Terms,
     coproduct,
     qmul,
 )
-from .qalgebra import SIDES, _check_side  # basis and cli read the sides from here too
-from .qalgebra import _add_term, _json_exponent, _mono_mul  # term merge; capped JSON key; single-monomial products
+from .qalgebra import _json_exponent, _mono_mul  # capped JSON key; single-monomial products
+
+SIDES = ("left", "right")
+
+
+def _check_side(side: str):
+    if side not in SIDES:
+        raise ValueError("side must be 'left' or 'right', got %r" % (side,))
+
+
+class _SidedTerms(_Terms):
+    """Classical coefficients keyed by basis data, acting on one side."""
+
+    __slots__ = ("side",)
+    _HEAD = ("spec", "side")
+
+    def __init__(self, spec: RootSpec, side: str, terms: dict | None = None):
+        _set_side(self, side)
+        super().__init__(spec, terms)
+        _check_side(side)
+
+    @classmethod
+    def _like(cls, spec: RootSpec, side: str, terms: dict):
+        out = super()._like(spec, terms)
+        _set_side(out, side)
+        return out
+
+    def _json_head(self) -> dict:
+        return {"side": self.side}
+
+    @classmethod
+    def _head_from_json(cls, data: dict, spec: RootSpec | None) -> tuple:
+        if spec is None:
+            # each coefficient carries the root data; every row is checked against it as it is read
+            spec = next((root_spec_from_json(row["coeff"]["spec"]) for row in data[cls._ROWS]
+                         if "spec" in row["coeff"]), None)
+        return super()._head_from_json({}, spec) + (data["side"],)
+
+    @staticmethod
+    def _value_from_json(row: dict, spec: RootSpec):
+        return ClassicalElement.from_json(row["coeff"], spec)
+
+
+_set_side = _SidedTerms.__dict__["side"].__set__
 
 
 def _require_standard(spec: RootSpec, what: str):
@@ -85,58 +128,64 @@ class ModuleElement(_SidedTerms):
         return QMonomial(*(_json_exponent(row["monomial"][name]) for name in QMonomial._fields))
 
 
+def _lifted_product(spec: RootSpec, m: ClassicalMonomial, word: QMonomial,
+                    side: str) -> tuple[tuple[QMonomial, Cyclotomic], ...]:
+    """lift(m) * word (left) or word * lift(m) (right), as normal (monomial, scalar) pairs.
+
+    lift(m) is the one normal monomial lifted_monomial(l, m) with scalar
+    1, so this is one product of two words.  Few of these products recur
+    (recompose, chart clearing, the alpha chart of localize and the
+    freeness certificate's columns), so they skip the _mono_mul cache.
+    """
+    lifted = lifted_monomial(spec.l, m)
+    x, y = (lifted, word) if side == "left" else (word, lifted)
+    return _mono_mul.__wrapped__(spec, x, y)
+
+
 def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
     """Split every monomial into l-th-power blocks times a residual monomial.
 
     The scalar picked up by placing the blocks on the requested side is
     computed by multiplying the lifted blocks against the residual with
-    the engine and comparing against the original monomial.
+    the engine and comparing against the original monomial.  These
+    products recur as often as qmul's, so they stay on the _mono_mul cache.
     """
     _check_side(side)
     spec = x.spec
     _require_standard(spec, "central_reduce")
     l = spec.l
-    acc: dict[QMonomial, ClassicalElement] = {}
+    left = side == "left"
+    acc: dict[QMonomial, dict[ClassicalMonomial, Cyclotomic]] = {}
     for mono, coeff in x.terms.items():
         i, j, k, m = mono
         blocks = ClassicalMonomial(i // l, j // l, k // l, m // l)
         residual = QMonomial(i % l, j % l, k % l, m % l)
-        if blocks == CLASSICAL_ONE:
-            _add_term(acc, residual, ClassicalElement._like(spec, {blocks: coeff}))
-            continue
-        lifted = lifted_monomial(l, blocks)
-        if side == "left":
-            prod = _mono_mul(spec, lifted, residual)
-        else:
-            prod = _mono_mul(spec, residual, lifted)
-        if len(prod) != 1 or prod[0][0] != mono:
-            raise RuntimeError("block extraction produced a non-monomial product for %s; this is a bug"
-                               % (mono,))
-        tau = prod[0][1]
-        # blocks of a normal monomial have min(alpha, delta) = 0, so the key is reduced
-        _add_term(acc, residual, ClassicalElement._like(spec, {blocks: coeff * tau.inv()}))
-    return ModuleElement._like(spec, side, acc)
+        if any(blocks):
+            lifted = lifted_monomial(l, blocks)
+            prod = _mono_mul(spec, *((lifted, residual) if left else (residual, lifted)))
+            if len(prod) != 1 or prod[0][0] != mono:
+                raise RuntimeError("block extraction produced a non-monomial product for %s; this is a bug"
+                                   % (mono,))
+            coeff = coeff * prod[0][1].inv()
+        # distinct monomials split into distinct (blocks, residual) pairs, and the
+        # blocks of a normal monomial have min(alpha, delta) = 0, so each key is reduced
+        acc.setdefault(residual, {})[blocks] = coeff
+    return ModuleElement._like(spec, side, {w: ClassicalElement._like(spec, g) for w, g in acc.items()})
 
 
 def module_recompose(me: ModuleElement) -> QElement:
     """Multiply coefficients back on their side; inverse of central_reduce.
 
-    Each coefficient term c * m lifts to the one normal monomial
-    lifted_monomial(l, m), so the products with each key word go
-    straight into one sum.  Few of these lifted-block products recur
-    across calls, so they skip the _mono_mul cache (the rule in
-    qalgebra._mono_mul).
+    Each coefficient term c * m gives the lifted product of m with the
+    key word (_lifted_product), and all of them go straight into one sum.
     """
     spec = me.spec
     _require_standard(spec, "module_recompose")
-    l = spec.l
-    left = me.side == "left"
-    mul = _mono_mul.__wrapped__
+    side = me.side
     acc: dict[QMonomial, Cyclotomic] = {}
     for mono, g in me.terms.items():
         for m, c in g.terms.items():
-            lifted = lifted_monomial(l, m)
-            for mz, cz in mul(spec, lifted, mono) if left else mul(spec, mono, lifted):
+            for mz, cz in _lifted_product(spec, m, mono, side):
                 v = c * cz
                 acc[mz] = acc[mz] + v if mz in acc else v
     return QElement._like(spec, acc)

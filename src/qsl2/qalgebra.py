@@ -338,6 +338,12 @@ class _Monomial:
     def is_reduced(self) -> bool:
         return min(self[0], self[3]) == 0 and min(self) >= 0
 
+    @classmethod
+    def reduced_up_to(cls, top: int) -> list:
+        """Every reduced monomial with all exponents at most top, in lexicographic order."""
+        r = range(top + 1)
+        return [cls(i, j, k, m) for i in r for j in r for k in r for m in r if not (i and m)]
+
 
 class QMonomial(_Monomial, namedtuple("QMonomial", "a b c d")):
     """Exponents of a normal-ordered monomial a^a b^b c^c d^d."""
@@ -350,19 +356,12 @@ def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomi
     """Product of two words a^i b^j c^k d^m, returned as normal (monomial, scalar) pairs.
 
     Either word may hold both a and d; it is multiplied as it is written.
-    A caller whose products seldom recur calls _mono_mul.__wrapped__, so
-    the cache keeps only products that are used again.  Share of calls
-    that hit, per caller, over one seed-0 replay of the session and hopf
-    benchmarks: frobenius.module_recompose 17 % (recompose and
-    clear_denominators), the alpha chart of basis.localize 19 %,
-    frobenius.central_reduce 37 %, qmul 37 % and the left legs of
-    _coproduct_monomial 72 %.  The first two skip the cache, as do the
-    freeness certificate's columns (basis._column) and the right-leg
-    products of _coproduct_monomial, which are each formed once.
-    central_reduce stays cached: it reuses as often as qmul, and it is
-    the only cached product of the freeness certificate, so dropping it
-    would leave the certificate with no _mono_mul traffic for the
-    benchmark tracer to see.
+    The cache keeps the products that are used again; two places, whose
+    products seldom or never recur, call _mono_mul.__wrapped__ instead:
+    frobenius._lifted_product and the right legs of _coproduct_monomial.
+    Over one seed-0 replay of the session and hopf benchmarks, cached
+    lifted products hit on 17-19 % of calls, against 37 % for qmul and
+    central_reduce and 72 % for the left legs of _coproduct_monomial.
 
     Route: cross x's d-block past y's a-block, commute the stray a/d
     across the inner b,c letters, then contract the remaining mixed a,d
@@ -530,6 +529,11 @@ def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
     is given as (monomial, scalar) pairs.  The power of q moves b^t1
     (d^t1) right across a^(e2-t2) (c^(e2-t2)) in the left leg, and the
     binomials are [e t]_{q^-2} = q^(-t(2e-t)) p_{e,t} (cyclo.p_expansion).
+    The inner products a^x b^y * c^z d^w stay on the _mono_mul cache, as
+    they are the same keys as the left-leg products of _coproduct_monomial:
+    skipping it cut the traced seed-0 hopf cache only from 1522 to 1397
+    entries, lost 308 of its 3049 hits and raised the scalar products
+    from 64786 to 65574.
     """
     row1, row2 = p_expansion(spec, e1), p_expansion(spec, e2)
     groups: dict[int, dict[QMonomial, Cyclotomic]] = {}
@@ -637,9 +641,6 @@ class ClassicalMonomial(_Monomial, namedtuple("ClassicalMonomial", "alpha beta g
     __slots__ = ()
 
 
-CLASSICAL_ONE = ClassicalMonomial(0, 0, 0, 0)
-
-
 def _add_classical_term(acc: dict, m: ClassicalMonomial, v) -> None:
     """acc += v * m, with alpha^w delta^w rewritten as (1 + beta*gamma)^w so every key is reduced."""
     if not (m.alpha and m.delta):
@@ -687,51 +688,3 @@ def classical_mul(x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
                                      mx.gamma + my.gamma, mx.delta + my.delta)
             _add_classical_term(acc, mono, cx * cy)
     return ClassicalElement._like(x.spec, acc)
-
-
-# ---------------------------------------------------------------------------
-# Coordinates over the l-th-power subalgebra
-
-
-SIDES = ("left", "right")
-
-
-def _check_side(side: str):
-    if side not in SIDES:
-        raise ValueError("side must be 'left' or 'right', got %r" % (side,))
-
-
-class _SidedTerms(_Terms):
-    """Classical coefficients keyed by basis data, acting on one side."""
-
-    __slots__ = ("side",)
-    _HEAD = ("spec", "side")
-
-    def __init__(self, spec: RootSpec, side: str, terms: dict | None = None):
-        _set_side(self, side)
-        super().__init__(spec, terms)
-        _check_side(side)
-
-    @classmethod
-    def _like(cls, spec: RootSpec, side: str, terms: dict):
-        out = super()._like(spec, terms)
-        _set_side(out, side)
-        return out
-
-    def _json_head(self) -> dict:
-        return {"side": self.side}
-
-    @classmethod
-    def _head_from_json(cls, data: dict, spec: RootSpec | None) -> tuple:
-        if spec is None:
-            # each coefficient carries the root data; every row is checked against it as it is read
-            spec = next((root_spec_from_json(row["coeff"]["spec"]) for row in data[cls._ROWS]
-                         if "spec" in row["coeff"]), None)
-        return super()._head_from_json({}, spec) + (data["side"],)
-
-    @staticmethod
-    def _value_from_json(row: dict, spec: RootSpec):
-        return ClassicalElement.from_json(row["coeff"], spec)
-
-
-_set_side = _SidedTerms.__dict__["side"].__set__

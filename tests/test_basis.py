@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -86,6 +87,18 @@ def test_enumerate_basis_is_the_nested_loops(l):
     want += [FamilyA(m, n, s) for m in range(1, l) for n in range(l) for s in range(m, l)]
     got = enumerate_basis(l)
     assert got == want and [type(ix) for ix in got] == [type(ix) for ix in want]
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 4])
+def test_reduced_monomials_come_from_one_enumeration(top):
+    # the residual words (exponents < l) and the oracle's candidate coefficients (exponents
+    # <= the degree bound) are both the reduced monomials in a box, (top+1)^2 (2 top + 1) of them
+    box = range(top + 1)
+    for cls in (QMonomial, ClassicalMonomial):
+        got = cls.reduced_up_to(top)
+        assert got == sorted(cls(*e) for e in itertools.product(box, repeat=4) if cls(*e).is_reduced())
+        assert len(got) == (top + 1) ** 2 * (2 * top + 1)
+    assert residual_monomials(top + 1) == QMonomial.reduced_up_to(top)
 
 
 def test_family_index_ranges():

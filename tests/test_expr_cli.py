@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import signal
@@ -589,6 +590,14 @@ def test_selftest_checks_survive_python_optimize():
     assert proc.returncode == 1
     failures = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
     assert failures and all(not line.endswith(": ") for line in failures)
+
+
+def test_cli_stdin_lines_do_not_leak_into_the_next_run(capsys, monkeypatch):
+    # the lines a run reads from stdin and leaves unused belong to that run alone
+    monkeypatch.setattr(sys, "stdin", io.StringIO("a\nb\nc\n"))
+    assert _cli(capsys, "--l", "3", "normalize", "-")[:2] == (0, "a\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("d\n"))
+    assert _cli(capsys, "--l", "3", "normalize", "-")[:2] == (0, "d\n")
 
 
 def test_console_script_stdin():

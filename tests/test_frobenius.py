@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -29,6 +31,10 @@ from qsl2 import (
     straighten,
     zeta_pow,
 )
+import qsl2.frobenius
+import qsl2.qalgebra
+from qsl2.frobenius import _lifted_product
+from qsl2.qalgebra import _mono_mul
 
 F = Fraction
 
@@ -135,6 +141,89 @@ def test_central_reduce_extracts_lifted_factors():
             got_right = central_reduce(qmul(x, lift(g)), "right")
             assert got_left.terms == want
             assert got_right.terms == want
+
+
+def _shared_residual_element(spec, rng):
+    """Four monomials over each of three residual words, so several blocks share a key word."""
+    l = spec.l
+    terms = {}
+    for w in rng.sample(QMonomial.reduced_up_to(l - 1), 3):
+        for _ in range(4):
+            e = rng.randrange(3)
+            # a residual a (d) admits only alpha (delta) blocks, so each monomial stays normal
+            p, t = (e, 0) if w.a or (not w.d and rng.random() < 0.5) else (0, e)
+            mono = QMonomial(w.a + l * p, w.b + l * rng.randrange(3), w.c + l * rng.randrange(3), w.d + l * t)
+            terms[mono] = zeta_pow(spec, rng.randrange(spec.N)) * F(rng.randrange(1, 4))
+    return QElement(spec, terms)
+
+
+def _central_reduce_reference(x, side):
+    """central_reduce one term at a time, through lift, qmul and the validating constructors."""
+    spec, l = x.spec, x.spec.l
+    out = ModuleElement(spec, side)
+    for mono, c in x.terms.items():
+        blocks = ClassicalMonomial(*(e // l for e in mono))
+        residual = QMonomial(*(e % l for e in mono))
+        lifted, word = lift(ClassicalElement.monomial(spec, blocks)), QElement.monomial(spec, residual)
+        prod = qmul(lifted, word) if side == "left" else qmul(word, lifted)
+        assert set(prod.terms) == {mono}
+        coeff = ClassicalElement.monomial(spec, blocks, c * prod.terms[mono].inv())
+        out = out + ModuleElement(spec, side, {residual: coeff})
+    return out
+
+
+@pytest.mark.parametrize("l", [3, 4, 6])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_central_reduce_matches_the_per_term_reference(l, side):
+    spec = make_root_spec(l)
+    rng = random.Random(50 + l)
+    for _ in range(3):
+        x = _shared_residual_element(spec, rng)
+        got = central_reduce(x, side)
+        assert len(got.terms) < len(x.terms)
+        assert got == _central_reduce_reference(x, side)
+        assert module_recompose(got) == x
+
+
+@pytest.mark.parametrize("l,zeta_exp", [(4, 3), (5, 2), (6, 1)])
+def test_lifted_product_is_the_mono_mul_product_off_the_cache(l, zeta_exp):
+    spec = make_root_spec(l, zeta_exponent=zeta_exp)
+    words = random.Random(60 + l).sample(QMonomial.reduced_up_to(l - 1), 10)
+    for side in ("left", "right"):
+        for m in ClassicalMonomial.reduced_up_to(1):
+            lifted = QMonomial(*(l * e for e in m))
+            for w in words:
+                before = _mono_mul.cache_info()
+                got = _lifted_product(spec, m, w, side)
+                assert _mono_mul.cache_info() == before
+                assert got == (_mono_mul(spec, lifted, w) if side == "left" else _mono_mul(spec, w, lifted))
+
+
+def test_frobenius_alone_holds_the_sides_and_the_uncached_products():
+    src = pathlib.Path(qsl2.frobenius.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+
+    def wrapped(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "__wrapped__"]
+
+    def imported(tree, module):
+        return {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == module
+                for alias in n.names}
+
+    # once in each of the two functions that skip the _mono_mul cache, and nowhere else
+    assert sorted(name for name, tree in trees.items() for _ in wrapped(tree)) == ["frobenius", "qalgebra"]
+    assert {(name, fn.name) for name, tree in trees.items() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and wrapped(fn)} == {("frobenius", "_lifted_product"),
+                                                                    ("qalgebra", "_coproduct_monomial")}
+    basis_names = set()
+    for n in ast.walk(trees["basis"]):
+        basis_names.add(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                        else n.name if isinstance(n, ast.alias) else None)
+    assert not basis_names & {"_mono_mul", "lifted_monomial", "__wrapped__"}
+    assert not {"SIDES", "_check_side", "_SidedTerms", "_set_side"} & set(vars(qsl2.qalgebra))
+    # no module reads a qalgebra name through frobenius
+    for name, tree in trees.items():
+        assert not imported(tree, "frobenius") & imported(trees["frobenius"], "qalgebra"), name
 
 
 def test_central_reduce_rejects_bad_side():
