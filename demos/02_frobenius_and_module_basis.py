@@ -1,4 +1,4 @@
-"""Tour 2: the central l-th-power subalgebra and the rank-l^3 module basis.
+"""Tour 2: the l-th-power subalgebra (central for odd l) and the rank-l^3 module basis.
 
 Run with:  python demos/02_frobenius_and_module_basis.py
 """
@@ -33,15 +33,14 @@ spec = make_root_spec(3)
 basis = enumerate_basis(3)
 print("module basis at l = 3: %d elements (l^3 = 27)" % len(basis))
 print("first few:", ", ".join(
-    quantum_monomial_text(ix.monomial()) or "1" for ix in basis[:6]), "...")
+    quantum_monomial_text(word) or "1" for word in basis[:6]), "...")
 print()
 
 A = QElement.generator(spec, "a")
 dec = decompose(A, "left")
 print("decompose(a), left side:")
-for ix, g in dec.sorted_terms():
-    print("  %-12s %s" % (quantum_monomial_text(ix.monomial()) or "1",
-                          format_classical(g)))
+for word, g in dec.sorted_terms():
+    print("  %-12s %s" % (quantum_monomial_text(word) or "1", format_classical(g)))
 assert recompose(dec) == A
 print()
 

@@ -4,7 +4,7 @@ Run with:  python demos/03_charts_and_closure.py
 """
 
 from qsl2 import (
-    ClassicalElement, QElement, clear_denominators, closure_diagnostic,
+    ClassicalElement, QElement, RootSpec, clear_denominators, closure_diagnostic,
     lift, localize, make_root_spec, qmul,
 )
 from qsl2.cli import _closure_text
@@ -41,4 +41,5 @@ print()
 print("what closes and what does not, by root order:")
 for l, order in ((3, 3), (2, 4), (3, 6)):
     print()
-    print(_closure_text(closure_diagnostic(l, order)))
+    spec = RootSpec(l, order)
+    print(_closure_text(spec, closure_diagnostic(spec)))

@@ -47,14 +47,12 @@ from .frobenius import (
     module_recompose,
 )
 from .basis import (
-    BasisIndex,
     Decomposition,
     DegreeBoundError,
-    FamilyA,
-    FamilyD,
     FreenessError,
     FreenessReport,
     LocalizedElement,
+    basis_index,
     clear_denominators,
     decompose,
     decomposition_from_json,

@@ -46,64 +46,11 @@ from .qalgebra import (
 from .qalgebra import _add_term, _nonzero
 
 
-class _BasisIndex:
-    """Equality, hashing, order (family D first), JSON and CLI text of both index families.
-
-    Indices compare and hash by family too: FamilyA(1, 1, 1) != FamilyD(1, 1, 1).
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self.sort_key())
-
-    def sort_key(self):
-        return (self._RANK,) + self
-
-    def to_json(self) -> dict:
-        return {"family": self._FAMILY, **dict(zip(self._fields, self))}
-
-    def tag(self) -> str:
-        """The family and its indices as the CLI prints them, e.g. A(m=1,n=0,s=2)."""
-        return "%s(%s)" % (self._FAMILY, ",".join("%s=%d" % kv for kv in zip(self._fields, self)))
-
-
-class FamilyA(_BasisIndex, namedtuple("FamilyA", "m n s")):
-    """Generator a^m b^n c^s with 1 <= m <= s."""
-
-    __slots__ = ()
-    _FAMILY, _RANK = "A", 1
-
-    def monomial(self) -> QMonomial:
-        return QMonomial(self.m, self.n, self.s, 0)
-
-
-class FamilyD(_BasisIndex, namedtuple("FamilyD", "n s r")):
-    """Generator b^n c^s d^r with s + r <= l - 1."""
-
-    __slots__ = ()
-    _FAMILY, _RANK = "D", 0
-
-    def monomial(self) -> QMonomial:
-        return QMonomial(0, self.n, self.s, self.r)
-
-
-BasisIndex = FamilyA | FamilyD
-_FAMILIES = {"A": FamilyA, "D": FamilyD}
-
-
-def enumerate_basis(l: int) -> list[BasisIndex]:
-    """All l^3 generators, family D first, in lexicographic index order."""
+def enumerate_basis(l: int) -> list[QMonomial]:
+    """All l^3 basis words, family D first, each family in index order."""
     if l < 2:
         raise ValueError("l must be at least 2")
-    found = (is_basis_monomial(mono, l) for mono in residual_monomials(l))
-    return sorted((idx for idx in found if idx is not None), key=_BasisIndex.sort_key)
+    return sorted((mono for mono in residual_monomials(l) if is_basis_monomial(mono, l)), key=_basis_order)
 
 
 def residual_monomials(l: int) -> list[QMonomial]:
@@ -111,40 +58,69 @@ def residual_monomials(l: int) -> list[QMonomial]:
     return QMonomial.reduced_up_to(l - 1)
 
 
-def is_basis_monomial(mono: QMonomial, l: int) -> BasisIndex | None:
-    """Classify a reduced monomial; None means it violates the basis shape."""
+def is_basis_monomial(mono: QMonomial, l: int) -> bool:
+    """Is a reduced monomial with exponents below l a basis word? ValueError for any other monomial."""
     if min(mono) < 0 or max(mono) >= l or (mono.a and mono.d):
         raise ValueError("monomial %s is not reduced for l=%d" % (mono, l))
-    if mono.a:
-        return FamilyA(mono.a, mono.b, mono.c) if mono.c >= mono.a else None
-    return FamilyD(mono.b, mono.c, mono.d) if mono.c + mono.d <= l - 1 else None
+    return mono.c >= mono.a if mono.a else mono.c + mono.d <= l - 1
+
+
+def basis_index(word: QMonomial) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """The family and named indices of a basis word, as the JSON rows and the CLI name them.
+
+    a^m b^n c^s is ("A", (("m", m), ("n", n), ("s", s))) and b^n c^s d^r is
+    ("D", (("n", n), ("s", s), ("r", r))).
+    """
+    if word.a:
+        return "A", (("m", word.a), ("n", word.b), ("s", word.c))
+    return "D", (("n", word.b), ("s", word.c), ("r", word.d))
+
+
+def _index_tag(word: QMonomial) -> str:
+    """The family and indices of word as the CLI prints them, e.g. A(m=1,n=0,s=2)."""
+    family, indices = basis_index(word)
+    return "%s(%s)" % (family, ",".join("%s=%d" % kv for kv in indices))
+
+
+def _basis_order(word: QMonomial) -> tuple:
+    # family D first, each family in the order of its indices
+    return (1,) + word[:3] if word.a else (0,) + word[1:]
 
 
 class Decomposition(_SidedTerms):
-    """Coordinates of an element in the free-module basis, keyed by BasisIndex."""
+    """Coordinates of an element in the free-module basis, keyed by basis word."""
 
     __slots__ = ()
     _ROWS = "entries"
+    _sort_key = staticmethod(_basis_order)
 
-    def _key(self, idx: BasisIndex) -> BasisIndex:
-        if is_basis_monomial(idx.monomial(), self.spec.l) != idx:
-            raise ValueError("%s is not a basis index for l=%d" % (idx, self.spec.l))
-        return idx
+    def _key(self, word: QMonomial) -> QMonomial:
+        if not is_basis_monomial(word, self.spec.l):
+            raise ValueError("%s is not a basis index for l=%d" % (_index_tag(word), self.spec.l))
+        return word
 
     @property
-    def coefficients(self) -> dict[BasisIndex, ClassicalElement]:
+    def coefficients(self) -> dict[QMonomial, ClassicalElement]:
         return self.terms
 
     @staticmethod
-    def _key_json(idx: BasisIndex) -> dict:
-        return idx.to_json()
+    def _key_json(word: QMonomial) -> dict:
+        family, indices = basis_index(word)
+        return {"family": family, **dict(indices)}
 
     @staticmethod
-    def _key_from_json(row: dict) -> BasisIndex:
-        cls = _FAMILIES.get(row["family"]) if isinstance(row["family"], str) else None
-        if cls is None:
-            raise ValueError("unknown family %r" % (row["family"],))
-        return cls(*[json_int(row[name]) for name in cls._fields])
+    def _key_from_json(row: dict) -> QMonomial:
+        family = row["family"]
+        if family == "A":
+            word = QMonomial(json_int(row["m"]), json_int(row["n"]), json_int(row["s"]), 0)
+        elif family == "D":
+            word = QMonomial(0, json_int(row["n"]), json_int(row["s"]), json_int(row["r"]))
+        else:
+            raise ValueError("unknown family %r" % (family,))
+        # an A row with m = 0 holds a d-free word of family D
+        if basis_index(word)[0] != family:
+            raise ValueError("%s labelled %s is not a basis index" % (_index_tag(word), family))
+        return word
 
 
 decomposition_from_json = Decomposition.from_json
@@ -203,7 +179,7 @@ def decompose(x: QElement, side: str = "left") -> Decomposition:
     # check below), so one bucket per c, swept once from c = 0, settles x
     pending: list[dict[QMonomial, ClassicalElement]] = [{} for _ in range(l)]
     for mono, g in me.terms.items():
-        (settled if is_basis_monomial(mono, l) is not None else pending[mono.c])[mono] = g
+        (settled if is_basis_monomial(mono, l) else pending[mono.c])[mono] = g
     for mono, g in (term for bucket in pending for term in bucket.items()):
         if g.is_zero():
             continue
@@ -213,20 +189,18 @@ def decompose(x: QElement, side: str = "left") -> Decomposition:
         else:
             rel = eliminate_d_family(j, k, m, spec, side)
         for mono2, h in rel.terms.items():
-            cls2 = is_basis_monomial(mono2, l)
+            basic = is_basis_monomial(mono2, l)
             # a relation term is a basis monomial, or keeps the a and d of mono and has a larger c
-            if cls2 is None and not (mono2.a == i and mono2.d == m and mono2.c > k):
+            if not basic and not (mono2.a == i and mono2.d == m and mono2.c > k):
                 raise RuntimeError("eliminating %s produced %s out of order; this is a bug"
                                    % (mono, mono2))
-            _add_term(settled if cls2 is not None else pending[mono2.c], mono2, classical_mul(g, h))
-    # distinct basis monomials have distinct indices, and each one classifies to itself
-    return Decomposition._like(spec, side, {is_basis_monomial(mono, l): g for mono, g in settled.items()})
+            _add_term(settled if basic else pending[mono2.c], mono2, classical_mul(g, h))
+    return Decomposition._like(spec, side, settled)
 
 
 def recompose(dec: Decomposition) -> QElement:
     """Evaluate the coordinates back to an element; inverse of decompose."""
-    monomials = {idx.monomial(): g for idx, g in dec.coefficients.items()}
-    return module_recompose(ModuleElement._like(dec.spec, dec.side, monomials))
+    return module_recompose(dec)
 
 
 # ---------------------------------------------------------------------------
@@ -397,47 +371,47 @@ def _classical_weight(l: int, cm: ClassicalMonomial) -> tuple[int, int]:
 
 
 def _pairs_by_weight(l: int, bound: int) -> dict[tuple[int, int], list]:
-    """Every (basis index, candidate classical coefficient) pair, grouped by the weight of its column."""
+    """Every (basis word, candidate classical coefficient) pair, grouped by the weight of its column."""
     if bound < 0:
         raise ValueError("degree_bound must be >= 0, got %d" % bound)
-    out: dict[tuple[int, int], list[tuple[BasisIndex, ClassicalMonomial]]] = {}
+    out: dict[tuple[int, int], list[tuple[QMonomial, ClassicalMonomial]]] = {}
     cands = [(cm, _classical_weight(l, cm)) for cm in ClassicalMonomial.reduced_up_to(bound)]
-    for idx in enumerate_basis(l):
-        gw = _quantum_weight(idx.monomial())
+    for word in enumerate_basis(l):
+        gw = _quantum_weight(word)
         for cm, cw in cands:
-            out.setdefault((gw[0] + cw[0], gw[1] + cw[1]), []).append((idx, cm))
+            out.setdefault((gw[0] + cw[0], gw[1] + cw[1]), []).append((word, cm))
     return out
 
 
-def _column(spec: RootSpec, side: str, idx: BasisIndex,
+def _column(spec: RootSpec, side: str, word: QMonomial,
             cm: ClassicalMonomial) -> dict[QMonomial, Cyclotomic]:
-    """The terms of the candidate column lift(cm) * G (left) or G * lift(cm) (right)."""
-    return dict(_lifted_product(spec, cm, idx.monomial(), side))
+    """The terms of the candidate column lift(cm) * word (left) or word * lift(cm) (right)."""
+    return dict(_lifted_product(spec, cm, word, side))
 
 
-def _trailing_monomial(l: int, idx: BasisIndex, cm: ClassicalMonomial) -> QMonomial:
-    """tau(idx, cm), the unique lowest-degree monomial of the candidate column, on either side.
+def _trailing_monomial(l: int, word: QMonomial, cm: ClassicalMonomial) -> QMonomial:
+    """tau(word, cm), the unique lowest-degree monomial of the candidate column, on either side.
 
     Multiplying the two normal monomials contracts a^A d^D (exponents
     summed over both factors) to a^(A-t) d^(D-t), t = min(A, D), times
     sum_j p_{t,j} (bc)^j.  The j = 0 term is tau with a coefficient +-q^k;
     every other term carries (bc)^j, j >= 1, so its degree is higher.
     """
-    i, j, k, m = idx.monomial()
+    i, j, k, m = word
     A, D = l * cm.alpha + i, l * cm.delta + m
     t = min(A, D)
     return QMonomial(A - t, l * cm.beta + j, l * cm.gamma + k, D - t)
 
 
-def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[BasisIndex, ClassicalMonomial]],
+def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[QMonomial, ClassicalMonomial]],
                   rhs: list[dict[QMonomial, Cyclotomic]]) -> tuple[int, list[dict | None]]:
     """Solve every right-hand side against the candidate columns of `pairs`, in one rref.
 
     Returns the kernel dimension of the candidate columns and, per
-    right-hand side, its coordinates (BasisIndex -> ClassicalElement) or
+    right-hand side, its coordinates (basis word -> ClassicalElement) or
     None if it is not in their span.
     """
-    cols = [_column(spec, side, idx, cm) for idx, cm in pairs] + rhs
+    cols = [_column(spec, side, word, cm) for word, cm in pairs] + rhs
     rows: dict[QMonomial, dict[int, Cyclotomic]] = {}
     for j, col in enumerate(cols):
         for mono, v in col.items():
@@ -452,11 +426,11 @@ def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[BasisIndex, Class
         if j in pivots or any(j in row for row in red.rows[rank:len(pivots)]):
             solutions.append(None)
             continue
-        coords: dict[BasisIndex, ClassicalElement] = {}
+        coords: dict[QMonomial, ClassicalElement] = {}
         for col, row in zip(pivots[:rank], red.rows):
             if j in row:
-                idx, cm = pairs[col]
-                _add_term(coords, idx, ClassicalElement._like(spec, {cm: row[j]}))
+                word, cm = pairs[col]
+                _add_term(coords, word, ClassicalElement._like(spec, {cm: row[j]}))
         solutions.append(coords)
     return ncols - rank, solutions
 
@@ -478,7 +452,7 @@ def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None =
     buckets: dict[tuple[int, int], dict[QMonomial, Cyclotomic]] = {}
     for mono, v in x.terms.items():
         buckets.setdefault(_quantum_weight(mono), {})[mono] = v
-    coeffs: dict[BasisIndex, ClassicalElement] = {}
+    coeffs: dict[QMonomial, ClassicalElement] = {}
     for w, rhs_terms in buckets.items():
         if w not in pairs_by_weight:
             raise DegreeBoundError("no candidates at weight %s; raise degree_bound" % (w,))
@@ -487,8 +461,8 @@ def oracle_decompose(x: QElement, side: str = "left", degree_bound: int | None =
             raise DegreeBoundError("inconsistent system at weight %s; raise degree_bound" % (w,))
         if kernel:
             raise FreenessError("system at weight %s has %d free columns" % (w, kernel))
-        for idx, g in coords.items():
-            _add_term(coeffs, idx, g)
+        for word, g in coords.items():
+            _add_term(coeffs, word, g)
     return Decomposition(spec, side, coeffs)
 
 
@@ -539,7 +513,7 @@ def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,
     kernel_dim = spanned = agree = 0
     for w, monos in by_weight.items():
         pairs = pairs_by_weight.get(w, [])
-        if not monos and len({_trailing_monomial(l, idx, cm) for idx, cm in pairs}) == len(pairs):
+        if not monos and len({_trailing_monomial(l, word, cm) for word, cm in pairs}) == len(pairs):
             continue
         kernel, solutions = _solve_weight(spec, side, pairs, [{mono: one} for mono in monos])
         kernel_dim += kernel

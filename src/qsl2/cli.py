@@ -20,6 +20,7 @@ from functools import reduce
 
 from .basis import (
     CHARTS,
+    _index_tag,
     clear_denominators,
     decompose,
     decomposition_from_json,
@@ -57,6 +58,7 @@ from .frobenius import (
     module_recompose,
 )
 from .qalgebra import (
+    EXPONENT_MAX,
     ClassicalElement,
     QElement,
     QMonomial,
@@ -76,9 +78,6 @@ class _UsageError(ValueError):
     pass
 
 
-# largest ptable row: p_expansion costs grow about as k^2 scalar products of
-# growing size (k = 1000 takes seconds, k = 2000 four times as long)
-PTABLE_MAX_K = 1000
 # largest l: the field table is cheap (normalize "a*d" parses and prints in
 # 0.006 s at l = 200 and 0.04 s at l = 500 on a 2-core machine), so the cap
 # bounds the work that grows with l itself: ptable --k 200 takes 1.5 s at
@@ -93,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--l", type=int, default=None, metavar="L",
                         help="root parameter l >= 2 (required except for selftest)")
-    parser.add_argument("--zeta-exp", type=int, default=None, dest="zeta_exp", metavar="E",
+    parser.add_argument("--zeta-exp", type=int, default=1, dest="zeta_exp", metavar="E",
                         help="use q = zeta_N^E (default 1); E must be coprime to N")
     parser.add_argument("--side", choices=SIDES, default="left",
                         help="module side for decompose/verify-basis (default left)")
@@ -166,9 +165,9 @@ def _emit(args, text: str, obj) -> None:
 
 def _decomposition_text(dec) -> str:
     lines = []
-    for idx, g in dec.sorted_terms():
-        mono = quantum_monomial_text(idx.monomial()) or "1"
-        lines.append("%s  %s : %s" % (idx.tag(), mono, format_classical(g)))
+    for word, g in dec.sorted_terms():
+        lines.append("%s  %s : %s" % (_index_tag(word), quantum_monomial_text(word) or "1",
+                                      format_classical(g)))
     return "\n".join(lines) if lines else "0"
 
 
@@ -189,8 +188,7 @@ def _det_line(spec, p: int, coeffs) -> str:
     return "a^%d d^%d = %s" % (p, p, format_terms(spec, pairs, times=" "))
 
 
-def _closure_text(report) -> str:
-    spec = RootSpec(report.l, report.order)
+def _closure_text(spec, report) -> str:
     yes = lambda flag: "yes" if flag else "no"
     lines = [
         "closure diagnostic: l=%d, root order %d (%s case)"
@@ -313,8 +311,9 @@ def _dispatch(args) -> int:
     if cmd == "closure":
         if args.l is None:
             raise _UsageError("--l is required for this command")
-        report = closure_diagnostic(_bounded_l(args.l), args.order)
-        _emit(args, _closure_text(report), _closure_json(report))
+        spec = RootSpec(_bounded_l(args.l), args.order, args.zeta_exp)
+        report = closure_diagnostic(spec)
+        _emit(args, _closure_text(spec, report), _closure_json(report))
         return 0
     if cmd == "verify-basis":
         return _cmd_verify_basis(args)
@@ -323,8 +322,8 @@ def _dispatch(args) -> int:
     if cmd == "ptable":
         if args.k < 0:
             raise _UsageError("--k must be >= 0")
-        if args.k > PTABLE_MAX_K:
-            raise _UsageError("--k must be <= %d (the ptable limit)" % PTABLE_MAX_K)
+        if args.k > EXPONENT_MAX:
+            raise _UsageError("--k must be <= %d (EXPONENT_MAX)" % EXPONENT_MAX)
         row = p_expansion(spec, args.k)
         if args.k <= spec.l:
             for j in range(args.k + 1):

@@ -173,11 +173,13 @@ def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
     return ModuleElement._like(spec, side, {w: ClassicalElement._like(spec, g) for w, g in acc.items()})
 
 
-def module_recompose(me: ModuleElement) -> QElement:
+def module_recompose(me: _SidedTerms) -> QElement:
     """Multiply coefficients back on their side; inverse of central_reduce.
 
-    Each coefficient term c * m gives the lifted product of m with the
-    key word (_lifted_product), and all of them go straight into one sum.
+    me maps words to classical coefficients: a ModuleElement, or a
+    basis.Decomposition, whose words are basis words.  Each coefficient
+    term c * m gives the lifted product of m with the key word
+    (_lifted_product), and all of them go straight into one sum.
     """
     spec = me.spec
     _require_standard(spec, "module_recompose")
@@ -214,9 +216,9 @@ class ClosureReport(namedtuple("ClosureReport", (
     __slots__ = ()
 
 
-def closure_diagnostic(l: int, N: int) -> ClosureReport:
-    """Probe which parts of the l-th-power construction close for q of order N."""
-    spec = RootSpec(l, N)
+def closure_diagnostic(spec: RootSpec) -> ClosureReport:
+    """Probe which parts of the l-th-power construction close for the root q of spec."""
+    l = spec.l
     p = l if spec.standard else 2 * l
 
     gens = [QElement.generator(spec, ch) ** p for ch in "abcd"]
@@ -239,7 +241,7 @@ def closure_diagnostic(l: int, N: int) -> ClosureReport:
 
     return ClosureReport(
         l=l,
-        order=N,
+        order=spec.N,
         standard=spec.standard,
         power=p,
         powers_commute=powers_commute,

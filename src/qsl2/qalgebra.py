@@ -39,8 +39,9 @@ from .cyclo import (
 )
 
 _SCALARS = (int, Fraction, Cyclotomic)
-# largest exponent the parser (on a base other than q) and the JSON readers accept;
-# a^k*d^k costs about k^2 scalar products (cyclo.p_expansion), alpha^k*delta^k k + 1 terms
+# largest exponent the parser (on a base other than q) and the JSON readers accept, and
+# the largest `qsl2 ptable --k`; a^k*d^k and that table build the same row
+# cyclo.p_expansion(spec, k) at about k^2 scalar products, alpha^k*delta^k k + 1 terms
 EXPONENT_MAX = 1000
 # largest number of term products the parser spends on one expression: before each
 # product it forms (every * and every step of a power) it charges each pair of terms

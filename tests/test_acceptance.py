@@ -14,8 +14,6 @@ from conftest import ACCEPTANCE_VERDICTS, random_qelement
 from qsl2 import (
     ClassicalElement,
     Cyclotomic,
-    FamilyA,
-    FamilyD,
     QElement,
     QMonomial,
     antipode,
@@ -33,6 +31,7 @@ from qsl2 import (
     p_expansion,
     qmul,
     recompose,
+    remark_root_spec,
     straighten,
     verify_freeness,
     zeta_pow,
@@ -170,15 +169,15 @@ def test_criterion_6_hopf_axioms():
 
 def test_criterion_7_closure_diagnostics():
     finish = _verdict(7, "order-2l diagnostic vs the standard cases", 60)
-    rep = closure_diagnostic(3, 6)
+    rep = closure_diagnostic(remark_root_spec(3))
     one6, zero6 = Cyclotomic.one(6), Cyclotomic.zero(6)
     ok = rep.lth_det_coeffs == (one6, zero6, zero6, -one6)  # a^3 d^3 = 1 - b^3 c^3
     ok = ok and not rep.coproduct_closes
-    rep = closure_diagnostic(3, 3)
+    rep = closure_diagnostic(make_root_spec(3))
     one3, zero3 = Cyclotomic.one(3), Cyclotomic.zero(3)
     ok = ok and rep.lth_det_coeffs == (one3, zero3, zero3, one3)
     ok = ok and rep.determinant_closes and rep.coproduct_closes
-    rep = closure_diagnostic(2, 4)
+    rep = closure_diagnostic(make_root_spec(2))
     one4, zero4 = Cyclotomic.one(4), Cyclotomic.zero(4)
     ok = ok and rep.lth_det_coeffs == (one4, zero4, one4)
     ok = ok and rep.determinant_closes and rep.coproduct_closes
@@ -210,8 +209,8 @@ def test_criterion_9_even_case_signs():
     al = ClassicalElement.generator(spec, "alpha")
     one = ClassicalElement.one(spec)
     ok = ok and dec.coefficients == {
-        FamilyD(0, 0, 1): al,                                # alpha * d
-        FamilyA(1, 1, 1): one * (-zeta_pow(spec, 1)),        # -i * abc
+        QMonomial(0, 0, 0, 1): al,                           # alpha * d
+        QMonomial(1, 1, 1, 0): one * (-zeta_pow(spec, 1)),   # -i * abc
     }
     ok = ok and recompose(dec) == A
 

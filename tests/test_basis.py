@@ -17,8 +17,6 @@ from qsl2 import (
     Cyclotomic,
     Decomposition,
     DegreeBoundError,
-    FamilyA,
-    FamilyD,
     FreenessReport,
     LocalizedElement,
     ModuleElement,
@@ -26,6 +24,7 @@ from qsl2 import (
     QMonomial,
     RootSpec,
     TensorElement,
+    basis_index,
     central_reduce,
     classical_mul,
     clear_denominators,
@@ -72,21 +71,17 @@ def test_enumerate_basis_counts(l, count):
     basis = enumerate_basis(l)
     assert len(basis) == count
     assert len(set(basis)) == count
-    d_members = [ix for ix in basis if isinstance(ix, FamilyD)]
-    a_members = [ix for ix in basis if isinstance(ix, FamilyA)]
+    d_members = [word for word in basis if basis_index(word)[0] == "D"]
+    a_members = [word for word in basis if basis_index(word)[0] == "A"]
     assert len(d_members) == l * l * (l + 1) // 2
     assert len(a_members) == l * l * (l - 1) // 2
-    # the two families never collide as monomials
-    monos = {ix.monomial() for ix in basis}
-    assert len(monos) == count
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_enumerate_basis_is_the_nested_loops(l):
-    want = [FamilyD(n, s, r) for n in range(l) for s in range(l) for r in range(l - s)]
-    want += [FamilyA(m, n, s) for m in range(1, l) for n in range(l) for s in range(m, l)]
-    got = enumerate_basis(l)
-    assert got == want and [type(ix) for ix in got] == [type(ix) for ix in want]
+    want = [QMonomial(0, n, s, r) for n in range(l) for s in range(l) for r in range(l - s)]
+    want += [QMonomial(m, n, s, 0) for m in range(1, l) for n in range(l) for s in range(m, l)]
+    assert enumerate_basis(l) == want
 
 
 @pytest.mark.parametrize("top", [0, 1, 2, 4])
@@ -102,20 +97,26 @@ def test_reduced_monomials_come_from_one_enumeration(top):
 
 
 def test_family_index_ranges():
-    for ix in enumerate_basis(3):
-        if isinstance(ix, FamilyD):
-            assert 0 <= ix.n <= 2 and ix.s + ix.r <= 2
+    assert basis_index(QMonomial(1, 0, 2, 0)) == ("A", (("m", 1), ("n", 0), ("s", 2)))
+    assert basis_index(QMonomial(0, 1, 0, 2)) == ("D", (("n", 1), ("s", 0), ("r", 2)))
+    for word in enumerate_basis(3):
+        family, indices = basis_index(word)
+        ix = dict(indices)
+        if family == "D":
+            assert 0 <= ix["n"] <= 2 and ix["s"] + ix["r"] <= 2
+            assert word == QMonomial(0, ix["n"], ix["s"], ix["r"])
         else:
-            assert 1 <= ix.m <= ix.s <= 2 and 0 <= ix.n <= 2
+            assert 1 <= ix["m"] <= ix["s"] <= 2 and 0 <= ix["n"] <= 2
+            assert word == QMonomial(ix["m"], ix["n"], ix["s"], 0)
 
 
 def test_is_basis_monomial():
-    assert is_basis_monomial(QMonomial(0, 1, 2, 0), 3) == FamilyD(1, 2, 0)
-    assert is_basis_monomial(QMonomial(0, 0, 1, 1), 3) == FamilyD(0, 1, 1)
-    assert is_basis_monomial(QMonomial(1, 0, 2, 0), 3) == FamilyA(1, 0, 2)
-    assert is_basis_monomial(QMonomial(0, 0, 0, 0), 3) == FamilyD(0, 0, 0)
-    assert is_basis_monomial(QMonomial(0, 0, 2, 1), 3) is None  # s + r = 3
-    assert is_basis_monomial(QMonomial(2, 0, 1, 0), 3) is None  # s < m
+    assert is_basis_monomial(QMonomial(0, 1, 2, 0), 3) is True
+    assert is_basis_monomial(QMonomial(0, 0, 1, 1), 3) is True
+    assert is_basis_monomial(QMonomial(1, 0, 2, 0), 3) is True
+    assert is_basis_monomial(QMonomial(0, 0, 0, 0), 3) is True
+    assert is_basis_monomial(QMonomial(0, 0, 2, 1), 3) is False  # s + r = 3
+    assert is_basis_monomial(QMonomial(2, 0, 1, 0), 3) is False  # s < m
     with pytest.raises(ValueError):
         is_basis_monomial(QMonomial(1, 0, 0, 1), 3)
     with pytest.raises(ValueError):
@@ -132,7 +133,7 @@ def test_single_step_eliminations_recompose(side):
         delta = ClassicalElement.generator(spec, "delta")
         eliminated = 0
         for mono in residual_monomials(l):
-            if is_basis_monomial(mono, l) is not None:
+            if is_basis_monomial(mono, l):
                 continue
             m, n, s, r = mono
             if m:
@@ -170,11 +171,16 @@ def test_decompose_generator_a_l3():
     al = ClassicalElement.generator(spec, "alpha")
     one = ClassicalElement.one(spec)
     assert dec.coefficients == {
-        FamilyD(0, 0, 2): al,
-        FamilyA(1, 1, 1): one * (-(Cyclotomic.one(3) + q)),
-        FamilyA(1, 2, 2): one * (-q),
+        QMonomial(0, 0, 0, 2): al,
+        QMonomial(1, 1, 1, 0): one * (-(Cyclotomic.one(3) + q)),
+        QMonomial(1, 2, 2, 0): one * (-q),
     }
     assert recompose(dec) == QElement.generator(spec, "a")
+    # the JSON rows come family D first, each as the family and its named indices
+    assert [list(entry)[:-1] for entry in dec.to_json()["entries"]] == [
+        ["family", "n", "s", "r"], ["family", "m", "n", "s"], ["family", "m", "n", "s"]]
+    assert [list(entry.values())[:-1] for entry in dec.to_json()["entries"]] == [
+        ["D", 0, 0, 2], ["A", 1, 1, 1], ["A", 1, 2, 2]]
 
 
 def test_decompose_generator_a_l2():
@@ -184,8 +190,8 @@ def test_decompose_generator_a_l2():
     al = ClassicalElement.generator(spec, "alpha")
     one = ClassicalElement.one(spec)
     assert dec.coefficients == {
-        FamilyD(0, 0, 1): al,
-        FamilyA(1, 1, 1): one * (-zeta_pow(spec, 1)),
+        QMonomial(0, 0, 0, 1): al,
+        QMonomial(1, 1, 1, 0): one * (-zeta_pow(spec, 1)),
     }
     assert recompose(dec) == QElement.generator(spec, "a")
 
@@ -208,10 +214,9 @@ def test_decompose_sides_differ_by_signs_in_even_case():
 
 def test_decompose_zero_and_basis_fixed_points():
     assert decompose(QElement.zero(SPEC3)).coefficients == {}
-    for ix in enumerate_basis(2):
-        x = QElement.monomial(SPEC2, ix.monomial())
-        dec = decompose(x, "left")
-        assert dec.coefficients == {ix: ClassicalElement.one(SPEC2)}
+    for word in enumerate_basis(2):
+        dec = decompose(QElement.monomial(SPEC2, word), "left")
+        assert dec.coefficients == {word: ClassicalElement.one(SPEC2)}
 
 
 SPEC4 = make_root_spec(4)
@@ -228,8 +233,8 @@ def test_decompose_recompose_roundtrip(data):
     x = random_qelement(spec, rng, nterms=3, emax=2 * spec.l)
     dec = decompose(x, side)
     assert recompose(dec) == x
-    for ix in dec.coefficients:
-        assert is_basis_monomial(ix.monomial(), spec.l) == ix
+    for word in dec.coefficients:
+        assert is_basis_monomial(word, spec.l)
 
 
 def test_decompose_is_left_linear_over_the_subalgebra():
@@ -256,17 +261,32 @@ def test_decomposition_json_roundtrip():
     assert recompose(back) == x
 
 
-@pytest.mark.parametrize("idx", [FamilyD(5, 0, 0), FamilyD(0, 2, 1), FamilyD(0, 0, -1),
-                                 FamilyA(2, 0, 1), FamilyA(0, 0, 1), FamilyA(1, 3, 1)],
-                         ids=repr)
-def test_decomposition_rejects_indices_outside_the_basis(idx):
+@pytest.mark.parametrize("row,word,says", [
+    pytest.param({"family": "D", "n": 5, "s": 0, "r": 0}, QMonomial(0, 5, 0, 0),
+                 "is not reduced for l=3", id="FamilyD(n=5, s=0, r=0)"),
+    pytest.param({"family": "D", "n": 0, "s": 2, "r": 1}, QMonomial(0, 0, 2, 1),
+                 r"^D\(n=0,s=2,r=1\) is not a basis index for l=3$", id="FamilyD(n=0, s=2, r=1)"),
+    pytest.param({"family": "D", "n": 0, "s": 0, "r": -1}, QMonomial(0, 0, 0, -1),
+                 "is not reduced for l=3", id="FamilyD(n=0, s=0, r=-1)"),
+    pytest.param({"family": "A", "m": 2, "n": 0, "s": 1}, QMonomial(2, 0, 1, 0),
+                 r"^A\(m=2,n=0,s=1\) is not a basis index for l=3$", id="FamilyA(m=2, n=0, s=1)"),
+    pytest.param({"family": "A", "m": 1, "n": 3, "s": 1}, QMonomial(1, 3, 1, 0),
+                 "is not reduced for l=3", id="FamilyA(m=1, n=3, s=1)"),
+    # a^0 b^0 c^1 is the basis word c, whose family is D, so only the label is wrong
+    pytest.param({"family": "A", "m": 0, "n": 0, "s": 1}, None,
+                 r"^D\(n=0,s=1,r=0\) labelled A is not a basis index$", id="FamilyA(m=0, n=0, s=1)"),
+])
+def test_decomposition_rejects_indices_outside_the_basis(row, word, says):
     one = ClassicalElement.one(SPEC3)
-    doc = Decomposition(SPEC3, "left", {FamilyD(0, 0, 0): one}).to_json()
-    doc["entries"][0].update(idx.to_json())
+    doc = Decomposition(SPEC3, "left", {QMonomial(0, 0, 0, 0): one}).to_json()
+    doc["entries"][0] = {**row, "coeff": doc["entries"][0]["coeff"]}
     with pytest.raises(ValueError, match="not (reduced|a basis index)"):
         decomposition_from_json(doc, SPEC3)
-    with pytest.raises(ValueError):
-        Decomposition(SPEC3, "left", {idx: one})
+    with pytest.raises(ValueError, match=says):
+        decomposition_from_json(doc, SPEC3)
+    if word is not None:
+        with pytest.raises(ValueError, match=says):
+            Decomposition(SPEC3, "left", {word: one})
 
 
 def test_sided_json_reads_root_data_from_coefficients():
@@ -591,10 +611,10 @@ def test_verify_freeness_l2(side):
     assert report.l == 2 and report.side == side
 
 
-def _lifted_column(spec, side, idx, cm):
+def _lifted_column(spec, side, word, cm):
     # the candidate column through lift and qmul, sharing no code with _column
     g = lift(ClassicalElement.monomial(spec, cm))
-    base = QElement.monomial(spec, idx.monomial())
+    base = QElement.monomial(spec, word)
     return (qmul(g, base) if side == "left" else qmul(base, g)).terms
 
 
@@ -603,8 +623,8 @@ def _lifted_column(spec, side, idx, cm):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_column_is_the_lifted_product(spec, side):
     for pairs in _pairs_by_weight(spec.l, 2).values():
-        for idx, cm in pairs:
-            assert _column(spec, side, idx, cm) == _lifted_column(spec, side, idx, cm)
+        for word, cm in pairs:
+            assert _column(spec, side, word, cm) == _lifted_column(spec, side, word, cm)
 
 
 def _per_monomial_reference(l, side, bound):
@@ -612,7 +632,7 @@ def _per_monomial_reference(l, side, bound):
     spec = make_root_spec(l)
     kernel = 0
     for pairs in _pairs_by_weight(l, bound).values():
-        cols = [_lifted_column(spec, side, idx, cm) for idx, cm in pairs]
+        cols = [_lifted_column(spec, side, word, cm) for word, cm in pairs]
         rows = {}
         for j, col in enumerate(cols):
             for mono, v in col.items():
@@ -647,9 +667,9 @@ TRAILING_SPECS = [make_root_spec(l) for l in range(2, 8)] + [make_root_spec(3, z
 def test_trailing_monomial_is_the_unit_lowest_degree_term(spec, side):
     units = {sign * zeta_pow(spec, k) for k in range(spec.N) for sign in (1, -1)}
     for pairs in _pairs_by_weight(spec.l, 2).values():
-        for idx, cm in pairs:
-            col = _column(spec, side, idx, cm)
-            tau = _trailing_monomial(spec.l, idx, cm)
+        for word, cm in pairs:
+            col = _column(spec, side, word, cm)
+            tau = _trailing_monomial(spec.l, word, cm)
             assert tau == min(col, key=QMonomial.sort_key)
             assert col[tau] in units
             assert all(m.degree() > tau.degree() for m in col if m != tau)
@@ -680,7 +700,7 @@ def test_verify_freeness_solves_only_weights_with_residual_monomials(l, solved, 
 def test_verify_freeness_falls_back_to_rref_when_trailing_monomials_collide(side, monkeypatch):
     want = verify_freeness(3, side, 2)
     calls = _count_solved_weights(monkeypatch)
-    monkeypatch.setattr(qsl2.basis, "_trailing_monomial", lambda l, idx, cm: QMonomial(0, 0, 0, 0))
+    monkeypatch.setattr(qsl2.basis, "_trailing_monomial", lambda l, word, cm: QMonomial(0, 0, 0, 0))
     assert verify_freeness(3, side, 2) == want
     # a lone column cannot collide, so only a weight with one column and no residual monomial skips the rref
     solved = {w for w, pairs in _pairs_by_weight(3, 2).items() if len(pairs) > 1}
@@ -695,8 +715,6 @@ def test_record_types_keep_their_tuple_api():
         (ClassicalMonomial(0, 1, 2, 0), ("alpha", "beta", "gamma", "delta"),
          "ClassicalMonomial(alpha=0, beta=1, gamma=2, delta=0)"),
         (ExactMatrix(3, 2, ()), ("order", "ncols", "rows"), "ExactMatrix(order=3, ncols=2, rows=())"),
-        (FamilyA(1, 2, 1), ("m", "n", "s"), "FamilyA(m=1, n=2, s=1)"),
-        (FamilyD(0, 1, 2), ("n", "s", "r"), "FamilyD(n=0, s=1, r=2)"),
         (verify_freeness(2, "left", 1),
          ("l", "side", "degree_bound", "monomials_checked", "kernel_dimension", "monomials_spanned",
           "oracle_agreement"),
@@ -752,7 +770,7 @@ def test_elements_and_reports_survive_pickle():
         assert type(back) is type(obj) and back == obj
         with pytest.raises(AttributeError, match="immutable"):
             back.terms = {}
-    report = closure_diagnostic(3, 3)
+    report = closure_diagnostic(SPEC3)
     assert pickle.loads(pickle.dumps(report)) == report
 
 
@@ -770,17 +788,17 @@ def test_pairs_by_weight_weighs_each_candidate_once(monkeypatch):
 
 
 def test_family_indices_with_equal_fields_are_distinct_keys():
-    a, d = FamilyA(1, 1, 1), FamilyD(1, 1, 1)
-    assert a != d and not a == d
-    assert hash(a) != hash(d)
-    assert a == FamilyA(1, 1, 1) and not a != FamilyA(1, 1, 1)
-    assert hash(a) == hash(FamilyA(1, 1, 1))
+    # a*b*c is A(m=1,n=1,s=1) and b*c*d is D(n=1,s=1,r=1)
+    a, d = QMonomial(1, 1, 1, 0), QMonomial(0, 1, 1, 1)
+    assert [value for _, value in basis_index(a)[1]] == [value for _, value in basis_index(d)[1]] == [1, 1, 1]
     one = Cyclotomic.one(SPEC3.N)
     dec = Decomposition(SPEC3, "left", {a: ClassicalElement.one(SPEC3),
                                         d: ClassicalElement.scalar(SPEC3, one * 2)})
     assert len(dec.coefficients) == 2
-    assert decomposition_from_json(json.loads(json.dumps(dec.to_json())), SPEC3) == dec
-    assert recompose(dec) == QElement.monomial(SPEC3, a.monomial()) + QElement.monomial(SPEC3, d.monomial()) * 2
+    doc = json.loads(json.dumps(dec.to_json()))
+    assert [entry["family"] for entry in doc["entries"]] == ["D", "A"]
+    assert decomposition_from_json(doc, SPEC3) == dec
+    assert recompose(dec) == QElement.monomial(SPEC3, a) + QElement.monomial(SPEC3, d) * 2
 
 
 def test_localized_element_is_immutable():

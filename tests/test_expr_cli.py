@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -289,6 +290,15 @@ def test_cli_hopf_commands(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_cli_decompose_text_tags_each_word(capsys):
+    code, out, _ = _cli(capsys, "--l", "3", "decompose", "a")
+    assert code == 0 and out.splitlines() == [
+        "D(n=0,s=0,r=2)  d^2 : alpha", "A(m=1,n=1,s=1)  a*b*c : q^-1", "A(m=1,n=2,s=2)  a*b^2*c^2 : -q"]
+    doc = _one_entry_decomposition({"family": "D", "n": 0, "s": 2, "r": 1}, {"order": 3, "coeffs": ["1", "0"]})
+    code, out, err = _cli(capsys, "--l", "3", "recompose", doc)
+    assert (code, out, err) == (2, "", "error: D(n=0,s=2,r=1) is not a basis index for l=3\n")
+
+
 def test_cli_decompose_json_has_three_entries(capsys):
     code, out, _ = _cli(capsys, "--l", "3", "--format", "json", "decompose", "a")
     doc = json.loads(out)
@@ -415,10 +425,10 @@ def test_cli_ptable_rejects_huge_k_before_computing(capsys, monkeypatch):
         raise AssertionError("p_expansion called for an out-of-range k")
 
     monkeypatch.setattr(qsl2.cli, "p_expansion", refuse)
-    for k in (qsl2.cli.PTABLE_MAX_K + 1, 100000):
+    for k in (EXPONENT_MAX + 1, 100000):
         code, out, err = _cli(capsys, "--l", "3", "ptable", "--k", str(k))
         assert code == 2 and out == ""
-        assert "--k must be <= 1000" in err
+        assert "--k must be <= 1000 (EXPONENT_MAX" in err
 
 
 def test_cli_rejects_huge_l_before_building_the_field(capsys, monkeypatch, tmp_path):
@@ -448,6 +458,21 @@ def test_cli_closure_reports(capsys):
     assert code == 0 and "a^2 d^2 = 1 + b^2 c^2" in out
     code, out, err = _cli(capsys, "--l", "3", "closure", "--order", "7")
     assert (code, out, err) == (2, "", "error: unsupported pair l=3, N=7\n")
+
+
+@pytest.mark.parametrize("l,order", [(5, 10), (5, 5), (4, 8), (3, 6)])
+def test_cli_closure_reads_the_zeta_exponent(capsys, l, order):
+    want = [_cli(capsys, "--l", str(l), *fmt, "closure", "--order", str(order))
+            for fmt in ((), ("--format", "json"))]
+    assert all(code == 0 for code, _, _ in want)
+    for e in range(2, order):
+        for fmt, (_, out1, _) in zip(((), ("--format", "json")), want):
+            code, out, err = _cli(capsys, "--l", str(l), "--zeta-exp", str(e), *fmt, "closure", "--order", str(order))
+            if math.gcd(e, order) == 1:
+                assert (code, out, err) == (0, out1, "")
+            else:
+                assert (code, out) == (2, "")
+                assert err == "error: zeta_exponent %d is not coprime to N=%d\n" % (e, order)
 
 
 def test_cli_verify_basis(capsys):

@@ -274,7 +274,7 @@ def test_frobenius_ops_reject_nonstandard_spec():
 
 
 def test_closure_diagnostic_standard_odd():
-    rep = closure_diagnostic(3, 3)
+    rep = closure_diagnostic(SPEC3)
     assert (rep.l, rep.order, rep.standard, rep.power) == (3, 3, True, 3)
     assert rep.powers_commute and rep.powers_central
     assert rep.determinant_closes and rep.coproduct_closes
@@ -285,7 +285,7 @@ def test_closure_diagnostic_standard_odd():
 
 
 def test_closure_diagnostic_standard_even():
-    rep = closure_diagnostic(2, 4)
+    rep = closure_diagnostic(SPEC2)
     assert (rep.l, rep.order, rep.standard, rep.power) == (2, 4, True, 2)
     assert rep.determinant_closes and rep.coproduct_closes
     one = Cyclotomic.one(4)
@@ -294,7 +294,7 @@ def test_closure_diagnostic_standard_even():
 
 
 def test_closure_diagnostic_nonstandard():
-    rep = closure_diagnostic(3, 6)
+    rep = closure_diagnostic(remark_root_spec(3))
     assert (rep.l, rep.order, rep.standard, rep.power) == (3, 6, False, 6)
     one = Cyclotomic.one(6)
     zero = Cyclotomic.zero(6)
@@ -313,4 +313,4 @@ def test_closure_diagnostic_nonstandard():
 def test_closure_diagnostic_rejects_mismatched_pairs():
     for l, order in ((3, 4), (2, 2), (4, 4)):
         with pytest.raises(ValueError):
-            closure_diagnostic(l, order)
+            closure_diagnostic(RootSpec(l, order))
