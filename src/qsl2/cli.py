@@ -445,10 +445,11 @@ def _check_hopf():
         # Delta of each letter as defined: the reference route, with no cache and no mirror
         images = {ch: TensorElement(spec, {(letter[u], letter[v]): Cyclotomic.one(spec.N) for u, v in pairs})
                   for ch, pairs in zip("abcd", (("aa", "bc"), ("ab", "bd"), ("ca", "dc"), ("cb", "dd")))}
-        words = ["a", "b", "c", "d"] + [
-            "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 4)))
-            for _ in range(10)
-        ]
+        words = ["a", "b", "c", "d"]
+        for _ in range(10):
+            word = "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 4)))
+            # with its transpose b<->c, so "Delta by letters" checks both members of each orbit pair
+            words += [word, word.translate(str.maketrans("bc", "cb"))]
         for word in words:
             x = straighten(word, spec)
             t = coproduct(x)

@@ -76,7 +76,7 @@ class Cyclotomic:
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [Fraction(_rational(c)) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length for Q(zeta_%d)" % order)
         den = math.lcm(*(c.denominator for c in coeffs))
@@ -110,7 +110,7 @@ class Cyclotomic:
     def from_rational(cls, order: int, value) -> "Cyclotomic":
         rest = (_FIELDS.get(order) or _field(order))[2].num[1:]
         if not isinstance(value, int):
-            value = Fraction(value)
+            value = _rational(value)
             if value.denominator != 1:
                 return _make(order, (value.numerator,) + rest, value.denominator)
             value = value.numerator
@@ -275,6 +275,13 @@ _new = object.__new__
 _set_order = Cyclotomic.__dict__["order"].__set__
 _set_num = Cyclotomic.__dict__["num"].__set__
 _set_den = Cyclotomic.__dict__["den"].__set__
+
+
+def _rational(value):
+    """value if it is an int or a Fraction, else TypeError: a float or a string is no exact scalar."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError("a rational scalar is an int or a Fraction, not %s" % type(value).__name__)
+    return value
 
 
 def _make(order: int, num: tuple[int, ...], den: int) -> Cyclotomic:

@@ -51,6 +51,10 @@ class _SidedTerms(_Terms):
         super().__init__(spec, terms)
         _check_side(side)
 
+    @staticmethod
+    def _value_ok(spec: RootSpec, value) -> bool:
+        return type(value) is ClassicalElement and value.spec == spec
+
     @classmethod
     def _like(cls, spec: RootSpec, side: str, terms: dict):
         out = super()._like(spec, terms)

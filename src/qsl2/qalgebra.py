@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 from .cyclo import (
     Cyclotomic,
@@ -113,8 +114,8 @@ class _Terms(_SortedTerms):
     subclass normalises and validates keys in _key and gives its real
     product in _mul.
 
-    The constructor cls(*head, terms) validates every key.  Internal
-    producers whose keys are normal by construction build through
+    The constructor cls(*head, terms) validates every key and value.
+    Internal producers whose terms are normal by construction build through
     cls._like(*head, terms) instead, which only prunes zeros.
     """
 
@@ -128,11 +129,18 @@ class _Terms(_SortedTerms):
     def _key(self, key):
         return key
 
+    @staticmethod
+    def _value_ok(spec: RootSpec, value) -> bool:
+        """Whether value is a coefficient over spec: a Cyclotomic of order spec.N."""
+        return type(value) is Cyclotomic and value.order == spec.N
+
     def _clean(self, terms: dict) -> dict:
-        key = self._key
+        key, value_ok, spec = self._key, self._value_ok, self.spec
         out = {}
         for k, v in terms.items():
-            k = key(k)  # every key is checked, zero-valued ones too
+            k = key(k)  # every term is checked, zero-valued ones too
+            if not value_ok(spec, v):
+                raise ValueError("coefficient of %s is not a coefficient over %s: %r" % (k, spec, v))
             if not v.is_zero():
                 out[k] = v
         return out
@@ -278,6 +286,8 @@ class _Polynomial(_Terms):
     def scalar(cls, spec: RootSpec, value):
         if isinstance(value, (int, Fraction)):
             value = Cyclotomic.from_rational(spec.N, value)
+        elif not cls._value_ok(spec, value):
+            raise ValueError("scalar is not a coefficient over %s: %r" % (spec, value))
         return cls._like(spec, {cls._KEY(0, 0, 0, 0): value})
 
     @classmethod
@@ -362,7 +372,7 @@ def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomi
     frobenius._lifted_product and the right legs of _coproduct_monomial.
     Over one seed-0 replay of the session and hopf benchmarks, cached
     lifted products hit on 17-19 % of calls, against 37 % for qmul and
-    central_reduce and 72 % for the left legs of _coproduct_monomial.
+    central_reduce and 59 % for the left legs of _coproduct_monomial.
 
     Route: cross x's d-block past y's a-block, commute the stray a/d
     across the inner b,c letters, then contract the remaining mixed a,d
@@ -532,9 +542,9 @@ def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
     binomials are [e t]_{q^-2} = q^(-t(2e-t)) p_{e,t} (cyclo.p_expansion).
     The inner products a^x b^y * c^z d^w stay on the _mono_mul cache, as
     they are the same keys as the left-leg products of _coproduct_monomial:
-    skipping it cut the traced seed-0 hopf cache only from 1522 to 1397
-    entries, lost 308 of its 3049 hits and raised the scalar products
-    from 64786 to 65574.
+    skipping it cut the traced seed-0 hopf cache only from 1380 to 1147
+    entries, lost 200 of its 1555 hits and raised the scalar products
+    from 52608 to 53064.
     """
     row1, row2 = p_expansion(spec, e1), p_expansion(spec, e2)
     groups: dict[int, dict[QMonomial, Cyclotomic]] = {}
@@ -560,7 +570,8 @@ def _coproduct_monomial(spec: RootSpec, mono: QMonomial) -> tuple:
     the normal form of the left-leg product.  A right leg's a - d exponent
     difference fixes its T (or U), so no right-leg product R_T * R_U repeats
     within one build, and those products skip the _mono_mul cache.  Each
-    entry also serves the mono's mirror, which coproduct reads by relabelling.
+    entry also serves the other monomials of mono's orbit under <phi, psi>,
+    which coproduct reads by relabelling.
     """
     i, j, k, m = mono
     right_mul = _mono_mul.__wrapped__
@@ -586,27 +597,52 @@ def _coproduct_monomial(spec: RootSpec, mono: QMonomial) -> tuple:
     return tuple((key, v) for key, v in acc.items() if not v.is_zero())
 
 
+# phi, psi and phi*psi of coproduct as permutations of the exponents (a, b, c, d)
+_PHI, _PSI, _PHIPSI = itemgetter(3, 2, 1, 0), itemgetter(0, 2, 1, 3), itemgetter(3, 1, 2, 0)
+
+
 def coproduct(x: QElement) -> TensorElement:
     """The algebra map with Delta(a)=a@a+b@c, Delta(b)=a@b+b@d, Delta(c)=c@a+d@c, Delta(d)=c@b+d@d.
 
     Each generator's image is X + Y with (X, Y) = (a@a, b@c), (a@b, b@d),
     (c@a, d@c) or (c@b, d@d), and in every case YX = q^-2 XY.  So the
     q-binomial theorem gives Delta(x^n) = sum_k [n k]_{q^-2} X^(n-k) Y^k.
-    Delta is linear over the bounded cache _coproduct_monomial, read at the
-    lesser of mono and its mirror phi(a^i b^j c^k d^m) = a^m b^k c^j d^i.
-    phi (a<->d, b<->c) is an anti-automorphism, as it permutes the defining
-    relations; so Delta o phi and (phi@phi) o Delta are anti-algebra maps that agree
-    on a, b, c, d, and Delta(phi(mono)) is Delta(mono) with both legs mirrored.
+    Delta is linear over the bounded cache _coproduct_monomial, built once per
+    orbit of the Klein four-group <phi, psi> and read at the least member r
+    of {mono, phi(mono), psi(mono), phi(psi(mono))}, where
+
+        phi(a^i b^j c^k d^m) = a^m b^k c^j d^i   (a<->d, b<->c)
+        psi(a^i b^j c^k d^m) = a^i b^k c^j d^m   (b<->c)
+
+    relabel a monomial with coefficient 1.  phi is an anti-automorphism, as
+    it permutes the defining relations, so Delta o phi and (phi@phi) o Delta
+    are anti-algebra maps that agree on a, b, c, d.  The relations are
+    symmetric in b and c, so psi is an automorphism at every q, and it
+    reverses Delta: Delta o psi = sigma o (psi@psi) o Delta, sigma the swap
+    of the legs, as both sides are algebra maps that agree on the generators,
+    e.g. sigma (psi@psi) Delta(b) = sigma(a@c + c@d) = c@a + d@c = Delta(c).
+    So a term (L, R) of Delta(r) is, with the same scalar, the term
+
+        (phi L, phi R) of Delta(phi r),   (psi R, psi L) of Delta(psi r),
+        (phi psi R, phi psi L) of Delta(phi psi r).
     """
     spec = x.spec
     make = QMonomial._make
     acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
     for mono, coeff in x.terms.items():
-        phi = make(mono[::-1])
-        flip = phi < mono
-        for key, v in _coproduct_monomial(spec, phi if flip else mono):
-            if flip:
-                key = (make(key[0][::-1]), make(key[1][::-1]))
+        phi, psi, phipsi = make(_PHI(mono)), make(_PSI(mono)), make(_PHIPSI(mono))
+        r = min(mono, phi, psi, phipsi)
+        terms = _coproduct_monomial(spec, r)
+        # each group element is an involution, so mono = g(r) for the g with r = g(mono)
+        if r == mono:
+            pass
+        elif r == phi:
+            terms = [((make(_PHI(L)), make(_PHI(R))), v) for (L, R), v in terms]
+        elif r == psi:
+            terms = [((make(_PSI(R)), make(_PSI(L))), v) for (L, R), v in terms]
+        else:
+            terms = [((make(_PHIPSI(R)), make(_PHIPSI(L))), v) for (L, R), v in terms]
+        for key, v in terms:
             v = coeff * v
             acc[key] = acc[key] + v if key in acc else v
     return TensorElement._like(spec, acc)

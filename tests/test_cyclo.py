@@ -112,6 +112,17 @@ def test_rational_embedding():
     assert Cyclotomic.from_rational(3, F(2)) == 2
 
 
+def test_constructors_take_only_exact_rationals():
+    # a float would be read at its binary value, 0.1 as 3602879701896397/2^55, and a
+    # string as its characters; both constructors accept int and Fraction, as _coerce does
+    assert Cyclotomic(3, [F(1, 2), 2]) == Cyclotomic.from_rational(3, F(1, 2)) + 2 * Cyclotomic.zeta(3)
+    assert Cyclotomic.from_rational(3, True) == 1
+    for build in (lambda: Cyclotomic.from_rational(3, 0.1), lambda: Cyclotomic.from_rational(3, "1/2"),
+                  lambda: Cyclotomic(3, [0.5, 0.1]), lambda: Cyclotomic(3, [1, 0.5]), lambda: Cyclotomic(3, "12")):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            build()
+
+
 def test_json_roundtrip():
     spec = make_root_spec(5)
     z = zeta_pow(spec, 3) * F(5, 6) + Cyclotomic.one(5)

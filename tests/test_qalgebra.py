@@ -31,6 +31,7 @@ from qsl2 import (
     tensor_mul,
     zeta_pow,
 )
+from qsl2.frobenius import ModuleElement
 from qsl2.qalgebra import _add_term, _coproduct_half, _coproduct_monomial, _mono_mul
 
 F = Fraction
@@ -211,6 +212,30 @@ def test_qelement_api():
         qmul(A, QElement.generator(SPEC2, "a"))
 
 
+def test_constructors_check_every_value():
+    # a value over another field, or no scalar at all, is named by its key
+    spec3, spec5 = SPEC3, make_root_spec(5)
+    one, mono = QMonomial(0, 0, 0, 0), QMonomial(1, 0, 0, 0)
+    cases = [
+        (lambda: QElement(spec3, {mono: Cyclotomic.one(5)}), "a=1, b=0"),
+        (lambda: QElement(spec3, {mono: 2}), "a=1, b=0"),
+        (lambda: QElement(spec3, {mono: Cyclotomic.zero(5)}), "a=1, b=0"),
+        (lambda: TensorElement(spec3, {(one, mono): Cyclotomic.one(5)}), r"\(QMonomial\(a=0"),
+        (lambda: ClassicalElement(spec3, {ClassicalMonomial(0, 1, 0, 0): F(1, 2)}), "beta=1"),
+        (lambda: ModuleElement(spec3, "left", {mono: ClassicalElement.one(spec5)}), "a=1, b=0"),
+        (lambda: ModuleElement(spec3, "left", {mono: Cyclotomic.one(3)}), "a=1, b=0"),
+        (lambda: QElement.scalar(spec3, Cyclotomic.one(5)), "scalar"),
+        (lambda: ClassicalElement.scalar(spec3, 0.5), "scalar"),
+    ]
+    for build, name in cases:
+        with pytest.raises(ValueError, match=name):
+            build()
+    assert QElement(spec3, {mono: Cyclotomic.zero(3)}).is_zero()
+    assert ModuleElement(spec3, "left", {mono: ClassicalElement.one(spec3)}).terms == {mono: ClassicalElement.one(spec3)}
+    with pytest.raises(ValueError, match="scalar"):
+        QElement.one(spec3) + Cyclotomic.one(5)
+
+
 def test_qelement_json_roundtrip():
     x = straighten("abcd", SPEC3) + QElement.scalar(SPEC3, F(5, 3))
     doc = x.to_json()
@@ -237,26 +262,49 @@ COPRODUCT_SPECS = tuple(make_root_spec(l) for l in range(2, 8)) + (
     make_root_spec(4, zeta_exponent=3), make_root_spec(6, zeta_exponent=5))
 
 
-def _reference_coproduct(x):
-    """Delta(x) as a product over letters of (generator image)^e, one tensor_mul per letter."""
-    spec = x.spec
+def _letter_images(spec):
+    """Delta(a), Delta(b), Delta(c), Delta(d) as defined, and the unit 1 (x) 1."""
     one = Cyclotomic.one(spec.N)
     A, B, C, D = (QMonomial(1, 0, 0, 0), QMonomial(0, 1, 0, 0),
                   QMonomial(0, 0, 1, 0), QMonomial(0, 0, 0, 1))
-    images = {
-        "a": TensorElement(spec, {(A, A): one, (B, C): one}),
-        "b": TensorElement(spec, {(A, B): one, (B, D): one}),
-        "c": TensorElement(spec, {(C, A): one, (D, C): one}),
-        "d": TensorElement(spec, {(C, B): one, (D, D): one}),
-    }
-    acc = TensorElement.zero(spec)
+    images = (TensorElement(spec, {(A, A): one, (B, C): one}), TensorElement(spec, {(A, B): one, (B, D): one}),
+              TensorElement(spec, {(C, A): one, (D, C): one}), TensorElement(spec, {(C, B): one, (D, D): one}))
+    return images, TensorElement(spec, {(QMonomial(0, 0, 0, 0), QMonomial(0, 0, 0, 0)): one})
+
+
+def _reference_coproduct(x):
+    """Delta(x) as a product over letters of (generator image)^e, one tensor_mul per letter."""
+    images, unit = _letter_images(x.spec)
+    acc = TensorElement.zero(x.spec)
     for mono, coeff in x.terms.items():
-        t = TensorElement(spec, {(QMonomial(0, 0, 0, 0), QMonomial(0, 0, 0, 0)): one})
-        for letter, e in zip("abcd", mono):
+        t = unit
+        for image, e in zip(images, mono):
             for _ in range(e):
-                t = tensor_mul(t, images[letter])
+                t = tensor_mul(t, image)
         acc = acc + t * coeff
     return acc
+
+
+def _reference_coproducts(spec, top):
+    """(m, Delta(m)) for each reduced m = a^i b^j c^k d^n with exponents <= top and j <= k.
+
+    The products are _reference_coproduct's, one tensor_mul per letter,
+    with each prefix a^i, a^i b^j, a^i b^j c^k formed once.
+    """
+    images, unit = _letter_images(spec)
+
+    def walk(exps, t):
+        if len(exps) == 4:
+            yield QMonomial(*exps), t
+            return
+        if len(exps) == 3 and exps[1] > exps[2]:
+            return
+        for e in range(1 if len(exps) == 3 and exps[0] else top + 1):
+            if e:
+                t = tensor_mul(t, images[len(exps)])
+            yield from walk(exps + (e,), t)
+
+    return walk((), unit)
 
 
 @pytest.mark.parametrize("l", [3, 4])
@@ -356,6 +404,37 @@ def test_mirror_pair_shares_one_coproduct_entry():
     for _ in range(2):
         coproduct(QElement.monomial(spec, QMonomial(0, 2, 2, 0)))
     assert _coproduct_monomial.cache_info()[:2] == (1, 1)
+
+
+def _transpose(mono):
+    """psi(a^i b^j c^k d^m) = a^i b^k c^j d^m, for the automorphism b<->c."""
+    return QMonomial(mono[0], mono[2], mono[1], mono[3])
+
+
+@pytest.mark.parametrize("spec", COPRODUCT_SPECS)
+def test_coproduct_reverses_under_the_transpose(spec):
+    # Delta(psi(m)) = sigma (psi (x) psi)(Delta(m)), sigma the swap of the legs, with
+    # Delta(m) taken by the uncached reference; m and psi(m) for j <= k cover every
+    # reduced monomial with exponents <= l, so every branch of coproduct is read
+    for mono, delta in _reference_coproducts(spec, spec.l):
+        assert coproduct(QElement.monomial(spec, mono)).terms == delta.terms, mono
+        want = {(_transpose(m2), _transpose(m1)): v for (m1, m2), v in delta.terms.items()}
+        assert coproduct(QElement.monomial(spec, _transpose(mono))).terms == want, mono
+
+
+def test_klein_orbit_shares_one_coproduct_entry():
+    # a^2 b c^3, its mirror, its transpose and the mirror of its transpose are four
+    # distinct monomials; Delta is built once, at the least of them, and read three times
+    mono = QMonomial(2, 1, 3, 0)
+    orbit = (mono, _mirror(mono), _transpose(mono), _mirror(_transpose(mono)))
+    assert len(set(orbit)) == 4
+    for spec in (SPEC3, make_root_spec(4, zeta_exponent=3), remark_root_spec(3)):
+        _coproduct_monomial.cache_clear()
+        for image in orbit:
+            x = QElement.monomial(spec, image)
+            assert coproduct(x) == _reference_coproduct(x), (spec, image)
+        info = _coproduct_monomial.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1), spec
 
 
 def _gaussian_binomial(spec, n, k):
