@@ -8,7 +8,7 @@ from qsl2 import (
     is_central, lift, make_root_spec, module_recompose, qmul,
     recompose, straighten, verify_freeness,
 )
-from qsl2.expr import format_classical, format_qelement, quantum_monomial_text
+from qsl2.expr import format_classical, format_qelement, monomial_text
 
 for l in (3, 2):
     spec = make_root_spec(l)
@@ -24,7 +24,7 @@ for side in ("left", "right"):
     me = central_reduce(x, side)
     for mono, g in me.sorted_terms():
         print("  %-5s  %s * %s" % (side, format_classical(g),
-                                   quantum_monomial_text(mono) or "1"))
+                                   monomial_text(mono) or "1"))
     assert module_recompose(me) == x
 print("the sign flips with the side because a^2 anticommutes with b.")
 print()
@@ -33,14 +33,14 @@ spec = make_root_spec(3)
 basis = enumerate_basis(3)
 print("module basis at l = 3: %d elements (l^3 = 27)" % len(basis))
 print("first few:", ", ".join(
-    quantum_monomial_text(word) or "1" for word in basis[:6]), "...")
+    monomial_text(word) or "1" for word in basis[:6]), "...")
 print()
 
 A = QElement.generator(spec, "a")
 dec = decompose(A, "left")
 print("decompose(a), left side:")
 for word, g in dec.sorted_terms():
-    print("  %-12s %s" % (quantum_monomial_text(word) or "1", format_classical(g)))
+    print("  %-12s %s" % (monomial_text(word) or "1", format_classical(g)))
 assert recompose(dec) == A
 print()
 

@@ -8,7 +8,7 @@ from qsl2 import (
     lift, localize, make_root_spec, qmul,
 )
 from qsl2.cli import _closure_text
-from qsl2.expr import format_classical, format_qelement, quantum_monomial_text
+from qsl2.expr import format_classical, format_qelement, monomial_text
 
 spec = make_root_spec(3)
 D = QElement.generator(spec, "d")
@@ -17,7 +17,7 @@ print("inverting alpha: d becomes a polynomial in the chart")
 le = localize(D, "alpha")
 for mono, (g, k) in le.sorted_terms():
     suffix = " * alpha^-%d" % k if k else ""
-    print("  %s : %s%s" % (quantum_monomial_text(mono) or "1",
+    print("  %s : %s%s" % (monomial_text(mono) or "1",
                            format_classical(g), suffix))
 cleared, k = clear_denominators(le)
 al = ClassicalElement.generator(spec, "alpha")
@@ -31,7 +31,7 @@ le = localize(C, "beta")
 print("inverting beta instead, for c:")
 for mono, (g, k) in le.sorted_terms():
     suffix = " * beta^-%d" % k if k else ""
-    print("  %s : %s%s" % (quantum_monomial_text(mono) or "1",
+    print("  %s : %s%s" % (monomial_text(mono) or "1",
                            format_classical(g), suffix))
 be = ClassicalElement.generator(spec, "beta")
 cleared, k = clear_denominators(le)

@@ -230,9 +230,7 @@ class LocalizedElement(namedtuple("LocalizedElement", "spec chart terms"), _Sort
     def _json_head(self) -> dict:
         return {"chart": self.chart}
 
-    @staticmethod
-    def _key_json(mono: QMonomial) -> dict:
-        return {"monomial": mono._asdict()}
+    _key_json = staticmethod(ModuleElement._key_json)
 
     @staticmethod
     def _value_json(value) -> dict:

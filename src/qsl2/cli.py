@@ -40,14 +40,13 @@ from .cyclo import (
 )
 from .expr import (
     ExprSyntaxError,
-    classical_monomial_text,
     format_classical,
     format_cyclotomic,
     format_qelement,
     format_tensor,
     format_terms,
+    monomial_text,
     parse_qelement,
-    quantum_monomial_text,
 )
 from .frobenius import (
     SIDES,
@@ -129,16 +128,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bounded_l(l: int) -> int:
+def _spec(args, l: int | None = None) -> RootSpec:
+    """The RootSpec of l (--l or a fixture line's), N (closure's --order, else standard) and q = zeta_N^E."""
+    if l is None:
+        if args.l is None:
+            raise _UsageError("--l is required for this command")
+        l = args.l
     if l > L_MAX:
         raise _UsageError("l must be <= %d (the --l limit), got %d" % (L_MAX, l))
-    return l
-
-
-def _spec(args):
-    if args.l is None:
-        raise _UsageError("--l is required for this command")
-    return make_root_spec(_bounded_l(args.l), zeta_exponent=args.zeta_exp)
+    order = getattr(args, "order", None)
+    if order is None:
+        return make_root_spec(l, zeta_exponent=args.zeta_exp)
+    return RootSpec(l, order, args.zeta_exp)
 
 
 def _arg_text(args, value: str, whole: bool = False) -> str:
@@ -166,7 +167,7 @@ def _emit(args, text: str, obj) -> None:
 def _decomposition_text(dec) -> str:
     lines = []
     for word, g in dec.sorted_terms():
-        lines.append("%s  %s : %s" % (_index_tag(word), quantum_monomial_text(word) or "1",
+        lines.append("%s  %s : %s" % (_index_tag(word), monomial_text(word) or "1",
                                       format_classical(g)))
     return "\n".join(lines) if lines else "0"
 
@@ -177,7 +178,7 @@ def _localized_text(le) -> str:
         coeff = format_classical(g)
         if k:
             coeff = "%s * %s^-%d" % (coeff if len(g.terms) == 1 else "(%s)" % coeff, le.chart, k)
-        lines.append("%s : %s" % (quantum_monomial_text(mono) or "1", coeff))
+        lines.append("%s : %s" % (monomial_text(mono) or "1", coeff))
     if not le.terms:
         lines.append("0")
     return "\n".join(lines)
@@ -242,7 +243,7 @@ def _cmd_verify_fixtures(args) -> int:
                 l, given, want = record["l"], record["input"], record["expected"]
             except KeyError as err:
                 raise _UsageError("line %d: missing field %s" % (lineno, err)) from None
-            spec = make_root_spec(_bounded_l(json_int(l)), zeta_exponent=args.zeta_exp)
+            spec = _spec(args, json_int(l))
             x = qelement_from_json(given, spec)
             expected = decomposition_from_json(want, spec)
             got = decompose(x, expected.side)
@@ -308,17 +309,14 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "selftest":
         return _cmd_selftest(args)
-    if cmd == "closure":
-        if args.l is None:
-            raise _UsageError("--l is required for this command")
-        spec = RootSpec(_bounded_l(args.l), args.order, args.zeta_exp)
-        report = closure_diagnostic(spec)
-        _emit(args, _closure_text(spec, report), _closure_json(report))
-        return 0
     if cmd == "verify-basis":
         return _cmd_verify_basis(args)
 
     spec = _spec(args)
+    if cmd == "closure":
+        report = closure_diagnostic(spec)
+        _emit(args, _closure_text(spec, report), _closure_json(report))
+        return 0
     if cmd == "ptable":
         if args.k < 0:
             raise _UsageError("--k must be >= 0")

@@ -46,10 +46,8 @@ from .qalgebra import (
     TensorElement,
 )
 
-QUANTUM_LETTERS = ("a", "b", "c", "d")
-CLASSICAL_LETTERS = ("alpha", "beta", "gamma", "delta")
 _UNICODE_ALIASES = {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta"}
-_SYMBOLS = set(QUANTUM_LETTERS) | set(CLASSICAL_LETTERS) | {"q"}
+_SYMBOLS = set(QMonomial._fields) | set(ClassicalMonomial._fields) | {"q"}
 _DIGITS = "0123456789"
 
 
@@ -200,20 +198,15 @@ class _Parser:
                 raise ExprSyntaxError("unknown symbol %r" % name, start)
         else:
             raise ExprSyntaxError("unexpected %r" % ch, self.pos)
-        return self.symbol_power(name, 1), name in QUANTUM_LETTERS, name in CLASSICAL_LETTERS, name
+        return self.symbol_power(name, 1), name in QMonomial._fields, name in ClassicalMonomial._fields, name
 
     def symbol_power(self, name: str, exponent: int) -> QElement:
         spec = self.spec
         if name == "q":
             return QElement.scalar(spec, zeta_pow(spec, exponent))
-        # exponent >= 0 here, and a power of one letter is a normal monomial
-        one = Cyclotomic.one(spec.N)
-        if name in QUANTUM_LETTERS:
-            i = QUANTUM_LETTERS.index(name)
-            return QElement._like(spec, {QMonomial(*(exponent * (j == i) for j in range(4))): one})
-        i = CLASSICAL_LETTERS.index(name)
-        mono = ClassicalMonomial(*(exponent * (j == i) for j in range(4)))
-        return lift(ClassicalElement._like(spec, {mono: one}))
+        if name in QMonomial._fields:
+            return QElement.generator(spec, name, exponent)
+        return lift(ClassicalElement.generator(spec, name, exponent))
 
 
 def parse_qelement(text: str, spec: RootSpec) -> QElement:
@@ -301,12 +294,9 @@ def _letters_text(pairs) -> str | None:
     return "*".join(parts)
 
 
-def quantum_monomial_text(mono: QMonomial) -> str | None:
-    return _letters_text(zip(QUANTUM_LETTERS, mono))
-
-
-def classical_monomial_text(mono: ClassicalMonomial) -> str | None:
-    return _letters_text(zip(CLASSICAL_LETTERS, mono))
+def monomial_text(mono) -> str | None:
+    """A QMonomial or ClassicalMonomial in its letters, e.g. a^2*b; None for the unit."""
+    return _letters_text(zip(mono._fields, mono))
 
 
 def format_terms(spec: RootSpec, pairs, times: str = "*") -> str:
@@ -318,15 +308,11 @@ def format_terms(spec: RootSpec, pairs, times: str = "*") -> str:
 
 
 def format_qelement(x: QElement) -> str:
-    return format_terms(
-        x.spec, ((quantum_monomial_text(m), z) for m, z in x.sorted_terms())
-    )
+    return format_terms(x.spec, ((monomial_text(m), z) for m, z in x.sorted_terms()))
 
 
 def format_classical(g: ClassicalElement) -> str:
-    return format_terms(
-        g.spec, ((classical_monomial_text(m), z) for m, z in g.sorted_terms())
-    )
+    return format_terms(g.spec, ((monomial_text(m), z) for m, z in g.sorted_terms()))
 
 
 def format_cyclotomic(spec: RootSpec, z: Cyclotomic) -> str:
@@ -337,6 +323,6 @@ def format_cyclotomic(spec: RootSpec, z: Cyclotomic) -> str:
 
 def format_tensor(t: TensorElement) -> str:
     return format_terms(t.spec, (
-        ("%s (x) %s" % (quantum_monomial_text(m1) or "1", quantum_monomial_text(m2) or "1"), z)
+        ("%s (x) %s" % (monomial_text(m1) or "1", monomial_text(m2) or "1"), z)
         for (m1, m2), z in t.sorted_terms()
     ))

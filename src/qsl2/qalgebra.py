@@ -61,14 +61,6 @@ def _nonzero(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if not v.is_zero()}
 
 
-def _json_exponent(value) -> int:
-    """A monomial exponent of a JSON document: an integer of at most EXPONENT_MAX, else ValueError."""
-    e = json_int(value)
-    if e > EXPONENT_MAX:
-        raise ValueError("exponent %d exceeds EXPONENT_MAX = %d" % (e, EXPONENT_MAX))
-    return e
-
-
 class _SortedTerms:
     """Sorted view and JSON writer for an immutable dict `terms` of key -> value.
 
@@ -244,7 +236,7 @@ class _Terms(_SortedTerms):
 
     @classmethod
     def _key_from_json(cls, row: dict):
-        return cls._KEY(*(_json_exponent(row[name]) for name in cls._KEY._fields))
+        return cls._KEY.from_json(row)
 
     @staticmethod
     def _value_from_json(row: dict, spec: RootSpec):
@@ -283,28 +275,32 @@ class _Polynomial(_Terms):
     __slots__ = ()
 
     @classmethod
+    def monomial(cls, spec: RootSpec, mono, coeff=1):
+        """coeff * mono; coeff is an int or Fraction (read as a rational) or a Cyclotomic of order spec.N."""
+        if isinstance(coeff, (int, Fraction)):
+            coeff = Cyclotomic.from_rational(spec.N, coeff)
+        elif not cls._value_ok(spec, coeff):
+            raise ValueError("scalar is not a coefficient over %s: %r" % (spec, coeff))
+        return cls(spec, {mono: coeff})
+
+    @classmethod
     def scalar(cls, spec: RootSpec, value):
-        if isinstance(value, (int, Fraction)):
-            value = Cyclotomic.from_rational(spec.N, value)
-        elif not cls._value_ok(spec, value):
-            raise ValueError("scalar is not a coefficient over %s: %r" % (spec, value))
-        return cls._like(spec, {cls._KEY(0, 0, 0, 0): value})
+        return cls.monomial(spec, cls._KEY(0, 0, 0, 0), value)
 
     @classmethod
     def one(cls, spec: RootSpec):
         return cls.scalar(spec, 1)
 
     @classmethod
-    def monomial(cls, spec: RootSpec, mono, coeff=None):
-        return cls(spec, {mono: Cyclotomic.one(spec.N) if coeff is None else coeff})
-
-    @classmethod
-    def generator(cls, spec: RootSpec, letter: str):
+    def generator(cls, spec: RootSpec, letter: str, exponent: int = 1):
+        """letter^exponent, for a letter among the field names of _KEY."""
         letters = cls._KEY._fields
         if letter not in letters:
             raise ValueError("unknown generator %r" % (letter,))
-        # a single letter is a normal monomial on either side
-        mono = cls._KEY(*(int(name == letter) for name in letters))
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError("exponent must be an integer >= 0, got %r" % (exponent,))
+        # a power of one letter is a normal monomial on either side
+        mono = cls._KEY(*(exponent if name == letter else 0 for name in letters))
         return cls._like(spec, {mono: Cyclotomic.one(spec.N)})
 
     def _coerce(self, other):
@@ -348,6 +344,17 @@ class _Monomial:
 
     def is_reduced(self) -> bool:
         return min(self[0], self[3]) == 0 and min(self) >= 0
+
+    @classmethod
+    def from_json(cls, fields: dict):
+        """The monomial of a JSON object {letter: exponent}, each an integer <= EXPONENT_MAX, else ValueError."""
+        exponents = []
+        for name in cls._fields:
+            e = json_int(fields[name])
+            if e > EXPONENT_MAX:
+                raise ValueError("exponent %d exceeds EXPONENT_MAX = %d" % (e, EXPONENT_MAX))
+            exponents.append(e)
+        return cls._make(exponents)
 
     @classmethod
     def reduced_up_to(cls, top: int) -> list:
@@ -501,8 +508,7 @@ class TensorElement(_Terms):
 
     @staticmethod
     def _key_from_json(row: dict):
-        return tuple(QMonomial(*(_json_exponent(row[leg][name]) for name in QMonomial._fields))
-                     for leg in ("left", "right"))
+        return QMonomial.from_json(row["left"]), QMonomial.from_json(row["right"])
 
     def _json_head(self) -> dict:
         return {}

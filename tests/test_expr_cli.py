@@ -663,3 +663,11 @@ def test_cli_import_loads_none_of_dataclasses_inspect_typing_json():
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_block_runs_as_written(capsys):
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1 + q^-1*b*c\n"

@@ -12,11 +12,13 @@ from conftest import SPEC2, SPEC3, random_qelement
 from qsl2 import (
     ClassicalElement,
     ClassicalMonomial,
+    ClosureReport,
     Cyclotomic,
     ModuleElement,
     QElement,
     QMonomial,
     RootSpec,
+    TensorElement,
     central_reduce,
     closure_diagnostic,
     coproduct,
@@ -26,6 +28,7 @@ from qsl2 import (
     localize,
     make_root_spec,
     module_recompose,
+    p_expansion,
     qmul,
     remark_root_spec,
     straighten,
@@ -308,6 +311,33 @@ def test_closure_diagnostic_nonstandard():
     A3 = QElement.generator(spec, "a") ** 3
     B3 = QElement.generator(spec, "b") ** 3
     assert qmul(A3, B3) == qmul(B3, A3) * (-1)
+
+
+def _closure_reference(spec):
+    # the diagnostic as first written, every power formed with **
+    l = spec.l
+    p = l if spec.standard else 2 * l
+    gens = [QElement.generator(spec, ch) ** p for ch in "abcd"]
+    lrow, prow = p_expansion(spec, l), p_expansion(spec, p)
+    one = Cyclotomic.one(spec.N)
+    expected = TensorElement(spec, {
+        (QMonomial(p, 0, 0, 0), QMonomial(p, 0, 0, 0)): one,
+        (QMonomial(0, p, 0, 0), QMonomial(0, 0, p, 0)): one,
+    })
+    return ClosureReport(
+        l, spec.N, spec.standard, p,
+        all(qmul(x, y) == qmul(y, x) for i, x in enumerate(gens) for y in gens[i + 1:]),
+        all(is_central(g) for g in gens),
+        tuple(lrow), tuple(prow),
+        all(prow[j].is_zero() for j in range(1, p)),
+        coproduct(QElement.generator(spec, "a") ** p) == expected,
+    )
+
+
+@pytest.mark.parametrize("l, order", [(3, 3), (3, 6), (4, 8), (5, 10)])
+def test_closure_diagnostic_matches_the_reference_built_with_powers(l, order):
+    spec = RootSpec(l, order)
+    assert closure_diagnostic(spec) == _closure_reference(spec)
 
 
 def test_closure_diagnostic_rejects_mismatched_pairs():

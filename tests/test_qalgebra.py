@@ -236,6 +236,38 @@ def test_constructors_check_every_value():
         QElement.one(spec3) + Cyclotomic.one(5)
 
 
+@pytest.mark.parametrize("cls", [QElement, ClassicalElement])
+def test_monomial_coerces_its_coefficient_like_scalar(cls):
+    for spec in (SPEC3, make_root_spec(4)):
+        mono = cls._KEY(1, 2, 0, 0)
+        for c in (2, -1, F(-3, 7), zeta_pow(spec, 1) * F(5, 2)):
+            assert cls.monomial(spec, mono, c) == cls.scalar(spec, c) * cls.monomial(spec, mono)
+        assert cls.monomial(spec, mono).terms == {mono: Cyclotomic.one(spec.N)}
+        for zero in (0, F(0), Cyclotomic.zero(spec.N)):
+            assert cls.monomial(spec, mono, zero) == cls.zero(spec)
+        for bad in (2.0, 0.5, Cyclotomic.one(5), "1"):
+            with pytest.raises(ValueError, match="scalar"):
+                cls.monomial(spec, mono, bad)
+    # alpha*delta is reduced through the validating constructor
+    assert ClassicalElement.monomial(SPEC3, ClassicalMonomial(1, 0, 0, 1), 3) == ClassicalElement.scalar(
+        SPEC3, 3) + ClassicalElement.monomial(SPEC3, ClassicalMonomial(0, 1, 1, 0), 3)
+
+
+@pytest.mark.parametrize("spec", [SPEC3, make_root_spec(4), make_root_spec(5, zeta_exponent=2)])
+def test_generator_power_is_the_power_of_the_generator(spec):
+    l = spec.l
+    for cls in (QElement, ClassicalElement):
+        for letter in cls._KEY._fields:
+            for e in (0, 1, l, 2 * l + 1):
+                assert cls.generator(spec, letter, e) == cls.generator(spec, letter) ** e, (letter, e)
+            for bad in (-1, 1.5, 2.0):
+                with pytest.raises(ValueError, match="exponent must be an integer"):
+                    cls.generator(spec, letter, bad)
+        for unknown in ("q", "e", "alpha" if cls is QElement else "a"):
+            with pytest.raises(ValueError, match="unknown generator"):
+                cls.generator(spec, unknown, 2)
+
+
 def test_qelement_json_roundtrip():
     x = straighten("abcd", SPEC3) + QElement.scalar(SPEC3, F(5, 3))
     doc = x.to_json()
