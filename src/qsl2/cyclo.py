@@ -18,9 +18,11 @@ and the antipode); the table lists them as the powers of one generator and
 maps each unit's numerators to its exponent and its columns, the rows of
 zeta^k .. zeta^(k+phi-1) (negated for -zeta^k), so unit * unit and unit
 inverses are lookups by exponent, and unit * z maps z's numerators through
-those rows and keeps z's denominator.  The automorphisms zeta -> zeta^k
-(`conjugate`) read the same rows; they give the printer its q-coordinates
-and the inverse of a general element as a quotient by its norm.
+those rows and keeps z's denominator.  Cyclotomic.multiplier reads a
+factor's kind once for a run of products by the same factor.  The
+automorphisms zeta -> zeta^k (`conjugate`) read the same rows; they give
+the printer its q-coordinates and the inverse of a general element as a
+quotient by its norm.
 """
 
 from __future__ import annotations
@@ -211,6 +213,35 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    def multiplier(self):
+        """The map z -> self * z for z of the same order, with self's kind read once.
+
+        For one factor applied to many scalars: a unit's table entry, or a
+        rational's numerator and denominator, is looked up here and not
+        once per product.  Each result is canonical and equals self * z.
+        """
+        field = _FIELDS.get(self.order) or _field(self.order)
+        if self.den == 1:
+            unit = field[3].get(self.num)
+            if unit is not None:
+                e, cols = unit
+                if e == 0:
+                    return _identity
+                units, elems = field[3], field[4]
+
+                def by_unit(z):
+                    if z.den == 1:
+                        u = units.get(z.num)
+                        if u is not None:
+                            return elems[e + u[0]]
+                    return _map_columns(cols, z)
+
+                return by_unit
+        if not any(self.num[1:]):
+            p, q = self.num[0], self.den
+            return lambda z: z._scale(p, q)
+        return self.__mul__
+
     def inv(self) -> "Cyclotomic":
         """Multiplicative inverse through the norm: z^-1 = P / (z * P).
 
@@ -275,6 +306,10 @@ _new = object.__new__
 _set_order = Cyclotomic.__dict__["order"].__set__
 _set_num = Cyclotomic.__dict__["num"].__set__
 _set_den = Cyclotomic.__dict__["den"].__set__
+
+
+def _identity(z):
+    return z
 
 
 def _rational(value):

@@ -11,15 +11,17 @@ This module owns that module action: the two sides, the sided
 coefficient container, the lifted products lift(m)*w and w*lift(m), and
 central_reduce, which writes an element as a combination of lifted
 classical coefficients times residual monomials with all exponents
-below l.  The sign bookkeeping is done by the multiplication engine
-itself, never by a separate table.
+below l.  No sign is kept in a separate table: the lifted products are a
+closed form of the engine's rules, checked against _mono_mul in the
+tests, and central_reduce reads each block phase off one cached engine
+product.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclo import Cyclotomic, RootSpec, p_expansion, root_spec_from_json
+from .cyclo import Cyclotomic, RootSpec, p_expansion, root_spec_from_json, zeta_pow
 from .qalgebra import (
     ClassicalElement,
     ClassicalMonomial,
@@ -136,14 +138,41 @@ def _lifted_product(spec: RootSpec, m: ClassicalMonomial, word: QMonomial,
                     side: str) -> tuple[tuple[QMonomial, Cyclotomic], ...]:
     """lift(m) * word (left) or word * lift(m) (right), as normal (monomial, scalar) pairs.
 
-    lift(m) is the one normal monomial lifted_monomial(l, m) with scalar
-    1, so this is one product of two words.  Few of these products recur
-    (recompose, chart clearing, the alpha chart of localize and the
-    freeness certificate's columns), so they skip the _mono_mul cache.
+    lift(m) is the normal monomial lifted_monomial(l, m) with scalar 1:
+    a^A b^B c^C d^D with A*D = 0 and every exponent a multiple of l.  The
+    word's exponents are below l, and it may hold both a and d.  Write the
+    factors in order as x = a^i1 b^j1 c^k1 d^m1 and y = a^i2 b^j2 c^k2 d^m2.
+    If m1 and i2 are both nonzero, one is lifted and the other the word's,
+    so t = min(m1, i2) < l, and the crossing
+        d^m1 a^i2 = sum_s q^(-2s max(m1, i2)) p_{t,s} a^(i2-t) (bc)^s d^(m1-t)
+    has q^(-2s max) = 1, as q^(2l) = 1; it leaves no a, d pair to contract,
+    since lift(m) holds no a on the left and no d on the right.  Otherwise
+    the letters only commute, and t = min(i1+i2, m1+m2) < l contracts
+    through the row p_t.  Either way the terms are
+    a^(i1+i2-t) b^(j1+j2+s) c^(k1+k2+s) d^(m1+m2-t) with scalar p_{t,s} q^e
+    for one phase e: one scalar product each.  The tests check this closed
+    form against _mono_mul.  Few of these products recur (recompose, chart
+    clearing, the alpha chart of localize and the certificate's columns),
+    so none is cached.
     """
     lifted = lifted_monomial(spec.l, m)
-    x, y = (lifted, word) if side == "left" else (word, lifted)
-    return _mono_mul.__wrapped__(spec, x, y)
+    (i1, j1, k1, m1), (i2, j2, k2, m2) = (lifted, word) if side == "left" else (word, lifted)
+    jk1, jk2 = j1 + k1, j2 + k2
+    if m1 and i2:
+        # then a^(i2-t) moves left across b^j1 c^k1 and d^(m1-t) right across b^j2 c^k2
+        t = min(m1, i2)
+        e = -(i2 - t) * jk1 - (m1 - t) * jk2
+    else:
+        # a^i2 moves left across b^j1 c^k1 and d^m1 right across b^j2 c^k2, and then
+        # d^t moves left across the b^(j1+j2) c^(k1+k2) between it and a^t
+        t = min(i1 + i2, m1 + m2)
+        e = t * (jk1 + jk2) - i2 * jk1 - m1 * jk2
+    phase = zeta_pow(spec, e)
+    a, b, c, d = i1 + i2 - t, j1 + j2, k1 + k2, m1 + m2 - t
+    if not t:
+        return ((QMonomial(a, b, c, d), phase),)
+    return tuple((QMonomial(a, b + s, c + s, d), phase * ps)
+                 for s, ps in enumerate(p_expansion(spec, t)))
 
 
 def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
@@ -153,6 +182,9 @@ def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
     computed by multiplying the lifted blocks against the residual with
     the engine and comparing against the original monomial.  These
     products recur as often as qmul's, so they stay on the _mono_mul cache.
+    The blocks only commute past the residual's letters, for a phase
+    q^(l*n) = +-1 at a standard root: 1 leaves the coefficient as it is
+    and -1 negates it.
     """
     _check_side(side)
     spec = x.spec
@@ -170,7 +202,11 @@ def central_reduce(x: QElement, side: str = "left") -> ModuleElement:
             if len(prod) != 1 or prod[0][0] != mono:
                 raise RuntimeError("block extraction produced a non-monomial product for %s; this is a bug"
                                    % (mono,))
-            coeff = coeff * prod[0][1].inv()
+            phase = prod[0][1]
+            if not phase.is_one():
+                if phase != -1:
+                    raise RuntimeError("block phase of %s is not +-1; this is a bug" % (mono,))
+                coeff = -coeff
         # distinct monomials split into distinct (blocks, residual) pairs, and the
         # blocks of a normal monomial have min(alpha, delta) = 0, so each key is reduced
         acc.setdefault(residual, {})[blocks] = coeff

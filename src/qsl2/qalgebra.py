@@ -374,12 +374,13 @@ def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomi
     """Product of two words a^i b^j c^k d^m, returned as normal (monomial, scalar) pairs.
 
     Either word may hold both a and d; it is multiplied as it is written.
-    The cache keeps the products that are used again; two places, whose
-    products seldom or never recur, call _mono_mul.__wrapped__ instead:
-    frobenius._lifted_product and the right legs of _coproduct_monomial.
-    Over one seed-0 replay of the session and hopf benchmarks, cached
-    lifted products hit on 17-19 % of calls, against 37 % for qmul and
-    central_reduce and 59 % for the left legs of _coproduct_monomial.
+    The cache keeps the products that are used again.  Only the right legs
+    of _coproduct_monomial, whose products never recur within one build,
+    skip it through _mono_mul.__wrapped__; frobenius._lifted_product forms
+    lift(m)*w in closed form and uses the engine only as its test reference.
+    Over one seed-0 replay of the session and hopf benchmarks, qmul and
+    central_reduce hit the cache on 37 % of calls and the left legs of
+    _coproduct_monomial on 59 %.
 
     Route: cross x's d-block past y's a-block, commute the stray a/d
     across the inner b,c letters, then contract the remaining mixed a,d
@@ -549,8 +550,9 @@ def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
     The inner products a^x b^y * c^z d^w stay on the _mono_mul cache, as
     they are the same keys as the left-leg products of _coproduct_monomial:
     skipping it cut the traced seed-0 hopf cache only from 1380 to 1147
-    entries, lost 200 of its 1555 hits and raised the scalar products
-    from 52608 to 53064.
+    entries, lost 200 of its 1555 hits and raised the counted scalar
+    products from 30652 to 31108; over 10 hopf benchmark pairs it lowered
+    peak RSS by 0.6 % but raised wall_s by 0.6 % and op_p50_ms by 1.0 %.
     """
     row1, row2 = p_expansion(spec, e1), p_expansion(spec, e2)
     groups: dict[int, dict[QMonomial, Cyclotomic]] = {}
@@ -631,6 +633,9 @@ def coproduct(x: QElement) -> TensorElement:
 
         (phi L, phi R) of Delta(phi r),   (psi R, psi L) of Delta(psi r),
         (phi psi R, phi psi L) of Delta(phi psi r).
+
+    One coefficient multiplies a whole Delta(r), so its multiplier is
+    built once per term of x and applied in the relabelling pass.
     """
     spec = x.spec
     make = QMonomial._make
@@ -639,17 +644,22 @@ def coproduct(x: QElement) -> TensorElement:
         phi, psi, phipsi = make(_PHI(mono)), make(_PSI(mono)), make(_PHIPSI(mono))
         r = min(mono, phi, psi, phipsi)
         terms = _coproduct_monomial(spec, r)
+        mul = coeff.multiplier()
         # each group element is an involution, so mono = g(r) for the g with r = g(mono)
         if r == mono:
-            pass
-        elif r == phi:
-            terms = [((make(_PHI(L)), make(_PHI(R))), v) for (L, R), v in terms]
+            for key, v in terms:
+                v = mul(v)
+                acc[key] = acc[key] + v if key in acc else v
+            continue
+        if r == phi:
+            g, swap = _PHI, False
         elif r == psi:
-            terms = [((make(_PSI(R)), make(_PSI(L))), v) for (L, R), v in terms]
+            g, swap = _PSI, True
         else:
-            terms = [((make(_PHIPSI(R)), make(_PHIPSI(L))), v) for (L, R), v in terms]
-        for key, v in terms:
-            v = coeff * v
+            g, swap = _PHIPSI, True
+        for (L, R), v in terms:
+            key = (make(g(R)), make(g(L))) if swap else (make(g(L)), make(g(R)))
+            v = mul(v)
             acc[key] = acc[key] + v if key in acc else v
     return TensorElement._like(spec, acc)
 
@@ -670,7 +680,8 @@ def antipode(x: QElement) -> QElement:
     for mono, coeff in x.terms.items():
         i, j, k, m = mono
         # the reversed word a^m b^j c^k d^i is normal, since i*m = 0
-        _add_term(acc, QMonomial(m, j, k, i), coeff * zeta_pow(spec, k - j) * (-1) ** (j + k))
+        unit = zeta_pow(spec, k - j)
+        _add_term(acc, QMonomial(m, j, k, i), coeff * (-unit if (j + k) % 2 else unit))
     return QElement._like(spec, acc)
 
 

@@ -558,3 +558,21 @@ def test_products_of_q_powers_are_the_shared_zeta_pow():
             for j in range(spec.N):
                 assert zeta_pow(spec, i) * zeta_pow(spec, j) is zeta_pow(spec, i + j)
             assert zeta_pow(spec, i).inv() is zeta_pow(spec, -i)
+
+
+@pytest.mark.parametrize("N", (3, 5, 7, 8, 12))
+def test_multiplier_is_the_product(N):
+    # the map z -> c * z with c's kind read once: units +-zeta^k, rationals and general elements
+    units = [_unit(N, k, sign) for k in range(N) for sign in (1, -1)]
+    rationals = [Cyclotomic.from_rational(N, v) for v in (0, 1, -1, F(2, 3), F(-3, 2))]
+    n = euler_phi(N)
+    general = [Cyclotomic(N, [F(1, 2)] + [0] * (n - 1)) + Cyclotomic.zeta(N),
+               Cyclotomic(N, [F((-1) ** i * (i + 2), i + 1) for i in range(n)]),
+               Cyclotomic.zeta(N, 2) * 3 - 1]
+    pool = units + rationals + general
+    for c in pool:
+        mul = c.multiplier()
+        for z in pool:
+            got = mul(z)
+            _assert_canonical(got, N)
+            assert got == c * z

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 import random
 import re
@@ -111,6 +112,31 @@ def test_central_reduce_even_case_signs():
     assert module_recompose(right) == x
 
 
+@pytest.mark.parametrize("l", [4, 6])
+def test_central_reduce_block_phase_minus_one_at_even_l(l):
+    # q^l = -1: blocks b^l (c^l) picked up past a residual a on the left, and a^l (d^l)
+    # past a residual b (c) on the right, cost one sign; an even number of them none
+    spec = make_root_spec(l)
+    al, be, ga, de = _classical_gens(spec)
+    cases = {
+        "left": [(QMonomial(1, l, 0, 0), QMonomial(1, 0, 0, 0), -be),
+                 (QMonomial(0, 1, l, l), QMonomial(0, 1, 0, 0), -(ga * de)),
+                 (QMonomial(1, 2 * l, 0, 0), QMonomial(1, 0, 0, 0), be * be),
+                 (QMonomial(1, l, l, 0), QMonomial(1, 0, 0, 0), be * ga)],
+        "right": [(QMonomial(l, 1, 0, 0), QMonomial(0, 1, 0, 0), -al),
+                  (QMonomial(0, l, 0, 1), QMonomial(0, 0, 0, 1), -be),
+                  (QMonomial(2 * l, 1, 0, 0), QMonomial(0, 1, 0, 0), al * al),
+                  (QMonomial(l, l + 1, 0, 0), QMonomial(0, 1, 0, 0), -(al * be))],
+    }
+    for side, rows in cases.items():
+        for mono, residual, g in rows:
+            x = QElement.monomial(spec, mono, zeta_pow(spec, 3))
+            got = central_reduce(x, side)
+            assert got.terms == {residual: g * zeta_pow(spec, 3)}, (side, mono)
+            assert got == _central_reduce_reference(x, side)
+            assert module_recompose(got) == x
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_central_reduce_roundtrip(data):
@@ -188,18 +214,22 @@ def test_central_reduce_matches_the_per_term_reference(l, side):
         assert module_recompose(got) == x
 
 
-@pytest.mark.parametrize("l,zeta_exp", [(4, 3), (5, 2), (6, 1)])
+@pytest.mark.parametrize("l,zeta_exp", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 1)])
 def test_lifted_product_is_the_mono_mul_product_off_the_cache(l, zeta_exp):
+    # the closed form against the engine on every word with exponents below l (a and d
+    # together included) and every reduced classical monomial of degree <= 2, on both sides
     spec = make_root_spec(l, zeta_exponent=zeta_exp)
-    words = random.Random(60 + l).sample(QMonomial.reduced_up_to(l - 1), 10)
-    for side in ("left", "right"):
-        for m in ClassicalMonomial.reduced_up_to(1):
-            lifted = QMonomial(*(l * e for e in m))
-            for w in words:
-                before = _mono_mul.cache_info()
-                got = _lifted_product(spec, m, w, side)
-                assert _mono_mul.cache_info() == before
-                assert got == (_mono_mul(spec, lifted, w) if side == "left" else _mono_mul(spec, w, lifted))
+    words = [QMonomial(*w) for w in itertools.product(range(l), repeat=4)]
+    engine = _mono_mul.__wrapped__
+    before = _mono_mul.cache_info()
+    for m in ClassicalMonomial.reduced_up_to(2):
+        if m.degree() > 2:
+            continue
+        lifted = QMonomial(*(l * e for e in m))
+        for w in words:
+            assert _lifted_product(spec, m, w, "left") == engine(spec, lifted, w)
+            assert _lifted_product(spec, m, w, "right") == engine(spec, w, lifted)
+    assert _mono_mul.cache_info() == before
 
 
 def test_frobenius_alone_holds_the_sides_and_the_uncached_products():
@@ -213,11 +243,17 @@ def test_frobenius_alone_holds_the_sides_and_the_uncached_products():
         return {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == module
                 for alias in n.names}
 
-    # once in each of the two functions that skip the _mono_mul cache, and nowhere else
-    assert sorted(name for name, tree in trees.items() for _ in wrapped(tree)) == ["frobenius", "qalgebra"]
-    assert {(name, fn.name) for name, tree in trees.items() for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and wrapped(fn)} == {("frobenius", "_lifted_product"),
-                                                                    ("qalgebra", "_coproduct_monomial")}
+    def functions_naming(tree, name):
+        return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == name}
+
+    # only the right legs of Delta skip the _mono_mul cache; the lifted products are a
+    # closed form, and frobenius uses the engine only for central_reduce's cached products
+    assert sorted(name for name, tree in trees.items() for _ in wrapped(tree)) == ["qalgebra"]
+    assert {fn.name for fn in ast.walk(trees["qalgebra"])
+            if isinstance(fn, ast.FunctionDef) and wrapped(fn)} == {"_coproduct_monomial"}
+    assert functions_naming(trees["frobenius"], "_mono_mul") == {"central_reduce"}
+    assert sum(isinstance(n, ast.Name) and n.id == "_mono_mul" for n in ast.walk(trees["frobenius"])) == 1
     basis_names = set()
     for n in ast.walk(trees["basis"]):
         basis_names.add(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
