@@ -378,46 +378,54 @@ def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomi
     of _coproduct_monomial, whose products never recur within one build,
     skip it through _mono_mul.__wrapped__; frobenius._lifted_product forms
     lift(m)*w in closed form and uses the engine only as its test reference.
-    Over one seed-0 replay of the session and hopf benchmarks, qmul and
-    central_reduce hit the cache on 37 % of calls and the left legs of
-    _coproduct_monomial on 59 %.
 
-    Route: cross x's d-block past y's a-block, commute the stray a/d
-    across the inner b,c letters, then contract the remaining mixed a,d
-    pair with the a^t d^t row.  The crossing is, with t0 = min(m1, i2),
-    d^m1 a^i2 = sum_s q^(-2s max(m1, i2)) p_{t0,s} a^(i2-t0) (bc)^s d^(m1-t0).
+    For x = a^i1 b^j1 c^k1 d^m1 and y = a^i2 b^j2 c^k2 d^m2 the product
+    reads at most two product rows.  x's d-block crosses y's a-block by
+    the row of t0 = min(m1, i2),
+
+        d^m1 a^i2 = sum_s q^(-2s max(m1, i2)) p_{t0,s} a^(i2-t0) (bc)^s d^(m1-t0),
+
+    the stray a^(i2-t0) moves left across b^j1 c^k1 and d^(m1-t0) right
+    across b^j2 c^k2 at q^e, e = -(i2-t0)(j1+k1) - (m1-t0)(j2+k2), and the
+    mixed pair left over contracts by the a^t d^t row of
+    t2 = min(i1+i2-t0, m1-t0+m2) once a^t2 meets d^t2 across (bc)^s at
+    q^(t2(j1+j2+k1+k2+2s)).  When x and y are normal, t0 > 0 forces
+    i1 = m2 = 0 and so t2 = 0: one row at most is read, and the result is
+    the single term q^e a^(i1+i2) b^(j1+j2) c^(k1+k2) d^(m1+m2) or one
+    (bc)-chain with one scalar product per term.  Only a word that holds
+    both a and d takes the nested loop, which collects its terms.
     """
     i1, j1, k1, m1 = x
     i2, j2, k2, m2 = y
-    base: list[tuple[int, int, int, Cyclotomic]] = []
-    if m1 and i2:
-        t0 = min(m1, i2)
-        for s, ps in enumerate(p_expansion(spec, t0)):
-            if not ps.is_zero():
-                base.append((i2 - t0, s, m1 - t0, ps * zeta_pow(spec, -2 * s * max(m1, i2))))
-    else:
-        base.append((i2, 0, m1, Cyclotomic.one(spec.N)))
+    t0 = min(m1, i2)
+    ii, jj, kk, mm = i1 + i2 - t0, j1 + j2, k1 + k2, m1 - t0 + m2
+    t2 = min(ii, mm)
+    e = -(i2 - t0) * (j1 + k1) - (m1 - t0) * (j2 + k2)
+    if not (t0 or t2):
+        return ((QMonomial(ii, jj, kk, mm), zeta_pow(spec, e)),)
+    cross = -2 * max(m1, i2)
+    if not t2:
+        return tuple((QMonomial(ii, jj + s, kk + s, mm), ps * zeta_pow(spec, e + cross * s))
+                     for s, ps in enumerate(p_expansion(spec, t0)) if not ps.is_zero())
+    e += t2 * (jj + kk)
+    ii -= t2
+    mm -= t2
+    if not t0:
+        unit = zeta_pow(spec, e)
+        return tuple((QMonomial(ii, jj + s, kk + s, mm), ps * unit)
+                     for s, ps in enumerate(p_expansion(spec, t2)) if not ps.is_zero())
     out: dict[QMonomial, Cyclotomic] = {}
-    for ia, t, md, c0 in base:
-        # move a^ia left across b^j1 c^k1 and d^md right across b^j2 c^k2
-        c = c0 * zeta_pow(spec, -ia * (j1 + k1) - md * (j2 + k2))
-        ii = i1 + ia
-        jj = j1 + t + j2
-        kk = k1 + t + k2
-        mm = md + m2
-        t2 = min(ii, mm)
-        if t2 == 0:
-            mono = QMonomial(ii, jj, kk, mm)
-            out[mono] = out[mono] + c if mono in out else c
-        else:
-            c = c * zeta_pow(spec, t2 * (jj + kk))
-            row = p_expansion(spec, t2)
-            for s, ps in enumerate(row):
-                if ps.is_zero():
-                    continue
-                mono = QMonomial(ii - t2, jj + s, kk + s, mm - t2)
-                v = c * ps
-                out[mono] = out[mono] + v if mono in out else v
+    row = p_expansion(spec, t2)
+    for s, ps in enumerate(p_expansion(spec, t0)):
+        if ps.is_zero():
+            continue
+        c = ps * zeta_pow(spec, e + (cross + 2 * t2) * s)
+        for r, pr in enumerate(row):
+            if pr.is_zero():
+                continue
+            mono = QMonomial(ii, jj + s + r, kk + s + r, mm)
+            v = c * pr
+            out[mono] = out[mono] + v if mono in out else v
     return tuple((m, v) for m, v in out.items() if not v.is_zero())
 
 

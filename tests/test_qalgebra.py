@@ -1,13 +1,15 @@
 import json
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import SPEC2, SPEC3, qelements, random_qelement, words
+from conftest import SPEC2, SPEC3, qelements, random_qelement, reduced_monomials, words
 import qsl2.cyclo
 from qsl2 import (
     ClassicalElement,
@@ -116,6 +118,26 @@ def test_mono_mul_matches_recursive_contraction(data):
     assert closed == {mm: z for mm, z in recursive.items() if not z.is_zero()}
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mono_mul_of_normal_monomials_is_one_bc_chain(data):
+    # the product of two normal monomials reads one product row at most, so all its
+    # terms are a^A b^(B+s) c^(C+s) d^D for one (A, B, C, D) with A*D = 0
+    l = data.draw(st.integers(2, 7))
+    spec = make_root_spec(l)
+    spec = spec._replace(zeta_exponent=data.draw(st.sampled_from(
+        [e for e in range(1, spec.N) if math.gcd(e, spec.N) == 1])))
+    x = data.draw(reduced_monomials(spec, 3 * l))
+    y = data.draw(reduced_monomials(spec, 3 * l))
+    monos = [m for m, _ in _mono_mul.__wrapped__(spec, x, y)]
+    assert monos
+    B, C = x.b + y.b, x.c + y.c
+    assert len({(m.a, m.b - B, m.c - C, m.d) for m in monos}) == len(monos)
+    (A, D), = {(m.a, m.d) for m in monos}
+    assert A * D == 0
+    assert all(m.b - B == m.c - C >= 0 for m in monos)
+
+
 def _letters(mono):
     return "".join(ch * e for ch, e in zip("abcd", mono))
 
@@ -123,8 +145,9 @@ def _letters(mono):
 @pytest.mark.parametrize("spec", [SPEC3, make_root_spec(4), make_root_spec(5, zeta_exponent=2)],
                          ids=["l3", "l4", "l5-zeta2"])
 def test_mono_mul_straightens_unreduced_words(spec):
-    # a word a^r b^s c^k d^t with r, t > 0 is multiplied as it is written,
-    # in either factor position (the beta-chart clearing relies on this)
+    # a word a^r b^s c^k d^t with r, t > 0 is multiplied as it is written, in
+    # either factor position; the beta-chart clearing forms such products through
+    # frobenius._lifted_product, which uses this path only as its test reference
     rng = random.Random(400 + spec.l)
     l = spec.l
     for _ in range(12):
@@ -145,6 +168,65 @@ def test_mono_mul_crosses_d_block_past_a_block(spec):
             got = QElement._like(spec, dict(_mono_mul.__wrapped__(spec, QMonomial(0, 0, 0, m),
                                                                   QMonomial(i, 0, 0, 0))))
             assert got == straighten("d" * m + "a" * i, spec), (m, i)
+
+
+# An oracle for the engine that shares none of its code: a free word is rewritten over
+# Z[q, q^-1] by the defining relations alone, and only the final normal form is read at
+# the root of unity.  A descending pair of letters is swapped by one of the six
+# commutation rules, ad - da = (q - q^-1) bc among them.  A sorted word a^i w d^m with
+# w in {b, c}* and i, m > 0 moves one d left across w (bd = q db, cd = q dc) and
+# replaces the ad it meets by 1 + q bc.  Each step lowers the number of a and d letters
+# or keeps it and lowers the number of descending pairs, so the rewriting stops.
+_SWAPS = {  # pair: its rewrite as (integer, power of q, word) terms
+    "ba": ((1, -1, "ab"),),  # ab = q ba
+    "ca": ((1, -1, "ac"),),  # ac = q ca
+    "db": ((1, -1, "bd"),),  # bd = q db
+    "dc": ((1, -1, "cd"),),  # cd = q dc
+    "cb": ((1, 0, "bc"),),  # bc = cb
+    "da": ((1, 0, "ad"), (-1, 1, "bc"), (1, -1, "bc")),  # ad - da = (q - q^-1) bc
+}
+
+
+@lru_cache(maxsize=2**16)  # the pairs of the oracle test reach about 37,000 words
+def _rewritten(word: str) -> tuple:
+    """The normal form of a free word over Z[q, q^-1], as ((i, j, k, m), power of q, integer) triples."""
+    for pos in range(len(word) - 1):
+        rule = _SWAPS.get(word[pos:pos + 2])
+        if rule is not None:
+            steps = [(n, e, word[:pos] + w + word[pos + 2:]) for n, e, w in rule]
+            break
+    else:
+        i, m = word.count("a"), word.count("d")
+        if not (i and m):
+            return (((i, word.count("b"), word.count("c"), m), 0, 1),)
+        w = word[i:len(word) - m]
+        # a^i w d^m = q^|w| a^(i-1) (ad) w d^(m-1) and ad = 1 + q bc
+        head, tail = "a" * (i - 1), w + "d" * (m - 1)
+        steps = [(1, len(w), head + tail), (1, len(w) + 1, head + "bc" + tail)]
+    acc: dict = {}
+    for n, e, w in steps:
+        for mono, f, k in _rewritten(w):
+            acc[mono, e + f] = acc.get((mono, e + f), 0) + n * k
+    return tuple((mono, e, k) for (mono, e), k in acc.items() if k)
+
+
+@pytest.mark.parametrize("l, zeta_exp", [(2, 1), (3, 1), (4, 3), (5, 2)])
+def test_mono_mul_matches_a_rewriting_oracle(l, zeta_exp):
+    # every ordered pair of words with exponents <= 2, a and d together included
+    spec = make_root_spec(l, zeta_exponent=zeta_exp)
+    engine = _mono_mul.__wrapped__
+    monos = [QMonomial(*w) for w in product(range(3), repeat=4)]
+    branches = set()
+    for x in monos:
+        for y in monos:
+            want: dict = {}
+            for mono, e, k in _rewritten(_letters(x) + _letters(y)):
+                _add_term(want, QMonomial(*mono), zeta_pow(spec, e) * k)
+            assert dict(engine(spec, x, y)) == {m: v for m, v in want.items() if not v.is_zero()}, (x, y)
+            t0 = min(x.d, y.a)
+            branches.add((t0 > 0, min(x.a + y.a - t0, x.d - t0 + y.d) > 0))
+    # one term; a crossing row; a contraction row; a crossing then a contraction
+    assert branches == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_caches_are_bounded(monkeypatch):
