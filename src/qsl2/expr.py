@@ -65,7 +65,8 @@ class _Parser:
     The rules expr, term, factor and base return (value, quantum,
     classical, name): the QElement read, whether quantum and whether
     classical letters occur in it, and the symbol it consists of if it is
-    a single symbol, possibly parenthesized, else None.
+    a single symbol, possibly parenthesized, else None.  base returns no
+    value for a bare symbol, so that factor builds its power once.
     """
 
     def __init__(self, text: str, spec: RootSpec):
@@ -145,6 +146,8 @@ class _Parser:
     def factor(self) -> tuple:
         value, quantum, classical, name = self.base()
         if self.peek() != "^":
+            if value is None:
+                value = self.symbol_power(name, 1)
             return value, quantum, classical, name
         self.pos += 1
         paren = self.peek() == "("
@@ -198,7 +201,7 @@ class _Parser:
                 raise ExprSyntaxError("unknown symbol %r" % name, start)
         else:
             raise ExprSyntaxError("unexpected %r" % ch, self.pos)
-        return self.symbol_power(name, 1), name in QMonomial._fields, name in ClassicalMonomial._fields, name
+        return None, name in QMonomial._fields, name in ClassicalMonomial._fields, name
 
     def symbol_power(self, name: str, exponent: int) -> QElement:
         spec = self.spec

@@ -26,7 +26,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from .cyclo import (
     Cyclotomic,
@@ -576,9 +575,17 @@ def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
                  for T, acc in groups.items())
 
 
+@lru_cache(maxsize=2**12)
+def _orbit(m: QMonomial) -> tuple[QMonomial, QMonomial, QMonomial, QMonomial]:
+    """(m, phi(m), psi(m), phi(psi(m))), the images of m under <phi, psi> (see coproduct)."""
+    a, b, c, d = m
+    make = QMonomial._make
+    return (m, make((d, c, b, a)), make((a, c, b, d)), make((d, b, c, a)))
+
+
 @lru_cache(maxsize=256)
 def _coproduct_monomial(spec: RootSpec, mono: QMonomial) -> tuple:
-    """Delta(a^i b^j c^k d^m) as normal ((left, right), scalar) terms.
+    """Delta(a^i b^j c^k d^m) as normal ((left orbit, right orbit), scalar) terms.
 
     Delta is multiplicative, so this is the product of the two halves
     Delta(a^i b^j) and Delta(c^k d^m) (see _coproduct_half): for each pair
@@ -587,7 +594,8 @@ def _coproduct_monomial(spec: RootSpec, mono: QMonomial) -> tuple:
     difference fixes its T (or U), so no right-leg product R_T * R_U repeats
     within one build, and those products skip the _mono_mul cache.  Each
     entry also serves the other monomials of mono's orbit under <phi, psi>,
-    which coproduct reads by relabelling.
+    so each leg L is stored as its orbit _orbit(L), from which coproduct
+    reads the relabelled leg by index.
     """
     i, j, k, m = mono
     right_mul = _mono_mul.__wrapped__
@@ -610,11 +618,7 @@ def _coproduct_monomial(spec: RootSpec, mono: QMonomial) -> tuple:
                     if not unit:
                         v = u * v
                     acc[key] = acc[key] + v if key in acc else v
-    return tuple((key, v) for key, v in acc.items() if not v.is_zero())
-
-
-# phi, psi and phi*psi of coproduct as permutations of the exponents (a, b, c, d)
-_PHI, _PSI, _PHIPSI = itemgetter(3, 2, 1, 0), itemgetter(0, 2, 1, 3), itemgetter(3, 1, 2, 0)
+    return tuple(((_orbit(L), _orbit(R)), v) for (L, R), v in acc.items() if not v.is_zero())
 
 
 def coproduct(x: QElement) -> TensorElement:
@@ -625,7 +629,7 @@ def coproduct(x: QElement) -> TensorElement:
     q-binomial theorem gives Delta(x^n) = sum_k [n k]_{q^-2} X^(n-k) Y^k.
     Delta is linear over the bounded cache _coproduct_monomial, built once per
     orbit of the Klein four-group <phi, psi> and read at the least member r
-    of {mono, phi(mono), psi(mono), phi(psi(mono))}, where
+    of _orbit(mono) = (mono, phi(mono), psi(mono), phi(psi(mono))), where
 
         phi(a^i b^j c^k d^m) = a^m b^k c^j d^i   (a<->d, b<->c)
         psi(a^i b^j c^k d^m) = a^i b^k c^j d^m   (b<->c)
@@ -642,31 +646,22 @@ def coproduct(x: QElement) -> TensorElement:
         (phi L, phi R) of Delta(phi r),   (psi R, psi L) of Delta(psi r),
         (phi psi R, phi psi L) of Delta(phi psi r).
 
-    One coefficient multiplies a whole Delta(r), so its multiplier is
-    built once per term of x and applied in the relabelling pass.
+    Each group element is an involution, so mono = g(r) for the g at the
+    index of r in mono's orbit, and as Delta(r) stores each leg as its
+    orbit, the relabelled legs are read at that index with no monomial
+    formed.  One coefficient multiplies a whole Delta(r), so its multiplier
+    is built once per term of x and applied in the same pass.
     """
     spec = x.spec
-    make = QMonomial._make
     acc: dict[tuple[QMonomial, QMonomial], Cyclotomic] = {}
     for mono, coeff in x.terms.items():
-        phi, psi, phipsi = make(_PHI(mono)), make(_PSI(mono)), make(_PHIPSI(mono))
-        r = min(mono, phi, psi, phipsi)
-        terms = _coproduct_monomial(spec, r)
+        orbit = _orbit(mono)
+        r = min(orbit)
+        g = orbit.index(r)
+        swap = g > 1
         mul = coeff.multiplier()
-        # each group element is an involution, so mono = g(r) for the g with r = g(mono)
-        if r == mono:
-            for key, v in terms:
-                v = mul(v)
-                acc[key] = acc[key] + v if key in acc else v
-            continue
-        if r == phi:
-            g, swap = _PHI, False
-        elif r == psi:
-            g, swap = _PSI, True
-        else:
-            g, swap = _PHIPSI, True
-        for (L, R), v in terms:
-            key = (make(g(R)), make(g(L))) if swap else (make(g(L)), make(g(R)))
+        for (L, R), v in _coproduct_monomial(spec, r):
+            key = (R[g], L[g]) if swap else (L[g], R[g])
             v = mul(v)
             acc[key] = acc[key] + v if key in acc else v
     return TensorElement._like(spec, acc)

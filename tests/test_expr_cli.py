@@ -30,6 +30,7 @@ from qsl2 import (
 )
 import qsl2.basis
 import qsl2.cli
+import qsl2.expr
 import qsl2.frobenius
 from qsl2.cli import run
 from qsl2.expr import (
@@ -135,6 +136,21 @@ def test_parse_budget_counts_every_product_of_the_whole_expression():
         assert info.value.position == position
     D = QElement.generator(SPEC3, "d")
     assert parse_qelement("(1+d)^200", SPEC3) == (D + 1) ** 200
+
+
+def test_each_symbol_power_is_built_once(monkeypatch):
+    # a symbol followed by ^ is built only at its exponent, not first as its first power
+    calls = []
+    build = qsl2.expr._Parser.symbol_power
+
+    def counted(self, name, exponent):
+        calls.append((name, exponent))
+        return build(self, name, exponent)
+
+    monkeypatch.setattr(qsl2.expr._Parser, "symbol_power", counted)
+    x = parse_qelement("q^2*a^5*b^3", SPEC3)
+    assert calls == [("q", 2), ("a", 5), ("b", 3)]
+    assert x == QElement.monomial(SPEC3, QMonomial(5, 3, 0, 0), zeta_pow(SPEC3, 2))
 
 
 def test_negative_exponents_only_on_q():

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from conftest import SPEC2, SPEC3, qelements, random_qelement, reduced_monomials, words
 import qsl2.cyclo
@@ -34,7 +34,7 @@ from qsl2 import (
     zeta_pow,
 )
 from qsl2.frobenius import ModuleElement
-from qsl2.qalgebra import _add_term, _coproduct_half, _coproduct_monomial, _mono_mul
+from qsl2.qalgebra import _add_term, _coproduct_half, _coproduct_monomial, _mono_mul, _orbit
 
 F = Fraction
 
@@ -230,9 +230,10 @@ def test_mono_mul_matches_a_rewriting_oracle(l, zeta_exp):
 
 
 def test_caches_are_bounded(monkeypatch):
-    for cached in (_mono_mul, p_expansion, cyclotomic_polynomial, _coproduct_half, _coproduct_monomial):
+    for cached in (_mono_mul, p_expansion, cyclotomic_polynomial, _coproduct_half, _coproduct_monomial, _orbit):
         assert cached.cache_info().maxsize is not None, cached.__name__
     assert _coproduct_monomial.cache_info().maxsize == 256
+    assert _orbit.cache_info().maxsize == 2**12
     # the per-order field tables: past the bound the oldest order is dropped
     assert qsl2.cyclo._FIELDS_MAX == 256
     monkeypatch.setattr(qsl2.cyclo, "_FIELDS", {})
@@ -549,6 +550,66 @@ def test_klein_orbit_shares_one_coproduct_entry():
             assert coproduct(x) == _reference_coproduct(x), (spec, image)
         info = _coproduct_monomial.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1), spec
+
+
+def test_orbit_is_the_klein_group_acting_on_a_monomial():
+    # _orbit(m) = (m, phi m, psi m, phi psi m), and each of phi, psi, phi psi is an involution
+    for mono in QMonomial.reduced_up_to(3):
+        orbit = _orbit(mono)
+        assert orbit == (mono, _mirror(mono), _transpose(mono), _mirror(_transpose(mono))), mono
+        for g in range(4):
+            assert _orbit(orbit[g])[g] == mono, (mono, g)
+
+
+def test_relabelling_reads_the_cached_orbits_and_forms_no_monomial():
+    # Delta(r) stores each leg as its cached _orbit tuple, and a warm coproduct of any
+    # member of r's orbit returns legs that are entries of those very tuples
+    spec = make_root_spec(4, zeta_exponent=3)
+    _coproduct_monomial.cache_clear()
+    _orbit.cache_clear()
+    members = _orbit(QMonomial(2, 1, 3, 0))
+    for mono in members:
+        coproduct(QElement.monomial(spec, mono))
+    stored = _coproduct_monomial(spec, min(members))
+    legs = set()
+    for (L, R), _ in stored:
+        assert _orbit(L[0]) is L and _orbit(R[0]) is R
+        legs.update(map(id, L + R))
+    before = _orbit.cache_info()
+    for mono in members:
+        for left, right in coproduct(QElement.monomial(spec, mono)).terms:
+            assert id(left) in legs and id(right) in legs, mono
+    assert _orbit.cache_info().misses == before.misses
+
+
+ORBIT_SPECS = (SPEC3, make_root_spec(4, zeta_exponent=3), make_root_spec(5, zeta_exponent=2),
+               make_root_spec(6), remark_root_spec(3))
+
+
+def _orbit_coefficients(spec):
+    """Nonzero coefficients of the three kinds multiplier() tells apart: rational, unit and general."""
+    rational = st.fractions(-3, 3, max_denominator=4).filter(bool).map(lambda f: Cyclotomic.one(spec.N) * f)
+    unit = st.tuples(st.integers(0, spec.N - 1), st.sampled_from((1, -1))).map(
+        lambda es: zeta_pow(spec, es[0]) * es[1])
+    general = st.lists(st.tuples(st.integers(0, spec.N - 1), st.fractions(-2, 2, max_denominator=3)),
+                       min_size=2, max_size=3).map(
+        lambda ts: sum((zeta_pow(spec, e) * f for e, f in ts), Cyclotomic.zero(spec.N))).filter(
+        lambda z: not z.is_zero())
+    return st.one_of(rational, unit, general)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_coproduct_merges_the_relabelled_members_of_one_orbit(data):
+    # 2 to 4 distinct members of one <phi, psi> orbit read one Delta(r) at different
+    # indices, so relabelled terms of different group elements merge into one sum
+    spec = data.draw(st.sampled_from(ORBIT_SPECS))
+    mono = data.draw(reduced_monomials(spec, spec.l))
+    members = sorted(set(_orbit(mono)))
+    assume(len(members) > 1)
+    chosen = data.draw(st.lists(st.sampled_from(members), min_size=2, max_size=4, unique=True))
+    x = QElement(spec, {m: data.draw(_orbit_coefficients(spec)) for m in chosen})
+    assert coproduct(x) == _reference_coproduct(x)
 
 
 def _gaussian_binomial(spec, n, k):
