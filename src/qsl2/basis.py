@@ -381,12 +381,6 @@ def _pairs_by_weight(l: int, bound: int) -> dict[tuple[int, int], list]:
     return out
 
 
-def _column(spec: RootSpec, side: str, word: QMonomial,
-            cm: ClassicalMonomial) -> dict[QMonomial, Cyclotomic]:
-    """The terms of the candidate column lift(cm) * word (left) or word * lift(cm) (right)."""
-    return dict(_lifted_product(spec, cm, word, side))
-
-
 def _trailing_monomial(l: int, word: QMonomial, cm: ClassicalMonomial) -> QMonomial:
     """tau(word, cm), the unique lowest-degree monomial of the candidate column, on either side.
 
@@ -409,7 +403,8 @@ def _solve_weight(spec: RootSpec, side: str, pairs: list[tuple[QMonomial, Classi
     right-hand side, its coordinates (basis word -> ClassicalElement) or
     None if it is not in their span.
     """
-    cols = [_column(spec, side, word, cm) for word, cm in pairs] + rhs
+    # the candidate columns lift(cm) * word (left) or word * lift(cm) (right), then the right-hand sides
+    cols = [dict(_lifted_product(spec, cm, word, side)) for word, cm in pairs] + rhs
     rows: dict[QMonomial, dict[int, Cyclotomic]] = {}
     for j, col in enumerate(cols):
         for mono, v in col.items():

@@ -155,6 +155,16 @@ def _arg_text(args, value: str, whole: bool = False) -> str:
     return args.stdin_lines.pop()
 
 
+def _json_document(text: str, prefix: str = ""):
+    """json.loads(text); a document nested past the interpreter's recursion limit is a usage error."""
+    import json
+
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise _UsageError(prefix + "the JSON nests too deeply to read") from None
+
+
 def _emit(args, text: str, obj) -> None:
     if args.fmt == "json":
         import json
@@ -223,8 +233,6 @@ def _closure_json(report) -> dict:
 
 
 def _cmd_verify_fixtures(args) -> int:
-    import json
-
     failures = 0
     checked = 0
     lines_out = []
@@ -236,7 +244,7 @@ def _cmd_verify_fixtures(args) -> int:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            record = _json_document(line, "line %d: " % lineno)
             if type(record) is not dict:
                 raise _UsageError("line %d: expected a JSON object, got %s" % (lineno, type(record).__name__))
             try:
@@ -334,9 +342,7 @@ def _dispatch(args) -> int:
         _emit(args, text, {"k": args.k, "coeffs": [z.to_json() for z in row]})
         return 0
     if cmd == "recompose":
-        import json
-
-        data = json.loads(_arg_text(args, args.doc, whole=True))
+        data = _json_document(_arg_text(args, args.doc, whole=True))
         element = recompose(decomposition_from_json(data, spec))
         _emit(args, format_qelement(element), element.to_json())
         return 0

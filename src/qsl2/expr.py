@@ -23,7 +23,9 @@ rule returns its value together with which letter kinds occur in it, so
 the ordering rule is checked where a product is formed, and a power of a
 single symbol is built directly as its monomial or root-of-unity scalar.
 Every other product, each * and each step of a power, is charged against
-POWER_PRODUCTS_MAX for the whole expression before it is formed.
+POWER_PRODUCTS_MAX for the whole expression before it is formed, and
+parentheses nest at most NESTING_MAX deep, so a parse never runs out of
+stack.
 
 The printer emits text that re-parses to an equal element: coefficients
 are rationals, powers of q, or parenthesized polynomials in q with
@@ -49,6 +51,8 @@ from .qalgebra import (
 _UNICODE_ALIASES = {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta"}
 _SYMBOLS = set(QMonomial._fields) | set(ClassicalMonomial._fields) | {"q"}
 _DIGITS = "0123456789"
+# each level of parentheses takes four frames of the descent (base, expr, term, factor)
+NESTING_MAX = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -74,6 +78,7 @@ class _Parser:
         self.pos = 0
         self.spec = spec
         self.products = 0  # the term products charged so far, see product
+        self.depth = 0  # the parentheses open around the current position
 
     def product(self, x: QElement, y: QElement, position: int) -> QElement:
         """x * y, once its term pairs fit the budget of the whole parse.
@@ -174,9 +179,13 @@ class _Parser:
         if ch is None:
             raise ExprSyntaxError("unexpected end of input", self.pos)
         if ch == "(":
+            if self.depth == NESTING_MAX:
+                raise ExprSyntaxError("parentheses nest deeper than NESTING_MAX = %d" % NESTING_MAX, self.pos)
+            self.depth += 1
             self.pos += 1
             out = self.expr()
             self.expect(")")
+            self.depth -= 1
             return out
         if ch in _DIGITS:
             num = self.take_int()

@@ -372,60 +372,46 @@ class QMonomial(_Monomial, namedtuple("QMonomial", "a b c d")):
 def _mono_mul(spec: RootSpec, x: QMonomial, y: QMonomial) -> tuple[tuple[QMonomial, Cyclotomic], ...]:
     """Product of two words a^i b^j c^k d^m, returned as normal (monomial, scalar) pairs.
 
-    Either word may hold both a and d; it is multiplied as it is written.
-    The cache keeps the products that are used again.  Only the right legs
-    of _coproduct_monomial, whose products never recur within one build,
-    skip it through _mono_mul.__wrapped__; frobenius._lifted_product forms
-    lift(m)*w in closed form and uses the engine only as its test reference.
+    A word may hold both a and d; it is multiplied as it is written.  The
+    cache keeps the products that are used again; the products formed only
+    once, Delta's right legs (_coproduct_monomial) and the lifted products
+    (frobenius._lifted_product), skip it through _mono_mul.__wrapped__.
 
-    For x = a^i1 b^j1 c^k1 d^m1 and y = a^i2 b^j2 c^k2 d^m2 the product
-    reads at most two product rows.  x's d-block crosses y's a-block by
-    the row of t0 = min(m1, i2),
+    For x = a^i1 b^j1 c^k1 d^m1 and y = a^i2 b^j2 c^k2 d^m2, with
+    t = min(i1+i2, m1+m2) and e = t(j1+k1+j2+k2) - i2(j1+k1) - m1(j2+k2),
 
-        d^m1 a^i2 = sum_s q^(-2s max(m1, i2)) p_{t0,s} a^(i2-t0) (bc)^s d^(m1-t0),
+        x*y = sum_s p_{t,s} q^(e + sigma s) a^(i1+i2-t) b^(j1+j2+s) c^(k1+k2+s) d^(m1+m2-t),
 
-    the stray a^(i2-t0) moves left across b^j1 c^k1 and d^(m1-t0) right
-    across b^j2 c^k2 at q^e, e = -(i2-t0)(j1+k1) - (m1-t0)(j2+k2), and the
-    mixed pair left over contracts by the a^t d^t row of
-    t2 = min(i1+i2-t0, m1-t0+m2) once a^t2 meets d^t2 across (bc)^s at
-    q^(t2(j1+j2+k1+k2+2s)).  When x and y are normal, t0 > 0 forces
-    i1 = m2 = 0 and so t2 = 0: one row at most is read, and the result is
-    the single term q^e a^(i1+i2) b^(j1+j2) c^(k1+k2) d^(m1+m2) or one
-    (bc)-chain with one scalar product per term.  Only a word that holds
-    both a and d takes the nested loop, which collects its terms.
+    where sigma = -2 max(m1, i2) if m1 i2 != 0 and sigma = 0 otherwise.
+    When m1 i2 = 0, a^i2 moves left across b^j1 c^k1, d^m1 right across
+    b^j2 c^k2, and a^t d^t contracts across the b, c block by the row p_t;
+    when m1 i2 != 0, d^m1 a^i2 crosses by the row of min(m1, i2), which
+    carries the extra q^(sigma s).  The formula needs that crossing to
+    leave no a, d pair to contract, t = min(m1, i2); this holds for two
+    normal words and for a lifted block against a word with exponents
+    below l, and any other crossing raises RuntimeError.  A row below l
+    has no zero entry (q-Lucas), so only a row t >= l is filtered.
     """
     i1, j1, k1, m1 = x
     i2, j2, k2, m2 = y
-    t0 = min(m1, i2)
-    ii, jj, kk, mm = i1 + i2 - t0, j1 + j2, k1 + k2, m1 - t0 + m2
-    t2 = min(ii, mm)
-    e = -(i2 - t0) * (j1 + k1) - (m1 - t0) * (j2 + k2)
-    if not (t0 or t2):
-        return ((QMonomial(ii, jj, kk, mm), zeta_pow(spec, e)),)
-    cross = -2 * max(m1, i2)
-    if not t2:
-        return tuple((QMonomial(ii, jj + s, kk + s, mm), ps * zeta_pow(spec, e + cross * s))
-                     for s, ps in enumerate(p_expansion(spec, t0)) if not ps.is_zero())
-    e += t2 * (jj + kk)
-    ii -= t2
-    mm -= t2
-    if not t0:
-        unit = zeta_pow(spec, e)
-        return tuple((QMonomial(ii, jj + s, kk + s, mm), ps * unit)
-                     for s, ps in enumerate(p_expansion(spec, t2)) if not ps.is_zero())
-    out: dict[QMonomial, Cyclotomic] = {}
-    row = p_expansion(spec, t2)
-    for s, ps in enumerate(p_expansion(spec, t0)):
-        if ps.is_zero():
-            continue
-        c = ps * zeta_pow(spec, e + (cross + 2 * t2) * s)
-        for r, pr in enumerate(row):
-            if pr.is_zero():
-                continue
-            mono = QMonomial(ii, jj + s + r, kk + s + r, mm)
-            v = c * pr
-            out[mono] = out[mono] + v if mono in out else v
-    return tuple((m, v) for m, v in out.items() if not v.is_zero())
+    t = min(i1 + i2, m1 + m2)
+    e = t * (j1 + k1 + j2 + k2) - i2 * (j1 + k1) - m1 * (j2 + k2)
+    a, b, c, d = i1 + i2 - t, j1 + j2, k1 + k2, m1 + m2 - t
+    if not t:
+        return ((QMonomial(a, b, c, d), zeta_pow(spec, e)),)
+    sigma = 0
+    if m1 and i2:
+        if t != min(m1, i2):
+            raise RuntimeError("the product %s * %s crosses into an a, d pair to contract; this is a bug"
+                               % (x, y))
+        sigma = -2 * max(m1, i2) % spec.N
+    row = enumerate(p_expansion(spec, t))
+    if t >= spec.l:
+        row = [(s, ps) for s, ps in row if not ps.is_zero()]
+    if sigma:
+        return tuple((QMonomial(a, b + s, c + s, d), ps * zeta_pow(spec, e + sigma * s)) for s, ps in row)
+    unit = zeta_pow(spec, e)
+    return tuple((QMonomial(a, b + s, c + s, d), ps * unit) for s, ps in row)
 
 
 class QElement(_Polynomial):

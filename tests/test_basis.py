@@ -53,7 +53,6 @@ from qsl2 import (
 import qsl2.basis
 from qsl2.basis import (
     _classical_weight,
-    _column,
     _divide_by_alpha,
     _pairs_by_weight,
     _quantum_weight,
@@ -61,6 +60,7 @@ from qsl2.basis import (
     residual_monomials,
 )
 from qsl2.exactla import ExactMatrix, nullspace
+from qsl2.frobenius import _lifted_product
 from qsl2.qalgebra import EXPONENT_MAX, _mono_mul
 
 F = Fraction
@@ -612,7 +612,7 @@ def test_verify_freeness_l2(side):
 
 
 def _lifted_column(spec, side, word, cm):
-    # the candidate column through lift and qmul, sharing no code with _column
+    # the candidate column through lift and qmul, sharing no code with _lifted_product
     g = lift(ClassicalElement.monomial(spec, cm))
     base = QElement.monomial(spec, word)
     return (qmul(g, base) if side == "left" else qmul(base, g)).terms
@@ -624,7 +624,7 @@ def _lifted_column(spec, side, word, cm):
 def test_column_is_the_lifted_product(spec, side):
     for pairs in _pairs_by_weight(spec.l, 2).values():
         for word, cm in pairs:
-            assert _column(spec, side, word, cm) == _lifted_column(spec, side, word, cm)
+            assert dict(_lifted_product(spec, cm, word, side)) == _lifted_column(spec, side, word, cm)
 
 
 def _per_monomial_reference(l, side, bound):
@@ -668,7 +668,7 @@ def test_trailing_monomial_is_the_unit_lowest_degree_term(spec, side):
     units = {sign * zeta_pow(spec, k) for k in range(spec.N) for sign in (1, -1)}
     for pairs in _pairs_by_weight(spec.l, 2).values():
         for word, cm in pairs:
-            col = _column(spec, side, word, cm)
+            col = dict(_lifted_product(spec, cm, word, side))
             tau = _trailing_monomial(spec.l, word, cm)
             assert tau == min(col, key=QMonomial.sort_key)
             assert col[tau] in units

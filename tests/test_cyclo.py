@@ -279,6 +279,22 @@ def test_p_expansion_matches_the_first_factor_recurrence(l, zeta_exp):
         assert list(p_expansion(spec, k + 1)) == row, k + 1
 
 
+@pytest.mark.parametrize("spec", [make_root_spec(l) for l in range(2, 8)]
+                         + [make_root_spec(4, zeta_exponent=3), make_root_spec(5, zeta_exponent=2),
+                            make_root_spec(6, zeta_exponent=5), make_root_spec(7, zeta_exponent=3),
+                            remark_root_spec(3), remark_root_spec(5)],
+                         ids=lambda s: "l%d_N%d_e%d" % (s.l, s.N, s.zeta_exponent))
+def test_p_rows_below_l_have_no_zero_entry(spec):
+    # p_{k,j} = q^(j^2) [k j]_{q^2} with q^2 of order l, so by q-Lucas a row k < l has no
+    # zero entry and row l is a unit at each end with zeros between; this is why _mono_mul
+    # tests only the entries of a row t >= l for zero
+    for k in range(spec.l):
+        assert not any(v.is_zero() for v in p_expansion(spec, k)), k
+    row = p_expansion(spec, spec.l)
+    assert row[0].is_one() and not row[-1].is_zero()
+    assert all(v.is_zero() for v in row[1:-1])
+
+
 @pytest.mark.parametrize("l", [2, 3, 5])
 def test_p_coeff_closed_form(l):
     for spec in (make_root_spec(l), make_root_spec(l, zeta_exponent=l - 1 if l > 2 else 3)):

@@ -35,6 +35,7 @@ import qsl2.frobenius
 from qsl2.cli import run
 from qsl2.expr import (
     EXPONENT_MAX,
+    NESTING_MAX,
     POWER_PRODUCTS_MAX,
     ExprSyntaxError,
     format_classical,
@@ -92,6 +93,21 @@ def test_parse_error_positions():
         with pytest.raises(ExprSyntaxError) as info:
             parse_qelement(text, SPEC3)
         assert info.value.position == position and "must precede" in str(info.value)
+
+
+def test_parentheses_nest_at_most_nesting_max_deep():
+    # the bound stops the descent at the offending "(" before the stack runs out
+    A = QElement.generator(SPEC3, "a")
+    for depth in (50, NESTING_MAX):
+        assert parse_qelement("(" * depth + "a" + ")" * depth, SPEC3) == A
+    # the bound is on the depth, not on the number of parentheses
+    nested = "(" * NESTING_MAX + "a" + ")" * NESTING_MAX
+    assert parse_qelement(" + ".join([nested] * 3), SPEC3) == 3 * A
+    for depth, lead in ((NESTING_MAX + 1, ""), (250, ""), (10**5, ""), (NESTING_MAX + 1, "b + ")):
+        text = lead + "(" * depth + "a" + ")" * depth
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_qelement(text, SPEC3)
+        assert info.value.position == len(lead) + NESTING_MAX and "NESTING_MAX" in str(info.value)
 
 
 def test_exponents_are_capped_except_on_q():
@@ -608,6 +624,20 @@ def test_cli_exit_codes(capsys):
     assert code == 2
     code, out, err = _cli(capsys, "--l", "3", "verify-basis", "--degree-bound", "-1")
     assert code == 2 and out == "" and "degree_bound must be >= 0" in err
+
+
+def test_cli_deep_nesting_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # nesting past the parser's bound or the interpreter's recursion limit is bad input
+    code, out, err = _cli(capsys, "--l", "3", "normalize", "(" * 250 + "a" + ")" * 250)
+    assert code == 2 and out == "" and err.startswith("parse error: ") and "NESTING_MAX" in err
+    deep = "[" * 10**5 + "]" * 10**5
+    monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+    code, out, err = _cli(capsys, "--l", "3", "recompose", "-")
+    assert code == 2 and out == "" and err == "error: the JSON nests too deeply to read\n"
+    fixtures = tmp_path / "deep.jsonl"
+    fixtures.write_text("\n" + deep + "\n")
+    code, out, err = _cli(capsys, "--fixtures", str(fixtures), "verify-basis")
+    assert code == 2 and out == "" and err == "error: line 2: the JSON nests too deeply to read\n"
 
 
 def test_cli_selftest(capsys):

@@ -216,19 +216,22 @@ def test_central_reduce_matches_the_per_term_reference(l, side):
 
 @pytest.mark.parametrize("l,zeta_exp", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 1)])
 def test_lifted_product_is_the_mono_mul_product_off_the_cache(l, zeta_exp):
-    # the closed form against the engine on every word with exponents below l (a and d
-    # together included) and every reduced classical monomial of degree <= 2, on both sides
+    # lift(m) * w and w * lift(m) against qmul on the straightened letters of w, for every
+    # word w with exponents below l (a and d together included) and every reduced
+    # classical monomial m of degree <= 2; the references fill the cache before its snapshot
     spec = make_root_spec(l, zeta_exponent=zeta_exp)
     words = [QMonomial(*w) for w in itertools.product(range(l), repeat=4)]
-    engine = _mono_mul.__wrapped__
+    straightened = [straighten("".join(ch * e for ch, e in zip("abcd", w)), spec) for w in words]
+    monos = [m for m in ClassicalMonomial.reduced_up_to(2) if m.degree() <= 2]
+    want = {}
+    for m in monos:
+        g = lift(ClassicalElement.monomial(spec, m))
+        for w, x in zip(words, straightened):
+            want[m, w] = qmul(g, x), qmul(x, g)
     before = _mono_mul.cache_info()
-    for m in ClassicalMonomial.reduced_up_to(2):
-        if m.degree() > 2:
-            continue
-        lifted = QMonomial(*(l * e for e in m))
-        for w in words:
-            assert _lifted_product(spec, m, w, "left") == engine(spec, lifted, w)
-            assert _lifted_product(spec, m, w, "right") == engine(spec, w, lifted)
+    for (m, w), (left, right) in want.items():
+        assert QElement._like(spec, dict(_lifted_product(spec, m, w, "left"))) == left
+        assert QElement._like(spec, dict(_lifted_product(spec, m, w, "right"))) == right
     assert _mono_mul.cache_info() == before
 
 
@@ -247,13 +250,13 @@ def test_frobenius_alone_holds_the_sides_and_the_uncached_products():
         return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                 for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == name}
 
-    # only the right legs of Delta skip the _mono_mul cache; the lifted products are a
-    # closed form, and frobenius uses the engine only for central_reduce's cached products
-    assert sorted(name for name, tree in trees.items() for _ in wrapped(tree)) == ["qalgebra"]
-    assert {fn.name for fn in ast.walk(trees["qalgebra"])
-            if isinstance(fn, ast.FunctionDef) and wrapped(fn)} == {"_coproduct_monomial"}
-    assert functions_naming(trees["frobenius"], "_mono_mul") == {"central_reduce"}
-    assert sum(isinstance(n, ast.Name) and n.id == "_mono_mul" for n in ast.walk(trees["frobenius"])) == 1
+    # only the right legs of Delta and the lifted products skip the _mono_mul cache; frobenius
+    # uses the engine for those and for central_reduce's cached products
+    assert sorted(name for name, tree in trees.items() for _ in wrapped(tree)) == ["frobenius", "qalgebra"]
+    assert {fn.name for tree in trees.values() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and wrapped(fn)} == {"_coproduct_monomial", "_lifted_product"}
+    assert functions_naming(trees["frobenius"], "_mono_mul") == {"central_reduce", "_lifted_product"}
+    assert sum(isinstance(n, ast.Name) and n.id == "_mono_mul" for n in ast.walk(trees["frobenius"])) == 2
     basis_names = set()
     for n in ast.walk(trees["basis"]):
         basis_names.add(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)

@@ -9,6 +9,7 @@ import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
 from conftest import SPEC3
@@ -23,7 +24,7 @@ from qsl2 import (
     straighten,
     zeta_pow,
 )
-from qsl2.expr import parse_qelement
+from qsl2.expr import NESTING_MAX, ExprSyntaxError, parse_qelement
 from qsl2.qalgebra import EXPONENT_MAX
 
 # the grammar's tokens, an unknown letter and a stray character among them
@@ -47,6 +48,26 @@ def test_parser_returns_a_normal_element_or_raises_value_error(text):
     except ValueError:
         return
     assert type(x) is QElement and x.spec == SPEC3
+    _assert_keys_pass(x)
+
+
+@given(st.one_of(st.integers(0, 3 * NESTING_MAX), st.sampled_from([NESTING_MAX, NESTING_MAX + 1])),
+       st.lists(st.sampled_from(_TOKENS), max_size=8).map("".join))
+@settings(max_examples=200, deadline=None)
+def test_deeply_nested_text_parses_or_raises_value_error(depth, inner):
+    # the descent recurses on each leading "(", so past NESTING_MAX it stops at once
+    assume(inner.count("^") <= 2 and not _LONG_EXPONENT.search(inner))
+    text = "(" * depth + inner + ")" * depth
+    if depth > NESTING_MAX:
+        with pytest.raises(ExprSyntaxError, match="NESTING_MAX") as info:
+            parse_qelement(text, SPEC3)
+        assert info.value.position == NESTING_MAX
+        return
+    try:
+        x = parse_qelement(text, SPEC3)
+    except ValueError:
+        return
+    assert type(x) is QElement
     _assert_keys_pass(x)
 
 
