@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclo import Cyclotomic, RootSpec, json_int, make_root_spec, p_expansion, zeta_pow
+from .cyclo import Cyclotomic, RootSpec, json_int, json_shown, make_root_spec, p_expansion, zeta_pow
 from .exactla import ExactMatrix, rref
 from .frobenius import (
     ModuleElement,
@@ -116,7 +116,7 @@ class Decomposition(_SidedTerms):
         elif family == "D":
             word = QMonomial(0, json_int(row["n"]), json_int(row["s"]), json_int(row["r"]))
         else:
-            raise ValueError("unknown family %r" % (family,))
+            raise ValueError("unknown family %s" % json_shown(family))
         # an A row with m = 0 holds a d-free word of family D
         if basis_index(word)[0] != family:
             raise ValueError("%s labelled %s is not a basis index" % (_index_tag(word), family))
@@ -494,6 +494,16 @@ def verify_freeness(l: int, side: str = "left", degree_bound: int = 2,
     rref kernels of the solved weights, plus 0 for each weight certified
     by distinct trailing monomials.  The root data is
     make_root_spec(l, zeta_exponent), i.e. q = zeta_N^zeta_exponent.
+
+    Two symmetries relate the certificates (tests/test_symmetries.py).
+    The automorphism sigma_E: zeta -> zeta^E (cyclo.conjugate) carries A
+    at q = zeta onto A at q = zeta^E, fixes every word and maps the basis
+    onto itself, so decompose at zeta_exponent E is sigma_E of decompose
+    at E = 1, coefficient by coefficient, and the certificate at E = 1
+    covers every E coprime to N.  At odd l the l-th powers are central,
+    so the left and right module structures coincide and
+    decompose(x, "left") and decompose(x, "right") have the same
+    coordinates; at even l they differ.
     """
     spec = make_root_spec(l, zeta_exponent=zeta_exponent)
     _check_side(side)

@@ -194,9 +194,9 @@ class Cyclotomic:
         if u is not None:
             if v is not None:
                 return field[4][u[0] + v[0]]
-            return _map_columns(u[1], self)
+            return _map_columns(u[1], self) if u[0] else self  # 1 * self is self
         if v is not None:
-            return _map_columns(v[1], other)
+            return _map_columns(v[1], other) if v[0] else other
         a, b = self.num, other.num
         n = len(a)
         prod = [0] * (2 * n - 1)
@@ -441,10 +441,29 @@ def _ratio_str(num: int, den: int) -> str:
     return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
+# the longest text an error message gives a bad JSON value
+_SHOWN_MAX = 40
+
+
+def json_shown(value) -> str:
+    """A bad JSON value as an error message names it, in at most _SHOWN_MAX characters.
+
+    A flat scalar (int, str, bool, float or None) shows its repr, cut short;
+    anything else shows only its type, e.g. <list>, so a long or deeply
+    nested value never makes a long message or exhausts the stack.
+    """
+    if type(value) is int and value.bit_length() > 3 * _SHOWN_MAX:
+        return "<int of %d bits>" % value.bit_length()  # too long to show, or to convert at all
+    if value is None or type(value) in (int, str, bool, float):
+        text = repr(value[:_SHOWN_MAX] if type(value) is str else value)
+        return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX - 3] + "..."
+    return "<%s>" % type(value).__name__
+
+
 def json_int(value) -> int:
     """An integer field of a JSON document; a float, bool, string or anything else raises ValueError."""
     if type(value) is not int:
-        raise ValueError("expected an integer, got %r" % (value,))
+        raise ValueError("expected an integer, got %s" % json_shown(value))
     return value
 
 
@@ -455,12 +474,12 @@ def _json_ratio(text) -> tuple[int, int]:
     float would otherwise be read at its binary value.
     """
     if type(text) is not str:
-        raise ValueError("coefficient %r is not a string \"p\" or \"p/q\"" % (text,))
+        raise ValueError("coefficient %s is not a string \"p\" or \"p/q\"" % json_shown(text))
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if not (_is_digits(digits) and (not slash or (_is_digits(den) and int(den)))):
-        raise ValueError("coefficient %r is not an integer \"p\" or a ratio \"p/q\" with q > 0"
-                         % (text,))
+        raise ValueError("coefficient %s is not an integer \"p\" or a ratio \"p/q\" with q > 0"
+                         % json_shown(text))
     return int(num), int(den) if slash else 1
 
 
@@ -482,9 +501,9 @@ def cyclotomic_from_json(data: dict, order: int | None = None) -> Cyclotomic:
         if type(coeffs) is not list or len(coeffs) != euler_phi(found):
             raise ValueError("coefficient vector has wrong length for Q(zeta_%d)" % found)
     except KeyError as err:
-        raise ValueError("malformed cyclotomic %r: missing field %s" % (data, err)) from None
+        raise ValueError("malformed cyclotomic %s: missing field %s" % (json_shown(data), err)) from None
     except TypeError as err:
-        raise ValueError("malformed cyclotomic %r: %s" % (data, err)) from None
+        raise ValueError("malformed cyclotomic %s: %s" % (json_shown(data), err)) from None
     ratios = [_json_ratio(c) for c in coeffs]
     den = math.lcm(*(q for _, q in ratios))
     return _normalise(found, tuple(p * (den // q) for p, q in ratios), den)

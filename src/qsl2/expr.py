@@ -18,10 +18,14 @@ mod N).  Inside a product, classical letters may appear before quantum
 letters but not after them; classical factors are routed through the
 Frobenius lift.
 
-The parser evaluates as it reads, in one recursive-descent pass.  Each
-rule returns its value together with which letter kinds occur in it, so
-the ordering rule is checked where a product is formed, and a power of a
-single symbol is built directly as its monomial or root-of-unity scalar.
+The text is scanned once, one token at a time as the parse reads it,
+and each token carries its position; one recursive-descent pass over
+them evaluates as it reads.  Every value is
+a plain dict word -> scalar until the end: each factor, a scalar too,
+multiplies the running term pair by pair through the engine loop that
+qmul runs (qalgebra._mul_terms), each term adds into one accumulator per
+expression, and the QElement is built once.  A power of
+a single symbol is built directly as its word or root-of-unity scalar.
 Every other product, each * and each step of a power, is charged against
 POWER_PRODUCTS_MAX for the whole expression before it is formed, and
 parentheses nest at most NESTING_MAX deep, so a parse never runs out of
@@ -46,11 +50,16 @@ from .qalgebra import (
     QElement,
     QMonomial,
     TensorElement,
+    _mul_terms,
+    _nonzero,
 )
 
 _UNICODE_ALIASES = {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta"}
 _SYMBOLS = set(QMonomial._fields) | set(ClassicalMonomial._fields) | {"q"}
 _DIGITS = "0123456789"
+# token kinds besides the grammar's one-character tokens, each of which is its own kind
+_INT, _SYMBOL, _END = "int", "symbol", None
+_UNIT = QMonomial(0, 0, 0, 0)
 # each level of parentheses takes four frames of the descent (base, expr, term, factor)
 NESTING_MAX = 100
 
@@ -63,162 +72,197 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-class _Parser:
-    """Recursive descent over `text` that evaluates as it reads.
+def _scan(text: str):
+    """Yield the tokens of text as (kind, start, end, name), then an _END token at len(text).
 
-    The rules expr, term, factor and base return (value, quantum,
-    classical, name): the QElement read, whether quantum and whether
-    classical letters occur in it, and the symbol it consists of if it is
-    a single symbol, possibly parenthesized, else None.  base returns no
-    value for a bare symbol, so that factor builds its power once.
+    An ASCII digit run is an _INT; a unicode alias, or else a run of
+    letters, is a _SYMBOL whose name may be unknown; any other character
+    but whitespace is a token whose kind is that character.  Nothing is
+    rejected here, and the parse pulls one token at a time, so each error
+    is raised where the parse reaches it, before the rest is scanned.
+    """
+    n = len(text)
+    i = 0
+    while i < n:
+        ch = text[i]
+        j = i + 1
+        if ch in _DIGITS:
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            yield _INT, i, j, None
+        elif ch in _UNICODE_ALIASES:
+            yield _SYMBOL, i, j, _UNICODE_ALIASES[ch]
+        elif ch.isalpha():
+            while j < n and text[j].isalpha():
+                j += 1
+            yield _SYMBOL, i, j, text[i:j]
+        elif not ch.isspace():
+            yield ch, i, j, None
+        i = j
+    yield _END, n, n, None
+
+
+class _Parser:
+    """Recursive descent over the tokens of `text` that folds each term as it reads.
+
+    The rules expr, term, factor and base return (terms, quantum,
+    classical, name): the value read as a dict word -> scalar of normal
+    words, whether quantum and whether classical letters occur in it, and
+    the symbol it consists of if it is a single symbol, possibly
+    parenthesized, else None.  term folds its factors into one running
+    dict through times, and expr adds its terms into one accumulator.
+    factor reads a bare symbol itself and builds its power once, through
+    symbol_power.  An accumulator may keep zero scalars until it is used:
+    base prunes a parenthesized one, and QElement._like the one of the
+    whole text.  So every value that is charged or multiplied holds none,
+    as in a QElement, and the charges are those of the QElement products
+    they replace.
     """
 
     def __init__(self, text: str, spec: RootSpec):
         self.text = text
-        self.pos = 0
+        self.scan = _scan(text).__next__
+        self.token = self.scan()  # the next token, not yet taken
         self.spec = spec
-        self.products = 0  # the term products charged so far, see product
+        self.one = Cyclotomic.one(spec.N)
+        self.products = 0  # the term products charged so far, see times
         self.depth = 0  # the parentheses open around the current position
 
-    def product(self, x: QElement, y: QElement, position: int) -> QElement:
+    def times(self, x: dict, y: dict, position: int) -> dict:
         """x * y, once its term pairs fit the budget of the whole parse.
 
-        A pair costs 1 + min(a-sum, d-sum), for the a^t d^t its product contracts.
+        A pair costs 1 + min(a-sum, d-sum), for the a^t d^t its product
+        contracts.  Every pair, a scalar's (1, word) too, is formed by the
+        engine, as qmul forms it, and zero scalars are pruned.
         """
-        for a, _, _, d in x.terms:
-            for a2, _, _, d2 in y.terms:
-                self.products += 1 + min(a + a2, d + d2)
-        if self.products > POWER_PRODUCTS_MAX:
+        products = self.products
+        for a, _, _, d in x:
+            for a2, _, _, d2 in y:
+                products += 1 + min(a + a2, d + d2)
+        self.products = products
+        if products > POWER_PRODUCTS_MAX:
             raise ExprSyntaxError("this product brings the expression to %d term products, over "
-                                  "POWER_PRODUCTS_MAX = %d" % (self.products, POWER_PRODUCTS_MAX), position)
-        return x * y
-
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+                                  "POWER_PRODUCTS_MAX = %d" % (products, POWER_PRODUCTS_MAX), position)
+        return _nonzero(_mul_terms(self.spec, x, y))
 
     def take_int(self) -> int:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
+        kind, start, end, _ = self.token
+        if kind is not _INT:
             raise ExprSyntaxError("expected integer", start)
-        return int(self.text[start : self.pos])
-
-    def take_signed_int(self) -> int:
-        if self.peek() == "-":
-            self.pos += 1
-            return -self.take_int()
-        return self.take_int()
+        self.token = self.scan()
+        return int(self.text[start:end])
 
     def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ExprSyntaxError("expected %r" % ch, self.pos)
-        self.pos += 1
+        if self.token[0] != ch:
+            raise ExprSyntaxError("expected %r" % ch, self.token[1])
+        self.token = self.scan()
 
     def expr(self) -> tuple:
-        negate = self.peek() == "-"
-        if negate:
-            self.pos += 1
-        value, quantum, classical, name = self.term()
-        if negate:
-            value, name = -value, None
-        while self.peek() in ("+", "-"):
-            sign = self.text[self.pos]
-            self.pos += 1
-            other, q, c, _ = self.term()
-            value = value + other if sign == "+" else value - other
+        acc: dict = {}
+        sign = self.token[0]  # the sign of the term read next, "-" or anything else for +
+        if sign == "-":
+            self.token = self.scan()
+        terms, quantum, classical, name = self.term()
+        while True:
+            if sign == "-":
+                name = None
+                for w, c in terms.items():
+                    acc[w] = acc[w] - c if w in acc else -c
+            else:
+                for w, c in terms.items():
+                    acc[w] = acc[w] + c if w in acc else c
+            sign = self.token[0]
+            if sign != "+" and sign != "-":
+                return acc, quantum, classical, name
+            self.token = self.scan()
+            terms, q, c, _ = self.term()
             quantum, classical, name = quantum or q, classical or c, None
-        return value, quantum, classical, name
 
     def term(self) -> tuple:
-        value, quantum, classical, name = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            self.peek()  # skips whitespace, so an error points at the factor
-            start = self.pos
+        terms, quantum, classical, name = self.factor()
+        while self.token[0] == "*":
+            self.token = self.scan()
+            start = self.token[1]  # an error points at the factor
             other, q, c, _ = self.factor()
             if c and quantum:
                 raise ExprSyntaxError("classical letters must precede quantum letters in a product", start)
-            value = self.product(value, other, start)
+            terms = self.times(terms, other, start)
             quantum, classical, name = quantum or q, classical or c, None
-        return value, quantum, classical, name
+        return terms, quantum, classical, name
 
     def factor(self) -> tuple:
-        value, quantum, classical, name = self.base()
-        if self.peek() != "^":
-            if value is None:
-                value = self.symbol_power(name, 1)
-            return value, quantum, classical, name
-        self.pos += 1
-        paren = self.peek() == "("
+        kind, start, _, name = self.token
+        if kind is _SYMBOL:
+            if name not in _SYMBOLS:
+                raise ExprSyntaxError("unknown symbol %r" % name, start)
+            self.token = self.scan()
+            terms, quantum, classical = None, name in QMonomial._fields, name in ClassicalMonomial._fields
+        else:
+            terms, quantum, classical, name = self.base()
+        if self.token[0] != "^":
+            if terms is None:
+                terms = self.symbol_power(name, 1)
+            return terms, quantum, classical, name
+        self.token = self.scan()
+        paren = self.token[0] == "("
         if paren:
-            self.pos += 1
-        self.peek()  # skips whitespace, so an error points at the exponent
-        start = self.pos
-        exponent = self.take_signed_int()
+            self.token = self.scan()
+        kind, start, _, _ = self.token  # an error points at the exponent
+        negative = kind == "-"
+        if negative:
+            self.token = self.scan()
+        end = self.token[2]  # where the exponent ends, once it is read
+        exponent = -self.take_int() if negative else self.take_int()
         if paren:
+            end = self.token[2]
             self.expect(")")
         if exponent < 0 and name != "q":
-            raise ExprSyntaxError("negative exponent only allowed on q", self.pos)
+            raise ExprSyntaxError("negative exponent only allowed on q", end)
         if exponent > EXPONENT_MAX and name != "q":
             raise ExprSyntaxError("exponent %d exceeds EXPONENT_MAX = %d" % (exponent, EXPONENT_MAX), start)
         if name is not None:
             return self.symbol_power(name, exponent), quantum, classical, None
-        acc = value if exponent else QElement.one(self.spec)
+        acc = terms if exponent else {_UNIT: self.one}
         for _ in range(exponent - 1):
-            acc = self.product(acc, value, start)
+            acc = self.times(acc, terms, start)
         return acc, quantum, classical, None
 
     def base(self) -> tuple:
-        ch = self.peek()
-        if ch is None:
-            raise ExprSyntaxError("unexpected end of input", self.pos)
-        if ch == "(":
-            if self.depth == NESTING_MAX:
-                raise ExprSyntaxError("parentheses nest deeper than NESTING_MAX = %d" % NESTING_MAX, self.pos)
-            self.depth += 1
-            self.pos += 1
-            out = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return out
-        if ch in _DIGITS:
+        """A rational or a parenthesized expr; factor reads a symbol itself."""
+        kind, start, _, _ = self.token
+        if kind is _INT:
             num = self.take_int()
             den = 1
-            if self.peek() == "/":
-                self.pos += 1
-                self.peek()  # skips whitespace, so a zero is reported where it is written
-                den_pos = self.pos
+            if self.token[0] == "/":
+                self.token = self.scan()
+                den_pos = self.token[1]  # a zero is reported where it is written
                 den = self.take_int()
                 if den == 0:
                     raise ExprSyntaxError("zero denominator", den_pos)
-            return QElement.scalar(self.spec, Fraction(num, den)), False, False, None
-        if ch in _UNICODE_ALIASES:
-            self.pos += 1
-            name = _UNICODE_ALIASES[ch]
-        elif ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isalpha():
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name not in _SYMBOLS:
-                raise ExprSyntaxError("unknown symbol %r" % name, start)
-        else:
-            raise ExprSyntaxError("unexpected %r" % ch, self.pos)
-        return None, name in QMonomial._fields, name in ClassicalMonomial._fields, name
+            if not num:
+                return {}, False, False, None
+            return ({_UNIT: Cyclotomic.from_rational(self.spec.N, num if den == 1 else Fraction(num, den))},
+                    False, False, None)
+        if kind == "(":
+            if self.depth == NESTING_MAX:
+                raise ExprSyntaxError("parentheses nest deeper than NESTING_MAX = %d" % NESTING_MAX, start)
+            self.depth += 1
+            self.token = self.scan()
+            terms, quantum, classical, name = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return _nonzero(terms), quantum, classical, name
+        if kind is _END:
+            raise ExprSyntaxError("unexpected end of input", start)
+        raise ExprSyntaxError("unexpected %r" % self.text[start], start)
 
-    def symbol_power(self, name: str, exponent: int) -> QElement:
+    def symbol_power(self, name: str, exponent: int) -> dict:
         spec = self.spec
         if name == "q":
-            return QElement.scalar(spec, zeta_pow(spec, exponent))
+            return {_UNIT: zeta_pow(spec, exponent)}
         if name in QMonomial._fields:
-            return QElement.generator(spec, name, exponent)
-        return lift(ClassicalElement.generator(spec, name, exponent))
+            return {QMonomial.of_letter(name, exponent): self.one}
+        return lift(ClassicalElement.generator(spec, name, exponent)).terms
 
 
 def parse_qelement(text: str, spec: RootSpec) -> QElement:
@@ -226,10 +270,11 @@ def parse_qelement(text: str, spec: RootSpec) -> QElement:
     if spec is None:
         raise ValueError("a root-of-unity spec is required to parse")
     parser = _Parser(text, spec)
-    value = parser.expr()[0]
-    if parser.peek() is not None:
-        raise ExprSyntaxError("unexpected %r" % parser.peek(), parser.pos)
-    return value
+    terms = parser.expr()[0]
+    kind, start, _, _ = parser.token
+    if kind is not _END:
+        raise ExprSyntaxError("unexpected %r" % text[start], start)
+    return QElement._like(spec, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cyclo import Cyclotomic, RootSpec, p_expansion, root_spec_from_json
+from .cyclo import Cyclotomic, RootSpec, json_shown, p_expansion, root_spec_from_json
 from .qalgebra import (
     ClassicalElement,
     ClassicalMonomial,
@@ -38,7 +38,7 @@ SIDES = ("left", "right")
 
 def _check_side(side: str):
     if side not in SIDES:
-        raise ValueError("side must be 'left' or 'right', got %r" % (side,))
+        raise ValueError("side must be 'left' or 'right', got %s" % json_shown(side))
 
 
 class _SidedTerms(_Terms):

@@ -293,14 +293,12 @@ class _Polynomial(_Terms):
     @classmethod
     def generator(cls, spec: RootSpec, letter: str, exponent: int = 1):
         """letter^exponent, for a letter among the field names of _KEY."""
-        letters = cls._KEY._fields
-        if letter not in letters:
+        if letter not in cls._KEY._fields:
             raise ValueError("unknown generator %r" % (letter,))
         if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be an integer >= 0, got %r" % (exponent,))
         # a power of one letter is a normal monomial on either side
-        mono = cls._KEY(*(exponent if name == letter else 0 for name in letters))
-        return cls._like(spec, {mono: Cyclotomic.one(spec.N)})
+        return cls._like(spec, {cls._KEY.of_letter(letter, exponent): Cyclotomic.one(spec.N)})
 
     def _coerce(self, other):
         if isinstance(other, _SCALARS):
@@ -343,6 +341,13 @@ class _Monomial:
 
     def is_reduced(self) -> bool:
         return min(self[0], self[3]) == 0 and min(self) >= 0
+
+    @classmethod
+    def of_letter(cls, letter: str, exponent: int):
+        """letter^exponent, for a letter among the field names."""
+        exponents = [0, 0, 0, 0]
+        exponents[cls._fields.index(letter)] = exponent
+        return tuple.__new__(cls, exponents)
 
     @classmethod
     def from_json(cls, fields: dict):
@@ -440,15 +445,24 @@ qelement_from_json = QElement.from_json
 def qmul(x: QElement, y: QElement) -> QElement:
     """Product in the quantum coordinate ring."""
     x._check(y)
-    spec = x.spec
+    return QElement._like(x.spec, _mul_terms(x.spec, x.terms, y.terms))
+
+
+def _mul_terms(spec: RootSpec, x: dict, y: dict) -> dict:
+    """The terms of x*y for dicts word -> scalar of normal words, one cached engine call per pair.
+
+    The words are normal, and so is every word of the result, but
+    distinct pairs may cancel: the result can hold zero scalars.  qmul
+    and the parser (expr._Parser.times) both multiply through this loop.
+    """
     acc: dict[QMonomial, Cyclotomic] = {}
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
+    for mx, cx in x.items():
+        for my, cy in y.items():
             cxy = cx * cy
             for mz, cz in _mono_mul(spec, mx, my):
                 v = cxy * cz
                 acc[mz] = acc[mz] + v if mz in acc else v
-    return QElement._like(spec, acc)
+    return acc
 
 
 def straighten(word, spec: RootSpec) -> QElement:

@@ -640,6 +640,15 @@ def test_cli_deep_nesting_is_a_usage_error(capsys, monkeypatch, tmp_path):
     assert code == 2 and out == "" and err == "error: line 2: the JSON nests too deeply to read\n"
 
 
+def test_cli_names_a_deep_side_in_one_short_line(capsys, monkeypatch):
+    # json.loads reads a side nested 900 deep; the error names its type, not its 1,800 brackets
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"side":%s%s,"entries":[]}' % ("[" * 900, "]" * 900)))
+    code, out, err = _cli(capsys, "--l", "3", "recompose", "-")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) <= 200
+    assert err == "error: side must be 'left' or 'right', got <list>\n"
+
+
 def test_cli_selftest(capsys):
     code, out, _ = _cli(capsys, "selftest")
     lines = out.strip().splitlines()

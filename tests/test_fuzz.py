@@ -24,6 +24,7 @@ from qsl2 import (
     straighten,
     zeta_pow,
 )
+from qsl2.cyclo import json_shown
 from qsl2.expr import NESTING_MAX, ExprSyntaxError, parse_qelement
 from qsl2.qalgebra import EXPONENT_MAX
 
@@ -124,3 +125,41 @@ def test_json_readers_return_normal_elements_or_raise_value_error(data):
         return
     assert type(out) is cls
     _assert_keys_pass(out)
+
+
+def _deep_list(depth):
+    out = []
+    for _ in range(depth):
+        out = [out]
+    return out
+
+
+DEEP = _deep_list(5000)
+
+
+@pytest.mark.parametrize("cls, doc", DOCUMENTS, ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_json_readers_name_a_deep_value_in_a_short_message(cls, doc):
+    # a value nested past the recursion limit, put at every place of the document in turn (the
+    # root data's l, every term field and the side among them), is named by its type alone
+    paths = list(_paths(doc))
+    assert any(path[-2:] == ("spec", "l") for path in paths)
+    assert ("side",) in paths or cls in (QElement, ClassicalElement)
+    for path in paths:
+        bad = copy.deepcopy(doc)
+        parent = bad
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = DEEP
+        for spec in (SPEC3, None):
+            with pytest.raises(ValueError) as info:
+                cls.from_json(bad, spec)
+            assert len(str(info.value)) <= 200, path
+
+
+def test_json_shown_is_short_for_any_value():
+    assert json_shown(1.5) == "1.5" and json_shown("left") == "'left'" and json_shown(None) == "None"
+    assert json_shown(True) == "True" and json_shown(-7) == "-7"
+    assert json_shown("x" * 1000) == "'" + "x" * 36 + "..."
+    assert json_shown(10 ** 5000) == "<int of 16610 bits>"
+    assert json_shown(DEEP) == "<list>" and json_shown({"a": DEEP}) == "<dict>"
+    assert all(len(json_shown(v)) <= 40 for v in (10 ** 35, -10 ** 35, 2.0 ** -1000, "é" * 100))
