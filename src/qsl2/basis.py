@@ -43,7 +43,7 @@ from .qalgebra import (
     _SortedTerms,
     classical_mul,
 )
-from .qalgebra import _add_term, _nonzero
+from .qalgebra import _add_term
 
 
 def enumerate_basis(l: int) -> list[QMonomial]:
@@ -127,8 +127,8 @@ decomposition_from_json = Decomposition.from_json
 
 
 # the subalgebra generators of the elimination heads; the checked index
-# ranges make every tail and head key below normal, so the steps build
-# through the trusted _like
+# ranges make every tail and head key below normal, and the tail's row
+# p_k, k < l, has no zero entry, so the steps build through the trusted _like
 _ALPHA = ClassicalMonomial(1, 0, 0, 0)
 _DELTA = ClassicalMonomial(0, 0, 0, 1)
 
@@ -163,8 +163,10 @@ def _eliminate(i: int, n: int, s: int, r: int, spec: RootSpec, side: str) -> Mod
     tail = QElement._like(spec, {QMonomial(i, n + j, s + j, r): -row[j] for j in range(1, k + 1)})
     head, gen = (QMonomial(0, n, s, k), _ALPHA) if i else (QMonomial(k, n, s, 0), _DELTA)
     e = (i or r) if (side == "left") == (r > 0) else -k
-    return central_reduce(tail, side) + ModuleElement._like(
-        spec, side, {head: ClassicalElement._like(spec, {gen: zeta_pow(spec, e * (n + s))})})
+    # the head is no residual word of the tail: an A head b^n c^s d^k has d = k > 0 where
+    # every tail word keeps d = 0, a D head a^k b^n c^s has a = k > 0 where they keep a = 0
+    head_coeff = ClassicalElement._like(spec, {gen: zeta_pow(spec, e * (n + s))})
+    return ModuleElement._like(spec, side, {**central_reduce(tail, side).terms, head: head_coeff})
 
 
 def decompose(x: QElement, side: str = "left") -> Decomposition:
@@ -181,8 +183,6 @@ def decompose(x: QElement, side: str = "left") -> Decomposition:
     for mono, g in me.terms.items():
         (settled if is_basis_monomial(mono, l) else pending[mono.c])[mono] = g
     for mono, g in (term for bucket in pending for term in bucket.items()):
-        if g.is_zero():
-            continue
         i, j, k, m = mono
         if i > 0:
             rel = eliminate_a_family(i, j, k, spec, side)
@@ -287,7 +287,7 @@ def localize(x: QElement, chart: str) -> LocalizedElement:
                 _add_term(acc, QMonomial(r0, s0, 0, t0), classical_mul(g, coeff))
     # divide the chart generator back out of each term that allows it
     out: dict[QMonomial, tuple[ClassicalElement, int]] = {}
-    for mono, g in _nonzero(acc).items():
+    for mono, g in acc.items():
         h = None
         if K and chart == "alpha":
             h = _divide_by_alpha(g)

@@ -238,8 +238,12 @@ class Cyclotomic:
 
                 return by_unit
         if not any(self.num[1:]):
-            p, q = self.num[0], self.den
-            return lambda z: z._scale(p, q)
+            order, p, q = self.order, self.num[0], self.den
+
+            def by_rational(z):
+                return _normalise(order, tuple([a * p for a in z.num]), z.den * q)
+
+            return by_rational
         return self.__mul__
 
     def inv(self) -> "Cyclotomic":
@@ -496,7 +500,7 @@ def cyclotomic_from_json(data: dict, order: int | None = None) -> Cyclotomic:
     try:
         found = json_int(data["order"])
         if order is not None and found != order:
-            raise ValueError("coefficient of order %d where %d is expected" % (found, order))
+            raise ValueError("coefficient of order %s where %d is expected" % (json_shown(found), order))
         coeffs = data["coeffs"]
         if type(coeffs) is not list or len(coeffs) != euler_phi(found):
             raise ValueError("coefficient vector has wrong length for Q(zeta_%d)" % found)
@@ -526,9 +530,10 @@ class RootSpec(namedtuple("RootSpec", "l N zeta_exponent")):
         if l < 2:
             raise ValueError("l must be at least 2")
         if N != 2 * l and not (N == l and l % 2):
-            raise ValueError("unsupported pair l=%d, N=%d" % (l, N))
+            raise ValueError("unsupported pair l=%s, N=%s" % (json_shown(l), json_shown(N)))
         if math.gcd(zeta_exponent, N) != 1:
-            raise ValueError("zeta_exponent %d is not coprime to N=%d" % (zeta_exponent, N))
+            raise ValueError("zeta_exponent %s is not coprime to N=%s"
+                             % (json_shown(zeta_exponent), json_shown(N)))
         return tuple.__new__(cls, (l, N, zeta_exponent % N))
 
     @classmethod

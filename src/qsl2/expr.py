@@ -24,7 +24,8 @@ them evaluates as it reads.  Every value is
 a plain dict word -> scalar until the end: each factor, a scalar too,
 multiplies the running term pair by pair through the engine loop that
 qmul runs (qalgebra._mul_terms), each term adds into one accumulator per
-expression, and the QElement is built once.  A power of
+expression, both deleting a word whose sum cancels, and the QElement is
+built once.  A power of
 a single symbol is built directly as its word or root-of-unity scalar.
 Every other product, each * and each step of a power, is charged against
 POWER_PRODUCTS_MAX for the whole expression before it is formed, and
@@ -51,7 +52,6 @@ from .qalgebra import (
     QMonomial,
     TensorElement,
     _mul_terms,
-    _nonzero,
 )
 
 _UNICODE_ALIASES = {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta"}
@@ -112,11 +112,10 @@ class _Parser:
     parenthesized, else None.  term folds its factors into one running
     dict through times, and expr adds its terms into one accumulator.
     factor reads a bare symbol itself and builds its power once, through
-    symbol_power.  An accumulator may keep zero scalars until it is used:
-    base prunes a parenthesized one, and QElement._like the one of the
-    whole text.  So every value that is charged or multiplied holds none,
-    as in a QElement, and the charges are those of the QElement products
-    they replace.
+    symbol_power.  Every value holds no zero scalar, as in a QElement:
+    times and expr delete a word whose sum cancels, so the charges are
+    those of the QElement products they replace, and the value of the
+    whole text is stored as it is by QElement._like.
     """
 
     def __init__(self, text: str, spec: RootSpec):
@@ -133,7 +132,7 @@ class _Parser:
 
         A pair costs 1 + min(a-sum, d-sum), for the a^t d^t its product
         contracts.  Every pair, a scalar's (1, word) too, is formed by the
-        engine, as qmul forms it, and zero scalars are pruned.
+        engine, as qmul forms it, and a word whose sum cancels is deleted.
         """
         products = self.products
         for a, _, _, d in x:
@@ -143,7 +142,7 @@ class _Parser:
         if products > POWER_PRODUCTS_MAX:
             raise ExprSyntaxError("this product brings the expression to %d term products, over "
                                   "POWER_PRODUCTS_MAX = %d" % (products, POWER_PRODUCTS_MAX), position)
-        return _nonzero(_mul_terms(self.spec, x, y))
+        return _mul_terms(self.spec, x, y)
 
     def take_int(self) -> int:
         kind, start, end, _ = self.token
@@ -167,10 +166,22 @@ class _Parser:
             if sign == "-":
                 name = None
                 for w, c in terms.items():
-                    acc[w] = acc[w] - c if w in acc else -c
+                    if w in acc:
+                        c = acc[w] - c
+                        if c.is_zero():
+                            del acc[w]
+                            continue
+                    else:
+                        c = -c
+                    acc[w] = c
             else:
                 for w, c in terms.items():
-                    acc[w] = acc[w] + c if w in acc else c
+                    if w in acc:
+                        c = acc[w] + c
+                        if c.is_zero():
+                            del acc[w]
+                            continue
+                    acc[w] = c
             sign = self.token[0]
             if sign != "+" and sign != "-":
                 return acc, quantum, classical, name
@@ -251,7 +262,7 @@ class _Parser:
             terms, quantum, classical, name = self.expr()
             self.expect(")")
             self.depth -= 1
-            return _nonzero(terms), quantum, classical, name
+            return terms, quantum, classical, name
         if kind is _END:
             raise ExprSyntaxError("unexpected end of input", start)
         raise ExprSyntaxError("unexpected %r" % self.text[start], start)

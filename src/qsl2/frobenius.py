@@ -190,7 +190,8 @@ def module_recompose(me: _SidedTerms) -> QElement:
     me maps words to classical coefficients: a ModuleElement, or a
     basis.Decomposition, whose words are basis words.  Each coefficient
     term c * m gives the lifted product of m with the key word
-    (_lifted_product), and all of them go straight into one sum.
+    (_lifted_product), and all of them go straight into one sum, which
+    deletes a word whose sum cancels.
     """
     spec = me.spec
     _require_standard(spec, "module_recompose")
@@ -200,7 +201,12 @@ def module_recompose(me: _SidedTerms) -> QElement:
         for m, c in g.terms.items():
             for mz, cz in _lifted_product(spec, m, mono, side):
                 v = c * cz
-                acc[mz] = acc[mz] + v if mz in acc else v
+                if mz in acc:
+                    v = acc[mz] + v
+                    if v.is_zero():
+                        del acc[mz]
+                        continue
+                acc[mz] = v
     return QElement._like(spec, acc)
 
 

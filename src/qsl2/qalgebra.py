@@ -16,8 +16,13 @@ module also carries the Hopf maps (coproduct, counit, antipode) and the
 commutative coordinate ring of classical SL(2) used for Frobenius coefficients.
 
 Every element type of the package is a finite sparse combination; the
-term plumbing they share (zero pruning, addition, scaling, equality,
-sorting and JSON) lives once, in _Terms.
+term plumbing they share (validation, addition, scaling, equality,
+sorting and JSON) lives once, in _Terms.  No stored value is ever zero,
+and no pass looks for one afterwards: a value is a relabelled nonzero
+value, a product of nonzero scalars in the field Q(zeta_N) or a nonzero
+engine-row entry, so a zero can only arise where two values of one key
+are summed, and every merge that sums them deletes the key when the sum
+cancels (_add_term and the inline merge loops).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .cyclo import (
     RootSpec,
     cyclotomic_from_json,
     json_int,
+    json_shown,
     p_expansion,
     root_spec_from_json,
     root_spec_to_json,
@@ -52,12 +58,13 @@ POWER_PRODUCTS_MAX = 50_000
 
 
 def _add_term(acc: dict, key, value) -> None:
-    """acc[key] += value, creating the entry if it is missing."""
-    acc[key] = acc[key] + value if key in acc else value
-
-
-def _nonzero(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if not v.is_zero()}
+    """acc[key] += value, creating the entry if it is missing and deleting it if the sum is zero."""
+    if key in acc:
+        value = acc[key] + value
+        if value.is_zero():
+            del acc[key]
+            return
+    acc[key] = value
 
 
 class _SortedTerms:
@@ -105,9 +112,10 @@ class _Terms(_SortedTerms):
     subclass normalises and validates keys in _key and gives its real
     product in _mul.
 
-    The constructor cls(*head, terms) validates every key and value.
-    Internal producers whose terms are normal by construction build through
-    cls._like(*head, terms) instead, which only prunes zeros.
+    The constructor cls(*head, terms) validates every key and value and
+    prunes zeros.  Internal producers build through cls._like(*head, terms)
+    instead, which stores terms as it is: its keys must be normal and none
+    of its values zero, so each producer deletes a key where its sum cancels.
     """
 
     __slots__ = ("spec", "terms")
@@ -138,10 +146,10 @@ class _Terms(_SortedTerms):
 
     @classmethod
     def _like(cls, spec: RootSpec, terms: dict):
-        """cls(spec, terms) for keys that are already normal: only zeros are pruned."""
+        """cls(spec, terms) for a dict of normal keys and no zero value, stored as it is."""
         out = _new(cls)
         _set_spec(out, spec)
-        _set_terms(out, _nonzero(terms))
+        _set_terms(out, terms)
         return out
 
     def __reduce__(self):
@@ -195,7 +203,11 @@ class _Terms(_SortedTerms):
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return self._like(*self._head(), {k: v * other for k, v in self.terms.items()})
+            terms = {k: v * other for k, v in self.terms.items()}  # a mixed-order scalar raises here
+            # a nonzero value times a scalar is zero only for the zero scalar, which zeroes them all
+            if terms and next(iter(terms.values())).is_zero():
+                terms = {}
+            return self._like(*self._head(), terms)
         if type(other) is not type(self):
             return NotImplemented
         return self._mul(other)
@@ -246,12 +258,14 @@ class _Terms(_SortedTerms):
         """Inverse of to_json; repeated keys are summed and a malformed document raises ValueError.
 
         So does a monomial exponent above EXPONENT_MAX, before any term is expanded.
+        The merge keeps a key whose rows cancel, so the constructor still checks it.
         """
         terms: dict = {}
         try:
             head = cls._head_from_json(data, spec)
             for row in data[cls._ROWS]:
-                _add_term(terms, cls._key_from_json(row), cls._value_from_json(row, head[0]))
+                key, value = cls._key_from_json(row), cls._value_from_json(row, head[0])
+                terms[key] = terms[key] + value if key in terms else value
         except KeyError as err:
             raise ValueError("malformed %s JSON: missing field %s" % (cls.__name__, err)) from None
         except TypeError as err:
@@ -356,7 +370,8 @@ class _Monomial:
         for name in cls._fields:
             e = json_int(fields[name])
             if e > EXPONENT_MAX:
-                raise ValueError("exponent %d exceeds EXPONENT_MAX = %d" % (e, EXPONENT_MAX))
+                raise ValueError("exponent %s exceeds EXPONENT_MAX = %d"
+                                 % (json_shown(e), EXPONENT_MAX))
             exponents.append(e)
         return cls._make(exponents)
 
@@ -451,9 +466,10 @@ def qmul(x: QElement, y: QElement) -> QElement:
 def _mul_terms(spec: RootSpec, x: dict, y: dict) -> dict:
     """The terms of x*y for dicts word -> scalar of normal words, one cached engine call per pair.
 
-    The words are normal, and so is every word of the result, but
-    distinct pairs may cancel: the result can hold zero scalars.  qmul
-    and the parser (expr._Parser.times) both multiply through this loop.
+    The words are normal, and so is every word of the result; distinct
+    pairs may cancel, and a word whose sum cancels is deleted, so the
+    result holds no zero scalar.  qmul and the parser (expr._Parser.times)
+    both multiply through this loop.
     """
     acc: dict[QMonomial, Cyclotomic] = {}
     for mx, cx in x.items():
@@ -461,7 +477,12 @@ def _mul_terms(spec: RootSpec, x: dict, y: dict) -> dict:
             cxy = cx * cy
             for mz, cz in _mono_mul(spec, mx, my):
                 v = cxy * cz
-                acc[mz] = acc[mz] + v if mz in acc else v
+                if mz in acc:
+                    v = acc[mz] + v
+                    if v.is_zero():
+                        del acc[mz]
+                        continue
+                acc[mz] = v
     return acc
 
 
@@ -538,7 +559,12 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
                 for mz2, cz2 in _mono_mul(spec, x2, y2):
                     key = (mz1, mz2)
                     v = c1 * cz2
-                    acc[key] = acc[key] + v if key in acc else v
+                    if key in acc:
+                        v = acc[key] + v
+                        if v.is_zero():
+                            del acc[key]
+                            continue
+                    acc[key] = v
     return TensorElement._like(spec, acc)
 
 
@@ -571,8 +597,7 @@ def _coproduct_half(spec: RootSpec, e1: int, e2: int) -> tuple:
             acc = groups.setdefault(t1 + t2, {})
             for mono, v in _mono_mul(spec, QMonomial(e1 - t1, e2 - t2, 0, 0), QMonomial(0, 0, t1, t2)):
                 _add_term(acc, mono, c * v)
-    return tuple((T, tuple((m, v) for m, v in acc.items() if not v.is_zero()))
-                 for T, acc in groups.items())
+    return tuple((T, tuple(acc.items())) for T, acc in groups.items())
 
 
 @lru_cache(maxsize=2**12)
@@ -610,15 +635,25 @@ def _coproduct_monomial(spec: RootSpec, mono: QMonomial) -> tuple:
                     v12 = v1 * v2
                     for r, v in right_mul(spec, r1, r2):
                         v = v12 * v
-                        right[r] = right[r] + v if r in right else v
+                        if r in right:
+                            v = right[r] + v
+                            if v.is_zero():
+                                del right[r]
+                                continue
+                        right[r] = v
             for left, u in _mono_mul(spec, left_ab, QMonomial(0, 0, k + m - U, U)):
                 unit = u.is_one()
                 for r, v in right.items():
                     key = (left, r)
                     if not unit:
                         v = u * v
-                    acc[key] = acc[key] + v if key in acc else v
-    return tuple(((_orbit(L), _orbit(R)), v) for (L, R), v in acc.items() if not v.is_zero())
+                    if key in acc:
+                        v = acc[key] + v
+                        if v.is_zero():
+                            del acc[key]
+                            continue
+                    acc[key] = v
+    return tuple(((_orbit(L), _orbit(R)), v) for (L, R), v in acc.items())
 
 
 def coproduct(x: QElement) -> TensorElement:
@@ -663,7 +698,12 @@ def coproduct(x: QElement) -> TensorElement:
         for (L, R), v in _coproduct_monomial(spec, r):
             key = (R[g], L[g]) if swap else (L[g], R[g])
             v = mul(v)
-            acc[key] = acc[key] + v if key in acc else v
+            if key in acc:
+                v = acc[key] + v
+                if v.is_zero():
+                    del acc[key]
+                    continue
+            acc[key] = v
     return TensorElement._like(spec, acc)
 
 
@@ -729,7 +769,7 @@ class ClassicalElement(_Polynomial):
         acc: dict[ClassicalMonomial, Cyclotomic] = {}
         for m, v in super()._clean(terms).items():
             _add_classical_term(acc, m, v)
-        return _nonzero(acc)
+        return acc
 
     def _mul(self, other):
         return classical_mul(self, other)

@@ -19,6 +19,7 @@ from qsl2 import (
     Decomposition,
     ModuleElement,
     QElement,
+    QMonomial,
     central_reduce,
     decompose,
     straighten,
@@ -154,6 +155,45 @@ def test_json_readers_name_a_deep_value_in_a_short_message(cls, doc):
             with pytest.raises(ValueError) as info:
                 cls.from_json(bad, spec)
             assert len(str(info.value)) <= 200, path
+
+
+# one integer past the 4300-digit limit of Python's int-to-text conversion, and one of 3000 digits below it
+HUGE = (10 ** 5000, 10 ** 2999)
+# the integer fields a huge value is put at: every monomial exponent, the root data's l and N,
+# and a coefficient's order
+HUGE_FIELDS = set(QMonomial._fields) | set(ClassicalMonomial._fields) | {"l", "N", "order"}
+
+
+@pytest.mark.parametrize("cls, doc", DOCUMENTS, ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_json_readers_name_a_huge_integer_in_a_short_message(cls, doc):
+    paths = [path for path in _paths(doc) if path[-1] in HUGE_FIELDS]
+    assert {"l", "order"} <= {path[-1] for path in paths}
+    assert any(path[-1] in QMonomial._fields + ClassicalMonomial._fields for path in paths)
+    for path in paths:
+        for huge in HUGE:
+            bad = copy.deepcopy(doc)
+            parent = bad
+            for k in path[:-1]:
+                parent = parent[k]
+            parent[path[-1]] = huge
+            for spec in (SPEC3, None):
+                with pytest.raises(ValueError) as info:
+                    cls.from_json(bad, spec)
+                assert len(str(info.value)) <= 200, path
+
+
+def test_json_readers_keep_their_messages_for_ordinary_integers():
+    row = {"a": EXPONENT_MAX + 1, "b": 0, "c": 0, "d": 0,
+           "coeff": {"order": 5, "coeffs": ["1", "0", "0", "0"]}}
+    with pytest.raises(ValueError, match=r"^exponent 1001 exceeds EXPONENT_MAX = 1000$"):
+        QElement.from_json({"terms": [row]}, SPEC3)
+    row["a"] = 1
+    with pytest.raises(ValueError, match=r"^coefficient of order 5 where 3 is expected$"):
+        QElement.from_json({"terms": [row]}, SPEC3)
+    with pytest.raises(ValueError, match=r"^unsupported pair l=3, N=4$"):
+        QElement.from_json({"spec": {"l": 3, "N": 4}, "terms": []})
+    with pytest.raises(ValueError, match=r"^zeta_exponent 2 is not coprime to N=4$"):
+        QElement.from_json({"spec": {"l": 2, "N": 4, "zeta_exponent": 2}, "terms": []})
 
 
 def test_json_shown_is_short_for_any_value():
